@@ -11,12 +11,11 @@ be necessary for optimality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError, InvalidArgumentError, SizeLimitError
+from .errors import InfeasibleError, InvalidArgumentError
 from .problem import (
     ObjectiveSet,
     ProblemInstance,
@@ -26,7 +25,6 @@ from .problem import (
 from .simplex import min_norm_over_simplex
 
 COLLINEARITY_TOL = 1e-6  # radians; the stopping test has no canonical tolerance
-_MAX_PNG_OBJECTIVES = 20
 
 
 @dataclass(frozen=True)
@@ -42,51 +40,38 @@ class PngConfig:
 
 
 def _png_vector_from_grads(G: np.ndarray, g0: np.ndarray, c: float) -> np.ndarray:
-    n = G.shape[0]
-    gram = G @ G.T
-    Gg0 = G @ g0
-    row_norms = np.linalg.norm(G, axis=1)
-    # one KKT point with nonnegative multipliers exists iff the cone is
-    # nonempty; by convexity it is the minimizer, so accept the first
-    for k in range(n + 1):
-        for S in combinations(range(n), k):
-            if k == 0:
-                v = g0
-                Gv = Gg0
-            else:
-                idx = list(S)
-                sub = gram[np.ix_(idx, idx)]
-                rhs = c - Gg0[idx]
-                try:
-                    lam = np.linalg.solve(sub, rhs)
-                except np.linalg.LinAlgError:
-                    lam, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
-                if np.min(lam) < -1e-10 * max(1.0, float(np.max(np.abs(lam)))):
-                    continue
-                v = g0 + G[idx].T @ lam
-                Gv = Gg0 + gram[:, idx] @ lam
-                # residual tolerance scales with the products involved:
-                # near-degenerate cones produce legitimately huge v
-                eq_tol = 1e-9 * (1.0 + row_norms[idx] * np.linalg.norm(v))
-                if np.any(np.abs(Gv[idx] - c) > eq_tol):
-                    continue
-            slack_tol = 1e-9 * (1.0 + row_norms * np.linalg.norm(v))
-            if np.all(Gv - c >= -slack_tol):
-                return np.asarray(v, dtype=float).copy()
-    raise InfeasibleError("constraint halfspaces have empty intersection")
+    # v = g0 + w with w the least-distance solution of G w >= h = c - G g0,
+    # read off the NNLS residual r of [G^T; h^T] u ~ e_{d+1} (Lawson and
+    # Hanson, ch. 23): w = -r[:d] / r[d].
+    from scipy.optimize import nnls  # deferred: slow to import; most commands never need it
+
+    d = G.shape[1]
+    h = c - G @ g0
+    E = np.vstack([G.T, h])
+    target = np.zeros(d + 1)
+    target[d] = 1.0
+    u, _ = nnls(E, target)
+    r = E @ u - target
+    # NNLS optimality (E^T r >= 0, u^T E^T r = 0) gives ||r||^2 = -r[d] =
+    # 1 / (1 + ||w||^2), and the halfspaces are infeasible exactly when it
+    # is 0.  -r[d] = 1 - h^T u carries rounding error of order
+    # 1e-16 * |h|^T u, so below 1e-12 it keeps at most four reliable digits
+    # and cannot be told apart from 0; the w it would give (norm above 1e6)
+    # would be dominated by that error.
+    if -r[d] <= 1e-12:
+        raise InfeasibleError("constraint halfspaces have empty intersection")
+    return g0 - r[:d] / r[d]
 
 
 def png_vector(F: ObjectiveSet, f0: SmoothFunction, x: np.ndarray, c: float) -> np.ndarray:
     """Project grad f0(x) onto {v : grad f_i(x)^T v >= c for all i}.
 
-    Solved exactly by enumerating active sets of the KKT system; the
-    objective is strictly convex, so any multiplier-feasible KKT point is
-    the minimizer.
+    Solved exactly as a least-distance program, which is one nonnegative
+    least-squares solve in the n constraint multipliers; raises
+    ``InfeasibleError`` when the halfspaces have empty intersection.
     """
     if c <= 0:
         raise InvalidArgumentError("c must be positive")
-    if F.n > _MAX_PNG_OBJECTIVES:
-        raise SizeLimitError(f"active-set enumeration capped at {_MAX_PNG_OBJECTIVES} objectives")
     x = np.asarray(x, dtype=float)
     return _png_vector_from_grads(F.jacobian_T(x).T, f0.grad(x), c)
 

@@ -149,9 +149,8 @@ def grad_x_star_exact(F: ObjectiveSet, point: ManifoldPoint) -> Jacobian:
     The caller vouches that ``point.residual`` is small enough for the point
     to be treated as on-manifold.
     """
-    H = scalarize(F, point.beta).hess(point.x)
-    M = -spd_solve(H, F.jacobian_T(point.x), F.mu)
-    return Jacobian(matrix=M, kind="exact")
+    J = grad_x_star_estimate(F, point.x, point.beta)
+    return Jacobian(matrix=J.matrix, kind="exact")
 
 
 def grad_x_star_estimate(F: ObjectiveSet, x: np.ndarray, beta: SimplexPoint) -> Jacobian:

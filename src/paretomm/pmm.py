@@ -82,7 +82,6 @@ class SolverConfig:
     eps: float
     alpha: float = 0.5
     max_outer: int = 100_000
-    max_inner_simplex: int = 10_000
     max_inner_x: int = 200_000
     c1: Optional[float] = None
     c2: Optional[float] = None
@@ -321,9 +320,7 @@ def pmm_solve(
                 Q = SimplexQuadratic(
                     anchor=beta, linear=surrogate.linear, curvature=surrogate.curvature
                 )
-                beta, _ = minimize_quadratic_over_simplex(
-                    Q, tol_gap=c1 * config.eps0, max_iters=config.max_inner_simplex
-                )
+                beta, _ = minimize_quadratic_over_simplex(Q, tol_gap=c1 * config.eps0)
             inner = solve_x_star(
                 F,
                 beta,

@@ -237,10 +237,16 @@ def derive_constants(F: ObjectiveSet, f0: SmoothFunction) -> ConstantBundle:
     if f0.L is None:
         raise ConfigurationError("preference function is missing its gradient Lipschitz constant")
     kappa = F.kappa
-    R = np.sqrt(kappa) * F.r
-    M0 = kappa * R
-    M1 = 2.0 * kappa**2 * R * (1.0 + F.L_H * R / F.mu)
-    mu_g = F.n * f0.L * M1
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            R = np.sqrt(kappa) * F.r
+            M0 = kappa * R
+            M1 = 2.0 * kappa**2 * R * (1.0 + F.L_H * R / F.mu)
+            mu_g = F.n * f0.L * M1
+    except OverflowError as exc:
+        raise InvalidArgumentError(f"constants: the derived bundle overflows ({exc})") from exc
+    if not np.all(np.isfinite([R, M0, M1, mu_g])):
+        raise InvalidArgumentError("constants: the derived bundle is not finite")
     return ConstantBundle(R_bound=float(R), M0=float(M0), M1=float(M1), mu_g=float(mu_g))
 
 

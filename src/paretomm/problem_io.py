@@ -77,7 +77,7 @@ def problem_from_spec(spec: dict) -> ProblemInstance:
     if "dimension" not in spec:
         raise InvalidArgumentError("problem file: missing field 'dimension'")
     dim = spec["dimension"]
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise InvalidArgumentError(f"dimension: expected a positive integer, got {dim!r}")
     entries = spec.get("objectives")
     if not isinstance(entries, list) or not entries:
@@ -93,16 +93,27 @@ def problem_from_spec(spec: dict) -> ProblemInstance:
     if constants is not None:
         if not isinstance(constants, dict):
             raise InvalidArgumentError("constants: expected an object")
-        updates = {}
-        for key in ("mu", "L", "L_H"):
+        values = {}
+        for key in ("mu", "L", "L_H", "L0"):
             if key in constants:
-                updates[key] = float(constants[key])
-        if updates:
-            F = dataclasses.replace(F, **updates)
+                try:
+                    value = float(constants[key])
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise InvalidArgumentError(f"constants.{key}: expected a number") from exc
+                if not np.isfinite(value):
+                    raise InvalidArgumentError(f"constants.{key}: {value} is not finite")
+                values[key] = value
+        L0 = values.pop("L0", None)
+        if values:
+            F = dataclasses.replace(F, **values)
         if not (0 < F.mu <= F.L):
             raise InvalidArgumentError("constants: require 0 < mu <= L")
-        if "L0" in constants:
-            f0 = dataclasses.replace(f0, L=float(constants["L0"]))
+        if F.L_H < 0:
+            raise InvalidArgumentError("constants: require L_H >= 0")
+        if L0 is not None:
+            if L0 <= 0:
+                raise InvalidArgumentError("constants: require L0 > 0")
+            f0 = dataclasses.replace(f0, L=L0)
     return ProblemInstance.create(F, f0)
 
 

@@ -3,15 +3,16 @@
 The simplex is treated as a metric space under the l1 norm.  Stationarity of
 a smooth function at beta is measured by the l1-normalized gap
 max(0, sup_{beta'} -v^T (beta' - beta) / ||beta' - beta||_1), which reduces
-to a maximum over the vertices.  The projected-gradient solver additionally
-controls the stricter l2 tangent-cone gap, so both notions hold at its
-returned tolerance.
+to a maximum over the vertices.  The isotropic quadratic surrogate is
+minimized exactly by one Euclidean projection, and its result is checked
+against the stricter l2 tangent-cone gap, so both notions hold at the
+returned tolerance.  The minimum-norm point of a polytope is one
+nonnegative least-squares solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -88,31 +89,22 @@ def l1_stationarity_gap(v: np.ndarray, beta: SimplexPoint) -> float:
 def _project_tangent_cone(q: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Project q onto {u : sum u = 0, u_i >= 0 for i in active}.
 
-    The projection lies on a face where some subset of the active
-    coordinates is pinned to zero; enumerate those subsets and keep the
-    nearest feasible candidate.
+    The projection is u = q - tau on the free coordinates and
+    max(q - tau, 0) on the active ones, where tau zeroes the decreasing
+    piecewise-linear sum of u.  On the piece where the k largest active
+    values exceed tau the root is tau_k = (sum of free q + those k values)
+    / (free count + k), and each tau_k is at most the true root, so tau is
+    the largest of them.
     """
-    n = q.size
-    act = [int(i) for i in np.nonzero(active)[0]]
-    best = None
-    best_dist = np.inf
-    for k in range(len(act) + 1):
-        for pinned in combinations(act, k):
-            free = np.ones(n, dtype=bool)
-            free[list(pinned)] = False
-            m = int(free.sum())
-            if m == 0:
-                u = np.zeros(n)
-            else:
-                u = np.zeros(n)
-                u[free] = q[free] - q[free].sum() / m
-            if np.any(u[act] < -1e-13):
-                continue
-            dist = float(np.linalg.norm(u - q))
-            if dist < best_dist:
-                best_dist = dist
-                best = u
-    return best if best is not None else np.zeros(n)
+    free = ~active
+    m = int(free.sum())
+    if m == 0:
+        return np.zeros(q.size)  # the cone is {0}
+    sums = q[free].sum() + np.concatenate(([0.0], np.cumsum(np.sort(q[active])[::-1])))
+    tau = float(np.max(sums / (m + np.arange(sums.size))))
+    u = q - tau
+    u[active] = np.maximum(u[active], 0.0)
+    return u
 
 
 def l2_tangent_gap(v: np.ndarray, beta: SimplexPoint) -> float:
@@ -153,81 +145,50 @@ class SimplexQuadratic:
         return self.linear + self.curvature * (beta.weights - self.anchor.weights)
 
 
-def minimize_quadratic_over_simplex(
-    Q: SimplexQuadratic, tol_gap: float, max_iters: int = 10_000
-):
-    """Projected gradient descent with step 1/curvature from the anchor.
+def minimize_quadratic_over_simplex(Q: SimplexQuadratic, tol_gap: float):
+    """Exact minimizer: the projection of the unconstrained step from the anchor.
 
-    Stops when the l2 tangent-cone gap is at most ``tol_gap``; since the l2
-    gap dominates the l1 gap, the returned point meets the tolerance in both
-    senses.  Returns ``(point, achieved_gap)``.
+    The quadratic is isotropic, so its minimizer over the simplex is
+    project(anchor - linear / curvature); the anchor is returned unchanged
+    when it already meets the tolerance.  The reported l2 tangent-cone gap
+    dominates the l1 gap, so the returned point meets ``tol_gap`` in both
+    senses.  The gap of the exact minimizer is rounding noise, so only a
+    ``tol_gap`` below floating-point resolution raises.  Returns
+    ``(point, achieved_gap)``.
     """
     if tol_gap <= 0:
         raise InvalidArgumentError("tol_gap must be positive")
-    beta = Q.anchor
-    value = Q.value_at(beta)
-    best = (beta, np.inf)
-    for _ in range(max_iters + 1):
-        gap = l2_tangent_gap(Q.grad_at(beta), beta)
-        if gap < best[1]:
-            best = (beta, gap)
-        if gap <= tol_gap:
-            return beta, gap
-        nxt = project_to_simplex(beta.weights - Q.grad_at(beta) / Q.curvature)
-        nxt_value = Q.value_at(nxt)
-        if nxt_value > value + 1e-12:
-            # step 1/C on a C-smooth quadratic cannot ascend
-            break
-        beta, value = nxt, nxt_value
-    raise BudgetExceededError(
-        f"simplex solver stalled at gap {best[1]:.3e} (target {tol_gap:.3e})",
-        best=best[0],
-        metric=best[1],
-    )
+    gap = l2_tangent_gap(Q.linear, Q.anchor)
+    if gap <= tol_gap:
+        return Q.anchor, gap
+    beta = project_to_simplex(Q.anchor.weights - Q.linear / Q.curvature)
+    gap = l2_tangent_gap(Q.grad_at(beta), beta)
+    if gap > tol_gap:
+        raise BudgetExceededError(
+            f"simplex minimizer has gap {gap:.3e} above the target {tol_gap:.3e}",
+            best=beta,
+            metric=gap,
+        )
+    return beta, gap
 
 
 def min_norm_over_simplex(G: np.ndarray):
-    """Minimize ||G beta||_2 over the simplex, exactly, by face enumeration.
+    """Minimize ||G beta||_2 over the simplex, exactly, by one NNLS solve.
 
-    ``G`` is d x n.  On each face (a subset of coordinates pinned to zero)
-    the minimizer solves an equality-constrained least-squares system; the
-    global solution is the best feasible face minimizer.  Returns
+    ``G`` is d x n.  With y = s * beta >= 0, ||[G; 1^T] y - e_{d+1}||^2 =
+    s^2 ||G beta||^2 + (s - 1)^2, whose minimum over s is increasing in
+    ||G beta||; so the nonnegative least-squares solution y gives the
+    minimizer beta = y / sum(y) (Lawson and Hanson, ch. 23).  Returns
     ``(SimplexPoint, norm)``.
     """
+    from scipy.optimize import nnls  # deferred: slow to import; most commands never need it
+
     G = np.atleast_2d(np.asarray(G, dtype=float))
-    n = G.shape[1]
+    d, n = G.shape
     if n == 0:
         raise InvalidArgumentError("G must have at least one column")
-    best_beta = None
-    best_val = np.inf
-    idx = list(range(n))
-    for m in range(n, 0, -1):
-        for free in combinations(idx, m):
-            Gf = G[:, list(free)]
-            k = len(free)
-            # KKT system for min ||Gf b||^2 subject to sum b = 1
-            K = np.zeros((k + 1, k + 1))
-            K[:k, :k] = Gf.T @ Gf
-            K[:k, k] = 1.0
-            K[k, :k] = 1.0
-            rhs = np.zeros(k + 1)
-            rhs[k] = 1.0
-            try:
-                sol = np.linalg.solve(K, rhs)
-            except np.linalg.LinAlgError:
-                sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-            b = sol[:k]
-            if abs(b.sum() - 1.0) > 1e-9 or np.min(b) < -1e-12:
-                continue
-            beta = np.zeros(n)
-            beta[list(free)] = np.maximum(b, 0.0)
-            val = float(np.linalg.norm(G @ (beta / beta.sum())))
-            if val < best_val:
-                best_val = val
-                best_beta = beta
-    if best_beta is None:
-        # vertices always qualify; fall back defensively
-        vals = np.linalg.norm(G, axis=0)
-        j = int(np.argmin(vals))
-        return SimplexPoint.vertex(n, j), float(vals[j])
-    return SimplexPoint(best_beta), best_val
+    target = np.zeros(d + 1)
+    target[d] = 1.0
+    y, _ = nnls(np.vstack([G, np.ones(n)]), target)
+    beta = SimplexPoint(y)
+    return beta, float(np.linalg.norm(G @ beta.weights))

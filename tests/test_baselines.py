@@ -5,7 +5,6 @@ from paretomm import (
     InfeasibleError,
     InvalidArgumentError,
     PngConfig,
-    SizeLimitError,
     build_impossibility_instance,
     is_pareto_generic,
     is_preference_generic,
@@ -73,13 +72,17 @@ class TestPngVector:
         with pytest.raises(InfeasibleError):
             png_vector(identity_pair.F, identity_pair.f0, np.array([0.2, 0.0]), c=1.0)
 
-    def test_size_limit(self, identity_pair):
+    def test_no_size_limit(self, identity_pair):
         from paretomm import ObjectiveSet, make_quadratic
 
         objs = [make_quadratic(np.eye(2), np.array([np.cos(t), np.sin(t)])) for t in np.linspace(0, 1, 21)]
         F = ObjectiveSet.from_objectives(objs)
-        with pytest.raises(SizeLimitError):
-            png_vector(F, identity_pair.f0, np.array([3.0, 3.0]), c=0.1)
+        x, c = np.array([3.0, 3.0]), 0.1
+        v = png_vector(F, identity_pair.f0, x, c)
+        G = F.jacobian_T(x).T
+        assert np.min(G @ v - c) >= -1e-9
+        v_dual = dual_projected_gradient_png(G, identity_pair.f0.grad(x), c)
+        assert np.linalg.norm(v - v_dual) <= 1e-6 * max(1.0, np.linalg.norm(v))
 
     def test_kkt_against_dual_ascent(self, rng, png_instance):
         checked = 0

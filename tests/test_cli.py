@@ -69,6 +69,26 @@ class TestSolveCommand:
         assert code == 1
         assert "objectives[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"constants": {"L_H": -1.0}},
+            {"constants": {"L0": -1.0}},
+            {"constants": {"L0": float("nan")}},
+            {"constants": {"mu": 1e-300}},
+            {"dimension": True},
+        ],
+        ids=["negative-L_H", "negative-L0", "nan-L0", "overflowing-mu", "bool-dimension"],
+    )
+    def test_unsound_spec_exits_one(self, change, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        save_problem_spec(str(path), {**png_counterexample_spec(), **change})
+        code = run_cli("solve", "--problem", path, "--eps0", "1e-3", "--eps", "1e-6")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_budget_exit_two(self, png_file, capsys):
         code = run_cli(
             "solve", "--problem", png_file, "--eps0", "1e-3", "--eps", "1e-6",

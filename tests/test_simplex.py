@@ -1,5 +1,8 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from paretomm import (
     BudgetExceededError,
@@ -12,6 +15,7 @@ from paretomm import (
     minimize_quadratic_over_simplex,
     project_to_simplex,
 )
+from paretomm.simplex import _project_tangent_cone
 
 
 def random_simplex(rng, n):
@@ -132,15 +136,16 @@ class TestQuadraticSolver:
             assert l1_stationarity_gap(Q.grad_at(beta), beta) <= 1e-9
 
     def test_budget_error_carries_best(self):
+        # the exact minimizer's gap is rounding noise, far above 1e-300
         Q = SimplexQuadratic(
             anchor=SimplexPoint(np.array([0.9, 0.1])),
             linear=np.array([5.0, -5.0]),
             curvature=1000.0,
         )
         with pytest.raises(BudgetExceededError) as info:
-            minimize_quadratic_over_simplex(Q, tol_gap=1e-14, max_iters=0)
-        assert info.value.best is not None
-        assert info.value.metric is not None
+            minimize_quadratic_over_simplex(Q, tol_gap=1e-300)
+        np.testing.assert_allclose(info.value.best.weights, [0.895, 0.105], atol=1e-14)
+        assert 0.0 < info.value.metric <= 1e-12
 
     def test_descent_lemma(self, rng):
         # when the solver moves distance t from the anchor, the value drops
@@ -188,3 +193,47 @@ class TestMinNormOverSimplex:
         beta, val = min_norm_over_simplex(G)
         assert val <= 1e-14
         np.testing.assert_allclose(beta.weights, [0.5, 0.5], atol=1e-12)
+
+
+class TestSolverKKTProperties:
+    """KKT conditions of the exact sub-solvers, up to 16 coordinates."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 16).flatmap(
+            lambda n: st.tuples(
+                hnp.arrays(np.float64, n, elements=st.floats(-10, 10)),
+                hnp.arrays(np.bool_, n),
+            )
+        )
+    )
+    def test_tangent_cone_projection(self, case):
+        q, active = case
+        assume(not active.all())
+        u = _project_tangent_cone(q, active)
+        tol = 1e-12 * (1.0 + np.abs(q).sum())
+        # feasible: zero sum, nonnegative on the active coordinates
+        assert abs(u.sum()) <= tol
+        assert np.all(u[active] >= -tol)
+        # q - u = tau * 1 - lam with lam >= 0 on the active coordinates and
+        # lam_i u_i = 0: constant on free coordinates and on active ones
+        # with u_i > 0, no larger than that constant on the rest
+        s = q - u
+        tau = s[~active].mean()
+        support = ~active | (u > tol)
+        np.testing.assert_allclose(s[support], tau, rtol=0, atol=tol)
+        assert np.all(s[active] <= tau + tol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 6), st.integers(1, 16)).flatmap(
+            lambda dn: hnp.arrays(np.float64, dn, elements=st.floats(-10, 10))
+        )
+    )
+    def test_min_norm_point(self, G):
+        beta, _ = min_norm_over_simplex(G)
+        w = beta.weights
+        # the gradient G^T G beta is minimal on beta's support, no smaller off it
+        grad = G.T @ (G @ w)
+        tol = 1e-9 * (1.0 + np.linalg.norm(G) ** 2)
+        assert np.all(grad[w > 0] <= grad.min() + tol)
