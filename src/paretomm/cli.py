@@ -63,7 +63,6 @@ def _cmd_solve(args) -> int:
         eps=args.eps,
         alpha=args.alpha,
         max_outer=args.max_outer,
-        newton_inner=args.newton_inner,
     )
     init = None
     if args.beta0 is not None:
@@ -197,7 +196,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--max-outer", type=int, default=100_000)
     p.add_argument("--beta0", help="comma-separated initial weights")
-    p.add_argument("--newton-inner", action="store_true")
+    p.add_argument(
+        "--newton-inner",
+        action="store_true",
+        help="accepted and ignored: the inner solves always use Newton's method",
+    )
     p.add_argument("--trace", help="write per-iteration CSV here")
     p.set_defaults(func=_cmd_solve)
 

@@ -2,11 +2,11 @@
 
 For each weight vector beta the scalarized objective has a unique minimizer
 x*(beta); the pairs (x*(beta), beta) sweep out the manifold of Pareto
-stationary points.  This module provides the inner solver for x*(beta), the
-exact derivative of the map (an SPD solve against the objective Jacobian),
-its computable estimate at off-manifold points, and the error bound that
-controls how far the estimated gradient of the pulled-back preference can be
-from the true one.
+stationary points.  This module provides the Newton inner solver for
+x*(beta), the exact derivative of the map (an SPD solve against the
+objective Jacobian), its computable estimate at off-manifold points, and the
+error bound that controls how far the estimated gradient of the pulled-back
+preference can be from the true one.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import BudgetExceededError, NumericalFailureError
 from .problem import ObjectiveSet, ProblemInstance, SmoothFunction, scalarize
@@ -56,19 +56,24 @@ def spd_solve(H: np.ndarray, B: np.ndarray, mu_floor: float) -> np.ndarray:
     """Solve H X = B by Cholesky, failing hard if H is not SPD above mu_floor/2.
 
     A curvature floor below half the declared strong convexity constant
-    indicates a violated assumption rather than bad luck, so it raises.
+    indicates a violated assumption rather than bad luck, so it raises, as
+    does a non-finite entry in H or B.  Calls LAPACK ``potrf``/``potrs``
+    directly: the same routines as ``cho_factor``/``cho_solve``, without
+    their per-call wrapping.
     """
     H = np.asarray(H, dtype=float)
-    d = H.shape[0]
-    try:
-        if mu_floor > 0:
-            cho_factor(H - 0.5 * mu_floor * np.eye(d), lower=True)
-        factor = cho_factor(H, lower=True)
-    except LinAlgError as exc:
-        raise NumericalFailureError(
-            f"Hessian not positive definite above {0.5 * mu_floor:.3e}"
-        ) from exc
-    return cho_solve(factor, B)
+    B = np.asarray(B, dtype=float)
+    if not (np.isfinite(H).all() and np.isfinite(B).all()):
+        raise NumericalFailureError("non-finite Hessian or right-hand side in an SPD solve")
+    info = 0
+    if mu_floor > 0:
+        _, info = dpotrf(H - 0.5 * mu_floor * np.eye(H.shape[0]), lower=True, clean=False)
+    if info == 0:
+        factor, info = dpotrf(H, lower=True, clean=False)
+    if info != 0:
+        raise NumericalFailureError(f"Hessian not positive definite above {0.5 * mu_floor:.3e}")
+    X, _ = dpotrs(factor, B, lower=True)
+    return X
 
 
 def minimize_function(
@@ -76,49 +81,44 @@ def minimize_function(
     x0: np.ndarray,
     tol_grad: float,
     max_iters: int = 200_000,
-    newton: bool = False,
-    trace_values: Optional[list] = None,
 ) -> MinimizeResult:
     """Minimize a strongly convex function to gradient norm <= tol_grad.
 
-    Default is fixed-step gradient descent with step 1/L.  ``newton=True``
-    switches to a backtracking Newton method for high-precision solves.
+    Damped Newton: each step solves H p = -g with ``spd_solve`` and halves
+    the step until the Armijo test holds, so a strongly convex quadratic is
+    solved in one step.  A spent budget raises ``BudgetExceededError``
+    carrying the last iterate.
     """
     x = np.asarray(x0, dtype=float).copy()
     g = f.grad(x)
     gn = float(np.linalg.norm(g))
     if not np.isfinite(gn):
         raise NumericalFailureError("non-finite gradient at the starting point")
-    best_x, best_gn = x.copy(), gn
-    for it in range(max_iters):
+    fx = f.value(x)
+    for it in range(max_iters + 1):
         if gn <= tol_grad:
             return MinimizeResult(x=x, grad_norm=gn, iterations=it)
-        if trace_values is not None:
-            trace_values.append(f.value(x))
-        if newton:
-            H = f.hess(x)
-            p = -spd_solve(H, g, f.mu or 0.0)
-            slope = float(g @ p)
-            fx = f.value(x)
-            noise = 1e-14 * (1.0 + abs(fx))  # sufficient-decrease test drowns near the floor
-            t = 1.0
-            while t > 1e-14 and f.value(x + t * p) > fx + 1e-4 * t * slope + noise:
-                t *= 0.5
-            x = x + t * p
-        else:
-            x = x - g / f.L
+        if it == max_iters:
+            break
+        p = -spd_solve(f.hess(x), g, f.mu or 0.0)
+        slope = float(g @ p)
+        noise = 1e-14 * (1.0 + abs(fx))  # sufficient-decrease test drowns near the floor
+        t = 1.0
+        while True:
+            x_trial = x + t * p
+            f_trial = f.value(x_trial)
+            if t <= 1e-14 or f_trial <= fx + 1e-4 * t * slope + noise:
+                break
+            t *= 0.5
+        x, fx = x_trial, f_trial
         g = f.grad(x)
         gn = float(np.linalg.norm(g))
         if not np.isfinite(gn) or not np.all(np.isfinite(x)):
             raise NumericalFailureError("non-finite iterate in the inner solver")
-        if gn < best_gn:
-            best_x, best_gn = x.copy(), gn
-    if best_gn <= tol_grad:
-        return MinimizeResult(x=best_x, grad_norm=best_gn, iterations=max_iters)
     raise BudgetExceededError(
-        f"inner solver stopped at gradient norm {best_gn:.3e} (target {tol_grad:.3e})",
-        best=best_x,
-        metric=best_gn,
+        f"inner solver stopped at gradient norm {gn:.3e} (target {tol_grad:.3e})",
+        best=x,
+        metric=gn,
     )
 
 
@@ -130,15 +130,18 @@ def solve_x_star(
     x0: Optional[np.ndarray] = None,
     newton: bool = False,
 ) -> ManifoldPoint:
-    """Minimize the scalarization for beta, warm-started when x0 is given.
+    """Minimize the scalarization for beta by Newton, warm-started when x0 is given.
 
     The default start is the beta-weighted average of the cached objective
-    minimizers, which is exact for shared-Hessian quadratics.
+    minimizers, which is exact for shared-Hessian quadratics.  The returned
+    point's ``residual`` is the scalarized gradient norm at its x, the same
+    number ``ManifoldPoint.from_x_beta`` computes.  ``newton`` is accepted
+    for compatibility and ignored.
     """
     f_beta = scalarize(F, beta)
     if x0 is None:
         x0 = f_beta.minimizer_hint
-    res = minimize_function(f_beta, x0, tol_grad, max_iters=max_iters, newton=newton)
+    res = minimize_function(f_beta, x0, tol_grad, max_iters=max_iters)
     return ManifoldPoint(x=res.x, beta=beta, residual=res.grad_norm)
 
 
@@ -153,26 +156,45 @@ def grad_x_star_exact(F: ObjectiveSet, point: ManifoldPoint) -> Jacobian:
     return Jacobian(matrix=J.matrix, kind="exact")
 
 
-def grad_x_star_estimate(F: ObjectiveSet, x: np.ndarray, beta: SimplexPoint) -> Jacobian:
-    """The same formula evaluated at an arbitrary x, used as a proxy off-manifold."""
+def grad_x_star_estimate(
+    F: ObjectiveSet,
+    x: np.ndarray,
+    beta: SimplexPoint,
+    jacobian_T: Optional[np.ndarray] = None,
+) -> Jacobian:
+    """The same formula evaluated at an arbitrary x, used as a proxy off-manifold.
+
+    ``jacobian_T`` is ``F.jacobian_T(x)`` when the caller already has it.
+    """
     x = np.asarray(x, dtype=float)
+    if jacobian_T is None:
+        jacobian_T = F.jacobian_T(x)
     H = scalarize(F, beta).hess(x)
-    M = -spd_solve(H, F.jacobian_T(x), F.mu)
+    M = -spd_solve(H, jacobian_T, F.mu)
     return Jacobian(matrix=M, kind="estimated")
 
 
-def err_grad_f0(problem: ProblemInstance, x: np.ndarray, beta: SimplexPoint) -> float:
+def err_grad_f0(
+    problem: ProblemInstance,
+    x: np.ndarray,
+    beta: SimplexPoint,
+    grad_f0_norm: Optional[float] = None,
+    residual: Optional[float] = None,
+) -> float:
     """Bound on the estimation error of the pulled-back preference gradient.
 
     (1/mu) * (M1/(2 M0) * ||grad f0(x)|| + L0 * M0) * ||grad f_beta(x)||.
     Zero by convention when M0 = 0: the manifold is then a single point and
-    every term is analytically zero.
+    every term is analytically zero.  ``grad_f0_norm`` and ``residual`` are
+    the two norms, when the caller already has them.
     """
     b = problem.bundle
     if b.M0 == 0.0:
         return 0.0
     x = np.asarray(x, dtype=float)
-    g0 = float(np.linalg.norm(problem.f0.grad(x)))
-    res = float(np.linalg.norm(scalarize(problem.F, beta).grad(x)))
+    if grad_f0_norm is None:
+        grad_f0_norm = float(np.linalg.norm(problem.f0.grad(x)))
+    if residual is None:
+        residual = float(np.linalg.norm(scalarize(problem.F, beta).grad(x)))
     ratio = b.M1 / (2.0 * b.M0)
-    return (ratio * g0 + problem.f0.L * b.M0) * res / problem.F.mu
+    return (ratio * grad_f0_norm + problem.f0.L * b.M0) * residual / problem.F.mu

@@ -3,8 +3,8 @@
 Everything here is deliberately separate from the solver path it validates:
 finite differences check the implicit-derivative formula, lattice search
 checks preference optimality, and the shared-Hessian closed form checks the
-inner solver.  Oracle solves run the Newton mode an order of magnitude
-tighter than anything under test.
+inner solver.  Oracle solves run to a gradient tolerance an order of
+magnitude tighter than anything under test.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def grid_search_preference_opt(
     x_warm = None
     for w in simplex_lattice(resolution, n):
         beta = SimplexPoint(w)
-        point = solve_x_star(F, beta, tol_grad=1e-12, x0=x_warm, newton=True)
+        point = solve_x_star(F, beta, tol_grad=1e-12, x0=x_warm)
         x_warm = point.x
         value = problem.f0.value(point.x)
         f_min = min(f_min, value)
@@ -164,7 +164,7 @@ def hull_pareto_check(
     solve_pass = solve_fail = stat_pass = stat_fail = 0
     for _ in range(samples):
         beta = SimplexPoint(rng.dirichlet(np.ones(F.n)))
-        point = solve_x_star(F, beta, tol_grad=1e-12, newton=True)
+        point = solve_x_star(F, beta, tol_grad=1e-12)
         target = beta.weights @ centers
         if np.linalg.norm(point.x - target) <= 1e-8:
             solve_pass += 1

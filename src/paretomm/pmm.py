@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -41,7 +42,9 @@ class SurrogateState:
 
     ``linear`` is the estimated gradient of the pulled-back preference at the
     anchor; ``curvature`` is the bundle constant mu_g; ``err_term`` bounds the
-    gap between the estimated and true gradients.  The absolute value at the
+    gap between the estimated and true gradients.  ``grad_f0_norm`` and
+    ``jacobian_T`` are ||grad f0(x)|| and the objective Jacobian at the
+    anchor, the inputs ``compute_c1_c2`` needs.  The absolute value at the
     anchor is unknown (it contains the preference at the exact scalarized
     minimizer), so only offsets from the anchor are exposed.
     """
@@ -50,6 +53,8 @@ class SurrogateState:
     linear: np.ndarray
     curvature: float
     err_term: float
+    grad_f0_norm: float
+    jacobian_T: np.ndarray
 
     def relative_value(self, beta: SimplexPoint) -> float:
         """Upper-bound value at beta minus the unknown anchor constant."""
@@ -58,13 +63,18 @@ class SurrogateState:
 
 
 def build_surrogate(problem: ProblemInstance, point: ManifoldPoint) -> SurrogateState:
-    J = grad_x_star_estimate(problem.F, point.x, point.beta)
-    linear = J.matrix.T @ problem.f0.grad(point.x)
+    """Surrogate at ``point``; its error bound uses ``point.residual``."""
+    JT = problem.F.jacobian_T(point.x)
+    g0 = problem.f0.grad(point.x)
+    g0n = float(np.linalg.norm(g0))
+    J = grad_x_star_estimate(problem.F, point.x, point.beta, jacobian_T=JT)
     return SurrogateState(
         anchor=point,
-        linear=linear,
+        linear=J.matrix.T @ g0,
         curvature=problem.bundle.mu_g,
-        err_term=err_grad_f0(problem, point.x, point.beta),
+        err_term=err_grad_f0(problem, point.x, point.beta, g0n, point.residual),
+        grad_f0_norm=g0n,
+        jacobian_T=JT,
     )
 
 
@@ -74,8 +84,8 @@ class SolverConfig:
 
     Requires 0 < eps <= eps0^2 <= 1.  ``c1``/``c2`` default to automatic
     per-iterate evaluation of the convergence constants; fixing them
-    overrides that.  ``newton_inner`` switches the scalarized solves to the
-    high-precision Newton mode otherwise reserved for oracles.
+    overrides that.  The scalarized solves always use Newton's method;
+    ``newton_inner`` is accepted for compatibility and ignored.
     """
 
     eps0: float
@@ -113,8 +123,11 @@ class StationarityCertificate:
 
     @property
     def passed(self) -> bool:
+        """All three legs within budget; false if any entry is negative or non-finite."""
+        values = (self.residual, self.gap, self.err, self.eps, self.gap_budget, self.err_budget)
         return (
-            self.residual <= self.eps
+            all(math.isfinite(v) and v >= 0.0 for v in values)
+            and self.residual <= self.eps
             and self.gap <= self.gap_budget
             and self.err <= self.err_budget
         )
@@ -168,20 +181,29 @@ def verify_preference_stationarity(
     return cert.passed, cert
 
 
-def compute_c1_c2(problem: ProblemInstance, x: np.ndarray):
+def compute_c1_c2(
+    problem: ProblemInstance,
+    x: np.ndarray,
+    grad_f0_norm: Optional[float] = None,
+    jacobian_T: Optional[np.ndarray] = None,
+):
     """Largest constants satisfying the two convergence-proof constraints.
 
-    Evaluated with the gradient norms at the current iterate; degenerate
-    instances (single objective or coincident minimizers, mu_g = 0) get
-    (1, 1) since the outer problem is trivial there.
+    Evaluated with the gradient norms at the current iterate; the caller
+    may pass ||grad f0(x)|| and ``F.jacobian_T(x)`` when it already has them
+    (``SurrogateState`` carries both).  Degenerate instances (single
+    objective or coincident minimizers, mu_g = 0) get (1, 1) since the
+    outer problem is trivial there.
     """
     b = problem.bundle
     if b.mu_g == 0.0 or b.M0 == 0.0:
         return 1.0, 1.0
     F = problem.F
     x = np.asarray(x, dtype=float)
-    g0n = float(np.linalg.norm(problem.f0.grad(x)))
-    gFn = float(np.linalg.norm(F.jacobian_T(x), 2))
+    g0n = grad_f0_norm if grad_f0_norm is not None else float(np.linalg.norm(problem.f0.grad(x)))
+    if jacobian_T is None:
+        jacobian_T = F.jacobian_T(x)
+    gFn = float(np.linalg.norm(jacobian_T, 2))
     ratio = b.M1 / (2.0 * b.M0)
     mixed = (ratio * g0n + problem.f0.L * b.M0) / F.mu
     t1 = 2.0 + 6.0 * F.L * g0n / (F.mu**2 * b.mu_g)
@@ -280,19 +302,17 @@ def pmm_solve(
     tube = problem.bundle.R_bound + 2.0 * config.eps / F.mu + 1e-9
     x_ref = None  # first solved iterate, anchor of the runtime tube check
 
+    point = ManifoldPoint.from_x_beta(F, x, beta)
     try:
         for k in range(config.max_outer + 1):
-            point = ManifoldPoint.from_x_beta(F, x, beta)
             surrogate = build_surrogate(problem, point)
             cert = _certificate(problem, surrogate, config.eps0, config.eps, config.alpha)
-            if config.c1 is not None and config.c2 is not None:
-                c1, c2 = config.c1, config.c2
-            else:
-                c1, c2 = compute_c1_c2(problem, x)
-                if config.c1 is not None:
-                    c1 = config.c1
-                if config.c2 is not None:
-                    c2 = config.c2
+            c1, c2 = config.c1, config.c2  # positive when fixed
+            if c1 is None or c2 is None:
+                auto = compute_c1_c2(
+                    problem, point.x, surrogate.grad_f0_norm, surrogate.jacobian_T
+                )
+                c1, c2 = c1 or auto[0], c2 or auto[1]
             trace.append(
                 TraceRecord(
                     k=k,
@@ -321,21 +341,6 @@ def pmm_solve(
                     anchor=beta, linear=surrogate.linear, curvature=surrogate.curvature
                 )
                 beta, _ = minimize_quadratic_over_simplex(Q, tol_gap=c1 * config.eps0)
-            inner = solve_x_star(
-                F,
-                beta,
-                tol_grad=c2 * config.eps,
-                max_iters=config.max_inner_x,
-                x0=x,
-                newton=config.newton_inner,
-            )
-            x = inner.x
-            if x_ref is None:
-                x_ref = x.copy()
-            elif float(np.linalg.norm(x - x_ref)) > tube:
-                raise NumericalFailureError(
-                    "iterate left the Pareto neighborhood; declared constants look wrong"
-                )
             logger.debug(
                 "outer %d: residual=%.3e gap=%.3e err=%.3e f0=%.8f",
                 k,
@@ -344,11 +349,18 @@ def pmm_solve(
                 cert.err,
                 trace.records[-1].f0_value,
             )
+            # The solved point's residual is the scalarized gradient norm at
+            # (x, beta), so it anchors the next surrogate as it is.
+            point = solve_x_star(
+                F, beta, tol_grad=c2 * config.eps, max_iters=config.max_inner_x, x0=point.x
+            )
+            if x_ref is None:
+                x_ref = point.x.copy()
+            elif float(np.linalg.norm(point.x - x_ref)) > tube:
+                raise NumericalFailureError(
+                    "iterate left the Pareto neighborhood; declared constants look wrong"
+                )
     except BudgetExceededError as exc:
         exc.trace = trace
         raise
-    point = ManifoldPoint.from_x_beta(F, x, beta)
-    _, cert = verify_preference_stationarity(
-        problem, point, config.eps0, config.eps, config.alpha
-    )
     return PmmResult(point=point, trace=trace, status="budget-exceeded", certificate=cert)

@@ -205,7 +205,7 @@ class ObjectiveSet:
         mins = []
         for f in objectives:
             x0 = f.minimizer_hint if f.minimizer_hint is not None else np.zeros(d)
-            res = minimize_function(f, x0, tol_grad=1e-10 * L, newton=True)
+            res = minimize_function(f, x0, tol_grad=1e-10 * L)
             mins.append(res.x)
         minimizers = np.array(mins)
         minimizers.setflags(write=False)

@@ -45,6 +45,16 @@ def atomic_write_text(path: str, text: str):
         raise
 
 
+def _finite_array(value, where: str) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidArgumentError(f"{where}: expected numbers") from exc
+    if not np.all(np.isfinite(arr)):
+        raise InvalidArgumentError(f"{where}: contains a non-finite value")
+    return arr
+
+
 def _function_from_entry(entry: dict, dim: int, where: str) -> SmoothFunction:
     if not isinstance(entry, dict):
         raise InvalidArgumentError(f"{where}: expected an object")
@@ -53,8 +63,8 @@ def _function_from_entry(entry: dict, dim: int, where: str) -> SmoothFunction:
         for key in ("H", "z"):
             if key not in entry:
                 raise InvalidArgumentError(f"{where}: missing field '{key}'")
-        H = np.asarray(entry["H"], dtype=float)
-        z = np.asarray(entry["z"], dtype=float)
+        H = _finite_array(entry["H"], f"{where}.H")
+        z = _finite_array(entry["z"], f"{where}.z")
         if H.shape != (dim, dim):
             raise InvalidArgumentError(f"{where}.H: expected shape ({dim}, {dim}), got {H.shape}")
         if z.shape != (dim,):
@@ -64,7 +74,12 @@ def _function_from_entry(entry: dict, dim: int, where: str) -> SmoothFunction:
         name = entry.get("name")
         if name not in BUILTIN_FUNCTIONS:
             raise InvalidArgumentError(f"{where}.name: unknown builtin '{name}'")
-        fn = BUILTIN_FUNCTIONS[name](entry.get("params", {}))
+        params = entry.get("params", {})
+        if not isinstance(params, dict):
+            raise InvalidArgumentError(f"{where}.params: expected an object")
+        for key, value in params.items():
+            _finite_array(value, f"{where}.params.{key}")
+        fn = BUILTIN_FUNCTIONS[name](params)
         if fn.dim != dim:
             raise InvalidArgumentError(f"{where}: builtin dimension {fn.dim} != {dim}")
         return fn

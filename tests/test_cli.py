@@ -27,6 +27,19 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+def _quadratic(H, z):
+    return {"kind": "quadratic", "H": H, "z": z}
+
+
+def _log_cosh(**params):
+    return {"kind": "builtin", "name": "log_cosh_quadratic",
+            "params": {"H": [[1.0, 0.0], [0.0, 1.0]], "z": [0.0, 1.0], **params}}
+
+
+NAN, INF = float("nan"), float("inf")
+H_PNG = [[1.0, 1.0], [1.0, 2.0]]
+
+
 class TestSolveCommand:
     def test_counterexample_certifies(self, png_file, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
@@ -70,23 +83,34 @@ class TestSolveCommand:
         assert "objectives[0]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "change",
+        "change, field",
         [
-            {"constants": {"L_H": -1.0}},
-            {"constants": {"L0": -1.0}},
-            {"constants": {"L0": float("nan")}},
-            {"constants": {"mu": 1e-300}},
-            {"dimension": True},
+            ({"constants": {"L_H": -1.0}}, "L_H"),
+            ({"constants": {"L0": -1.0}}, "L0"),
+            ({"constants": {"L0": NAN}}, "L0"),
+            ({"constants": {"mu": 1e-300}}, "constants"),
+            ({"dimension": True}, "dimension"),
+            ({"objectives": [_quadratic(H_PNG, [NAN, 0.0]), _quadratic(H_PNG, [1.0, 0.0])]},
+             "objectives[0].z"),
+            ({"objectives": [_quadratic(H_PNG, [-1.0, 0.0]),
+                             _quadratic([[1.0, INF], [INF, 2.0]], [1.0, 0.0])]},
+             "objectives[1].H"),
+            ({"preference": _quadratic([[1.0, 0.0], [0.0, 1.0]], [0.0, INF])}, "preference.z"),
+            ({"preference": _log_cosh(c=NAN)}, "preference.params.c"),
+            ({"preference": _log_cosh(z=[0.0, -INF])}, "preference.params.z"),
         ],
-        ids=["negative-L_H", "negative-L0", "nan-L0", "overflowing-mu", "bool-dimension"],
+        ids=["negative-L_H", "negative-L0", "nan-L0", "overflowing-mu", "bool-dimension",
+             "nan-objective-z", "inf-objective-H", "inf-preference-z", "nan-builtin-c",
+             "inf-builtin-z"],
     )
-    def test_unsound_spec_exits_one(self, change, tmp_path, capsys):
+    def test_unsound_spec_exits_one(self, change, field, tmp_path, capsys):
         path = tmp_path / "bad.json"
         save_problem_spec(str(path), {**png_counterexample_spec(), **change})
         code = run_cli("solve", "--problem", path, "--eps0", "1e-3", "--eps", "1e-6")
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:")
+        assert field in err
         assert "Traceback" not in err
 
     def test_budget_exit_two(self, png_file, capsys):

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paretomm import (
     BudgetExceededError,
@@ -17,6 +21,7 @@ from paretomm import (
     scalarize,
     solve_x_star,
 )
+from paretomm.manifold import spd_solve
 from paretomm.oracle import finite_difference_jacobian, tangent_directions
 from conftest import random_logcosh_problem, random_quadratic_problem
 
@@ -52,19 +57,27 @@ class TestSolveXStar:
         assert abs(pt.residual - recomputed) <= 1e-12
 
     def test_monotone_descent_and_iteration_bound(self, rng):
-        problem = random_quadratic_problem(rng)
-        F = problem.F
-        beta = SimplexPoint(rng.dirichlet(np.ones(3)))
-        f_beta = scalarize(F, beta)
-        x0 = rng.normal(size=3) * 3
-        values = []
         tol = 1e-9
-        res = minimize_function(f_beta, x0, tol, trace_values=values)
-        diffs = np.diff(values)
-        assert np.all(diffs <= 1e-12)
+        quad = scalarize(random_quadratic_problem(rng).F, SimplexPoint(rng.dirichlet(np.ones(3))))
+        res = minimize_function(quad, rng.normal(size=3) * 3, tol)
+        assert res.iterations == 1 and res.grad_norm <= tol
+
+        F = random_logcosh_problem(rng, d=3, n=3, c=2.0).F
+        f_beta = scalarize(F, SimplexPoint(rng.dirichlet(np.ones(3))))
+        values = []
+
+        def grad(x):  # called at x0 and once at each accepted iterate
+            values.append(f_beta.value(x))
+            return f_beta.grad(x)
+
+        x0 = rng.normal(size=3) * 5
+        res = minimize_function(dataclasses.replace(f_beta, grad=grad), x0, tol)
+        assert res.grad_norm <= tol
+        values = np.array(values)
+        assert np.all(np.diff(values) <= 1e-14 * (1.0 + np.abs(values[:-1])))
         r0 = np.linalg.norm(f_beta.grad(x0))
-        bound = 2.0 * F.kappa * np.log(max(r0 / tol, np.e))
-        assert res.iterations <= bound
+        gd_bound = 2.0 * F.kappa * np.log(max(r0 / tol, np.e))
+        assert res.iterations <= 0.2 * gd_bound
 
     def test_budget_exhausted_carries_best(self, identity_pair):
         beta = SimplexPoint(np.array([0.5, 0.5]))
@@ -84,6 +97,52 @@ class TestSolveXStar:
         )
         with pytest.raises(NumericalFailureError):
             minimize_function(bad, np.zeros(1), 1e-8)
+
+
+def _spd(d, seed, eigs_max):
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    eigs = rng.uniform(1.0, eigs_max, size=d)
+    H = (Q * eigs) @ Q.T
+    return 0.5 * (H + H.T), float(np.min(eigs)), rng
+
+
+class TestSpdSolve:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), eigs_max=st.floats(1.0, 1e4))
+    def test_matches_dense_solve(self, d, seed, eigs_max):
+        H, lam_min, rng = _spd(d, seed, eigs_max)
+        B = rng.normal(size=(d, 3))
+        X = spd_solve(H, B, mu_floor=lam_min)
+        ref = np.linalg.solve(H, B)
+        assert np.linalg.norm(X - ref) <= 1e-10 * np.linalg.norm(ref)
+        x = spd_solve(H, B[:, 0], mu_floor=lam_min)
+        assert np.linalg.norm(x - ref[:, 0]) <= 1e-10 * np.linalg.norm(ref[:, 0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), eigs_max=st.floats(1.0, 1e4))
+    def test_floor_violation_raises(self, d, seed, eigs_max):
+        H, lam_min, rng = _spd(d, seed, eigs_max)
+        with pytest.raises(NumericalFailureError):
+            spd_solve(H, rng.normal(size=d), mu_floor=2.5 * lam_min)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+        in_rhs=st.booleans(),
+    )
+    def test_non_finite_input_raises(self, d, seed, bad, in_rhs):
+        H, lam_min, rng = _spd(d, seed, 10.0)
+        B = rng.normal(size=(d, 2))
+        i, j = rng.integers(d, size=2)
+        if in_rhs:
+            B[i, j % 2] = bad
+        else:
+            H[i, j] = bad
+        with pytest.raises(NumericalFailureError):
+            spd_solve(H, B, mu_floor=lam_min)
 
 
 class TestExactJacobian:

@@ -10,6 +10,7 @@ from paretomm import (
     ProblemInstance,
     SimplexPoint,
     SolverConfig,
+    StationarityCertificate,
     build_surrogate,
     compute_c1_c2,
     make_quadratic,
@@ -18,6 +19,7 @@ from paretomm import (
     verify_preference_stationarity,
 )
 from paretomm.pmm import trace_header
+from paretomm.problem_io import problem_from_spec, triangle_spec
 from conftest import random_quadratic_problem, random_logcosh_problem
 
 E1 = np.array([1.0, 0.0])
@@ -112,6 +114,15 @@ class TestVerify:
         ok, cert = verify_preference_stationarity(png_instance, pt, 1e-3, 1e-6)
         assert not ok
         assert cert.gap == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("field", ["residual", "gap", "err", "eps", "gap_budget", "err_budget"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1e-3])
+    def test_bad_number_never_passes(self, field, bad):
+        good = dict(residual=0.0, gap=0.0, err=0.0, eps=1e-6, gap_budget=5e-4, err_budget=5e-4)
+        assert StationarityCertificate(**good).passed
+        cert = StationarityCertificate(**{**good, field: bad})
+        assert not cert.passed
+        assert cert.as_dict()["passed"] is False
 
 
 class TestComputeC1C2:
@@ -259,6 +270,26 @@ class TestPmmSolve:
             final = problem.f0.value(result.point.x)
             assert grid.f_star_min <= final + 2 * eps0 * (2.0 / 60) + 1e-9
 
+    @pytest.mark.parametrize("instance", ["triangle", "log-cosh"])
+    def test_trace_residuals_reuse_solved_points(self, instance, rng):
+        if instance == "triangle":
+            problem = problem_from_spec(triangle_spec())
+        else:
+            problem = random_logcosh_problem(rng, d=3, n=3, c=1.0)
+        configs = [
+            SolverConfig(eps0=1e-2, eps=1e-4, max_outer=150, newton_inner=flag)
+            for flag in (False, True)
+        ]
+        traces = [pmm_solve(problem, config).trace for config in configs]
+        for r in traces[0]:
+            assert r.residual == ManifoldPoint.from_x_beta(problem.F, r.x, r.beta).residual
+        assert len(traces[0]) == len(traces[1]) > 1
+        for a, b in zip(*traces):
+            assert np.array_equal(a.beta, b.beta) and np.array_equal(a.x, b.x)
+            assert (a.residual, a.f0_value, a.gap, a.err, a.certified, a.c1, a.c2) == (
+                b.residual, b.f0_value, b.gap, b.err, b.certified, b.c1, b.c2
+            )
+
     def test_certified_point_near_oracle_minimizer(self, png_instance):
         config = SolverConfig(eps0=1e-2, eps=1e-4, newton_inner=True)
         result = pmm_solve(png_instance, config, init=(None, np.array([0.7, 0.3])))
@@ -297,7 +328,7 @@ class TestTraceCsv:
     def test_subsolver_budget_attaches_trace(self, png_instance):
         from paretomm import BudgetExceededError
 
-        config = SolverConfig(eps0=1e-3, eps=1e-6, max_inner_x=1)
+        config = SolverConfig(eps0=1e-3, eps=1e-6, max_inner_x=0)
         with pytest.raises(BudgetExceededError) as info:
             pmm_solve(png_instance, config, init=(np.array([3.0, 3.0]), np.array([0.9, 0.1])))
         assert info.value.trace is not None
