@@ -101,49 +101,19 @@ class PngResult:
 
 
 class _PngState:
-    __slots__ = ("x", "m", "v", "angle", "g0")
+    __slots__ = ("x", "m", "v", "angle")
 
     def __init__(self, F, f0, x, c):
         self.x = np.asarray(x, dtype=float)
         G = F.jacobian_T(self.x).T
-        self.g0 = f0.grad(self.x)
+        g0 = f0.grad(self.x)
         _, self.m = min_norm_over_simplex(G.T)
         try:
-            self.v = _png_vector_from_grads(G, self.g0, c)
-            self.angle = _angle_to_descent(self.v, self.g0)
+            self.v = _png_vector_from_grads(G, g0, c)
+            self.angle = _angle_to_descent(self.v, g0)
         except InfeasibleError:
             self.v = None
             self.angle = np.pi
-
-
-def _refine_segment(F, f0, a, b, config):
-    """Search the segment [a, b] for a point passing the stopping test.
-
-    The discrete dynamics generically step across the thin collinearity
-    region, so the crossing is located by repeated grid refinement of the
-    angle along the segment.
-    """
-    lo, hi = 0.0, 1.0
-    seg = b - a
-    best = None
-    for _ in range(14):
-        ts = np.linspace(lo, hi, 17)
-        evals = []
-        for t in ts:
-            s = _PngState(F, f0, a + t * seg, config.c)
-            evals.append(s)
-            if s.m <= config.eps_stop and s.angle <= COLLINEARITY_TOL:
-                return s.x
-        angles = [s.angle for s in evals]
-        j = int(np.argmin(angles))
-        best = evals[j]
-        width = (hi - lo) / (len(ts) - 1)
-        lo, hi = max(0.0, ts[j] - width), min(1.0, ts[j] + width)
-        if hi - lo < 1e-15:
-            break
-    if best is not None and best.m <= config.eps_stop and best.angle <= COLLINEARITY_TOL:
-        return best.x
-    return None
 
 
 def _fd_grad(fn, x, h):
@@ -280,7 +250,6 @@ def png_descent(
     band = max(config.eps_stop, 0.02 * max(F.r, 1e-6))
     anchor_x, anchor_it = state.x.copy(), 0
     next_polish_at = 0
-    next_refine_at = 0
     for it in range(config.max_iters):
         if state.m <= config.eps_stop and state.angle <= COLLINEARITY_TOL:
             return PngResult(np.array(traj), state.x, "stationary", it)
@@ -303,21 +272,7 @@ def png_descent(
         cap = (state.m + band) / F.L
         if state.m <= 4.0 * band and length > cap:
             move *= cap / length
-        nxt = _PngState(F, f0, state.x - move, config.c)
-        near_band = min(state.m, nxt.m) <= config.eps_stop
-        aligned = min(state.angle, nxt.angle) <= 1e-3
-        flipped = False
-        if state.x.size == 2 and nxt.v is not None and min(state.angle, nxt.angle) <= 0.2:
-            cross_cur = state.v[0] * -state.g0[1] - state.v[1] * -state.g0[0]
-            cross_nxt = nxt.v[0] * -nxt.g0[1] - nxt.v[1] * -nxt.g0[0]
-            flipped = cross_cur * cross_nxt < 0
-        if near_band and (aligned or flipped) and it >= next_refine_at:
-            refined = _refine_segment(F, f0, state.x, nxt.x, config)
-            if refined is not None:
-                traj.append(refined)
-                return PngResult(np.array(traj), refined, "stationary", it + 1)
-            next_refine_at = it + 500
-        state = nxt
+        state = _PngState(F, f0, state.x - move, config.c)
         traj.append(state.x.copy())
     return PngResult(np.array(traj), state.x, "budget-exceeded", config.max_iters)
 

@@ -4,8 +4,8 @@ Subcommands: ``solve`` (majorize-minimize run with trace CSV), ``png``
 (navigation-baseline descent with trajectory CSV), ``oracle`` (lattice
 search CSV), ``plot`` (SVG of a planar stationary set), and ``generate``
 (problem-file writer).  Exit codes: 0 success/certified, 2 budget exceeded
-or infeasible subproblem, 1 anything malformed.  The ``PMM_LOG`` environment
-variable (error, info, debug) controls logging to standard error.
+or infeasible subproblem, 1 malformed input or numerical failure.  The
+``PMM_LOG`` variable (error, info, debug) sets the log level on stderr.
 """
 
 from __future__ import annotations

@@ -42,7 +42,6 @@ class Jacobian:
     """d x n derivative of the weight-to-minimizer map, exact or estimated."""
 
     matrix: np.ndarray
-    kind: str  # "exact" | "estimated"
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,8 +151,7 @@ def grad_x_star_exact(F: ObjectiveSet, point: ManifoldPoint) -> Jacobian:
     The caller vouches that ``point.residual`` is small enough for the point
     to be treated as on-manifold.
     """
-    J = grad_x_star_estimate(F, point.x, point.beta)
-    return Jacobian(matrix=J.matrix, kind="exact")
+    return grad_x_star_estimate(F, point.x, point.beta)
 
 
 def grad_x_star_estimate(
@@ -171,7 +169,7 @@ def grad_x_star_estimate(
         jacobian_T = F.jacobian_T(x)
     H = scalarize(F, beta).hess(x)
     M = -spd_solve(H, jacobian_T, F.mu)
-    return Jacobian(matrix=M, kind="estimated")
+    return Jacobian(matrix=M)
 
 
 def err_grad_f0(

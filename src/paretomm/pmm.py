@@ -144,7 +144,7 @@ class StationarityCertificate:
         }
 
 
-def _certificate(problem, surrogate, eps0, eps, alpha) -> StationarityCertificate:
+def _certificate(surrogate, eps0, eps, alpha) -> StationarityCertificate:
     point = surrogate.anchor
     if point.beta.n == 1:
         gap = 0.0
@@ -177,7 +177,7 @@ def verify_preference_stationarity(
     if not (0.0 < alpha < 1.0):
         raise ConfigurationError("requires alpha in (0, 1)")
     surrogate = build_surrogate(problem, point)
-    cert = _certificate(problem, surrogate, eps0, eps, alpha)
+    cert = _certificate(surrogate, eps0, eps, alpha)
     return cert.passed, cert
 
 
@@ -193,7 +193,9 @@ def compute_c1_c2(
     may pass ||grad f0(x)|| and ``F.jacobian_T(x)`` when it already has them
     (``SurrogateState`` carries both).  Degenerate instances (single
     objective or coincident minimizers, mu_g = 0) get (1, 1) since the
-    outer problem is trivial there.
+    outer problem is trivial there.  Both constants are at most 1; data
+    extreme enough to underflow either to 0, or to make it NaN, raises
+    ``NumericalFailureError``, since a zero tolerance can never be met.
     """
     b = problem.bundle
     if b.mu_g == 0.0 or b.M0 == 0.0:
@@ -203,13 +205,15 @@ def compute_c1_c2(
     g0n = grad_f0_norm if grad_f0_norm is not None else float(np.linalg.norm(problem.f0.grad(x)))
     if jacobian_T is None:
         jacobian_T = F.jacobian_T(x)
-    gFn = float(np.linalg.norm(jacobian_T, 2))
+    gFn = math.sqrt(float(np.linalg.eigvalsh(jacobian_T.T @ jacobian_T)[-1]))  # ||J||_2
     ratio = b.M1 / (2.0 * b.M0)
     mixed = (ratio * g0n + problem.f0.L * b.M0) / F.mu
     t1 = 2.0 + 6.0 * F.L * g0n / (F.mu**2 * b.mu_g)
     t2 = 12.0 * mixed * gFn / b.mu_g
     c1 = 1.0 / max(t1, t2)
-    c2 = 1.0 / max(1.0, 2.0 * mixed * max(2.0, b.mu_g / c1**2))
+    c2 = 1.0 / max(1.0, 2.0 * mixed * max(2.0, b.mu_g / c1**2)) if c1**2 > 0.0 else 0.0
+    if not (c1 > 0.0 and c2 > 0.0):
+        raise NumericalFailureError(f"convergence constants unusable: c1={c1:.3e}, c2={c2:.3e}")
     return c1, c2
 
 
@@ -306,7 +310,7 @@ def pmm_solve(
     try:
         for k in range(config.max_outer + 1):
             surrogate = build_surrogate(problem, point)
-            cert = _certificate(problem, surrogate, config.eps0, config.eps, config.alpha)
+            cert = _certificate(surrogate, config.eps0, config.eps, config.alpha)
             c1, c2 = config.c1, config.c2  # positive when fixed
             if c1 is None or c2 is None:
                 auto = compute_c1_c2(

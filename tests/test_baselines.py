@@ -13,7 +13,7 @@ from paretomm import (
     png_vector,
     sample_preference_generic,
 )
-from paretomm.baselines import rotation_map
+from paretomm.baselines import COLLINEARITY_TOL, rotation_map
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -126,6 +126,20 @@ class TestPngDescent:
         assert res.iterations == 0
         assert len(res.trajectory) == 1
         np.testing.assert_allclose(res.point, x0)
+
+    def test_start_near_band_is_polished_to_exact_test(self, png_instance):
+        # the first step from (0.9, 0.1) crosses the thin collinearity set
+        # inside the band, and the descent must still return a point that
+        # passes the exact stopping test
+        config = PngConfig(c=0.01, step=0.05, eps_stop=0.1, max_iters=100_000)
+        res = png_descent(png_instance.F, png_instance.f0, np.array([0.9, 0.1]), config)
+        assert res.status == "stationary"
+        _, min_norm = pareto_stationarity_gap(png_instance.F, res.point)
+        assert min_norm <= config.eps_stop
+        v = png_vector(png_instance.F, png_instance.f0, res.point, config.c)
+        descent = -png_instance.f0.grad(res.point)
+        cosang = v @ descent / (np.linalg.norm(v) * np.linalg.norm(descent))
+        assert np.arccos(np.clip(cosang, -1.0, 1.0)) <= COLLINEARITY_TOL
 
     def test_budget_status(self, png_instance):
         config = PngConfig(c=0.01, step=0.05, eps_stop=1e-3, max_iters=3)

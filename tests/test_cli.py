@@ -113,6 +113,24 @@ class TestSolveCommand:
         assert field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"preference": _quadratic([[1e300, 0.0], [0.0, 1e300]], [0.0, 1.0])},
+            {"objectives": [_quadratic(H_PNG, [-1.0, 0.0]), _quadratic(H_PNG, [1e150, 0.0])]},
+        ],
+        ids=["huge-preference-H", "huge-objective-z"],
+    )
+    def test_extreme_finite_spec_exits_cleanly(self, change, tmp_path, capsys):
+        path = tmp_path / "extreme.json"
+        save_problem_spec(str(path), {**png_counterexample_spec(), **change})
+        code = run_cli("solve", "--problem", path, "--eps0", "1e-2", "--eps", "1e-4")
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in captured.err
+        if code == 0:
+            assert json.loads(captured.out.strip())["certificate"]["passed"] is True
+
     def test_budget_exit_two(self, png_file, capsys):
         code = run_cli(
             "solve", "--problem", png_file, "--eps0", "1e-3", "--eps", "1e-6",

@@ -5,10 +5,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from paretomm import (
-    BudgetExceededError,
     InvalidArgumentError,
     SimplexPoint,
     SimplexQuadratic,
+    StationarityCertificate,
     l1_stationarity_gap,
     l2_tangent_gap,
     min_norm_over_simplex,
@@ -56,6 +56,14 @@ class TestProjection:
         with pytest.raises(InvalidArgumentError):
             project_to_simplex(np.array([]))
 
+    @pytest.mark.parametrize("scale", [1e16, 6.25e148, 1e300])
+    def test_entries_dwarfing_one(self, scale):
+        # the "- 1" of the threshold test is lost to rounding at this scale
+        p = project_to_simplex(np.array([-scale, scale]))
+        np.testing.assert_array_equal(p.weights, [0.0, 1.0])
+        p = project_to_simplex(np.array([scale, scale, -scale]))
+        np.testing.assert_array_equal(p.weights, [0.5, 0.5, 0.0])
+
     def test_optimality_brute_force(self, rng):
         # projection is at least as close as 100 random simplex points
         for _ in range(100):
@@ -80,6 +88,17 @@ class TestL1Gap:
     def test_balanced_gradient(self):
         gap = l1_stationarity_gap(np.array([1.0, 1.0]), SimplexPoint(np.array([0.5, 0.5])))
         assert gap == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "v", [[np.nan, 0.0], [0.0, np.nan], [np.inf, np.inf], [-np.inf, -np.inf]]
+    )
+    def test_non_finite_gradient_is_not_stationary(self, v):
+        gap = l1_stationarity_gap(np.array(v), SimplexPoint(np.array([0.5, 0.5])))
+        assert np.isnan(gap)
+        cert = StationarityCertificate(
+            residual=0.0, gap=gap, err=0.0, eps=1.0, gap_budget=1.0, err_budget=1.0
+        )
+        assert not cert.passed
 
     def test_soundness_property(self, rng):
         # -v^T (b' - b) <= (gap + tol) * ||b' - b||_1 for random triples
@@ -136,16 +155,18 @@ class TestQuadraticSolver:
             assert l1_stationarity_gap(Q.grad_at(beta), beta) <= 1e-9
 
     def test_budget_error_carries_best(self):
-        # the exact minimizer's gap is rounding noise, far above 1e-300
+        # a tolerance below rounding resolution still gets the exact
+        # minimizer, reported with gap 0.0; its recomputed gap is rounding
+        # noise
         Q = SimplexQuadratic(
             anchor=SimplexPoint(np.array([0.9, 0.1])),
             linear=np.array([5.0, -5.0]),
             curvature=1000.0,
         )
-        with pytest.raises(BudgetExceededError) as info:
-            minimize_quadratic_over_simplex(Q, tol_gap=1e-300)
-        np.testing.assert_allclose(info.value.best.weights, [0.895, 0.105], atol=1e-14)
-        assert 0.0 < info.value.metric <= 1e-12
+        beta, gap = minimize_quadratic_over_simplex(Q, tol_gap=1e-300)
+        np.testing.assert_allclose(beta.weights, [0.895, 0.105], atol=1e-14)
+        assert gap == 0.0
+        assert l2_tangent_gap(Q.grad_at(beta), beta) <= 1e-12
 
     def test_descent_lemma(self, rng):
         # when the solver moves distance t from the anchor, the value drops
