@@ -20,7 +20,7 @@ from .problem import (
     ObjectiveSet,
     ProblemInstance,
     SmoothFunction,
-    make_quadratic,
+    quadratic_from_hessian,
 )
 from .simplex import min_norm_over_simplex
 
@@ -363,7 +363,7 @@ def build_impossibility_instance(vs: Sequence[np.ndarray]) -> ImpossibilityInsta
     """Instance matching prescribed gradients at 0 while 0 is preference optimal.
 
     Input is (v0, v1, ..., vn).  The preference is 0.5 * ||x + v0||^2 and the
-    objectives are shared-Hessian quadratics 0.5 * ||A (x - z_i)||^2 with
+    objectives are shared-Hessian quadratics 0.5 (x - z_i)^T H (x - z_i) with
     z_i = -H^{-1} v_i, so grad f_i(0) = v_i exactly.  The Hessian is the
     inverse Gram form of the rotation map: G = R^T R is symmetric positive
     definite and still sends span(v_i) into the hyperplane normal to v0
@@ -380,14 +380,10 @@ def build_impossibility_instance(vs: Sequence[np.ndarray]) -> ImpossibilityInsta
     G = R.T @ R
     H = np.linalg.inv(G)
     H = 0.5 * (H + H.T)
-    try:
-        A = np.linalg.cholesky(H).T
-    except np.linalg.LinAlgError as exc:
-        raise InvalidArgumentError("constructed Hessian lost positive definiteness") from exc
     centers = np.array([-G @ v for v in vectors])
-    objectives = [make_quadratic(A, z) for z in centers]
+    objectives = [quadratic_from_hessian(H, z) for z in centers]
     d = v0.size
-    f0 = make_quadratic(np.eye(d), -v0)
+    f0 = quadratic_from_hessian(np.eye(d), -v0)
     F = ObjectiveSet.from_objectives(objectives)
     problem = ProblemInstance.create(F, f0)
     return ImpossibilityInstance(

@@ -82,10 +82,10 @@ def build_surrogate(problem: ProblemInstance, point: ManifoldPoint) -> Surrogate
 class SolverConfig:
     """Outer-loop tolerances and budgets.
 
-    Requires 0 < eps <= eps0^2 <= 1.  ``c1``/``c2`` default to automatic
-    per-iterate evaluation of the convergence constants; fixing them
-    overrides that.  The scalarized solves always use Newton's method;
-    ``newton_inner`` is accepted for compatibility and ignored.
+    Requires 0 < eps <= eps0^2 <= 1.  The convergence constants c1/c2 are
+    not settable: ``compute_c1_c2`` evaluates them at every iterate.  The
+    scalarized solves always use Newton's method; ``newton_inner`` is
+    accepted for compatibility and ignored.
     """
 
     eps0: float
@@ -93,8 +93,6 @@ class SolverConfig:
     alpha: float = 0.5
     max_outer: int = 100_000
     max_inner_x: int = 200_000
-    c1: Optional[float] = None
-    c2: Optional[float] = None
     newton_inner: bool = False
 
     def __post_init__(self):
@@ -104,10 +102,6 @@ class SolverConfig:
             raise ConfigurationError("requires 0 < eps <= eps0^2")
         if not (0.0 < self.alpha < 1.0):
             raise ConfigurationError("requires alpha in (0, 1)")
-        for name in ("c1", "c2"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ConfigurationError(f"{name} must be positive when fixed")
 
 
 @dataclass(frozen=True)
@@ -145,14 +139,9 @@ class StationarityCertificate:
 
 
 def _certificate(surrogate, eps0, eps, alpha) -> StationarityCertificate:
-    point = surrogate.anchor
-    if point.beta.n == 1:
-        gap = 0.0
-    else:
-        gap = l1_stationarity_gap(surrogate.linear, point.beta)
     return StationarityCertificate(
-        residual=point.residual,
-        gap=gap,
+        residual=surrogate.anchor.residual,
+        gap=l1_stationarity_gap(surrogate.linear, surrogate.anchor.beta),
         err=surrogate.err_term,
         eps=eps,
         gap_budget=alpha * eps0,
@@ -311,12 +300,7 @@ def pmm_solve(
         for k in range(config.max_outer + 1):
             surrogate = build_surrogate(problem, point)
             cert = _certificate(surrogate, config.eps0, config.eps, config.alpha)
-            c1, c2 = config.c1, config.c2  # positive when fixed
-            if c1 is None or c2 is None:
-                auto = compute_c1_c2(
-                    problem, point.x, surrogate.grad_f0_norm, surrogate.jacobian_T
-                )
-                c1, c2 = c1 or auto[0], c2 or auto[1]
+            c1, c2 = compute_c1_c2(problem, point.x, surrogate.grad_f0_norm, surrogate.jacobian_T)
             trace.append(
                 TraceRecord(
                     k=k,

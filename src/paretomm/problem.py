@@ -26,7 +26,8 @@ class SmoothFunction:
     ``mu``/``L``/``L_H`` are the strong convexity, gradient-Lipschitz and
     Hessian-Lipschitz constants; ``None`` means undeclared.  Declared
     constants are trusted (analytic families compute them exactly) and only
-    spot-checked by the test suite.
+    spot-checked by the test suite.  ``minimizer_hint`` is the exact minimizer
+    of an objective, and the Newton warm start of a scalarization.
     """
 
     dim: int
@@ -39,29 +40,28 @@ class SmoothFunction:
     minimizer_hint: Optional[np.ndarray] = None
 
 
-def make_quadratic(A: np.ndarray, z: np.ndarray) -> SmoothFunction:
-    """Quadratic f(x) = 0.5 * ||A (x - z)||^2 with Hessian H = A^T A.
+def quadratic_from_hessian(H: np.ndarray, z: np.ndarray) -> SmoothFunction:
+    """Quadratic f(x) = 0.5 * (x - z)^T H (x - z) with the given Hessian H.
 
-    ``A`` must be full rank: smallest singular value > 1e-12 times the
-    largest.  Constants are mu = lambda_min(H), L = lambda_max(H), L_H = 0.
+    ``H`` must be square, match ``z``, be symmetric to 1e-12 relative and
+    positive definite: lambda_min(H) > 1e-24 * lambda_max(H).  ``grad`` and
+    ``hess`` use ``H`` itself; mu = lambda_min(H), L = lambda_max(H), L_H = 0.
     """
-    A = np.asarray(A, dtype=float)
+    H = np.array(H, dtype=float)
     z = np.asarray(z, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidArgumentError(f"A must be square, got shape {A.shape}")
-    if A.shape[0] != z.shape[0]:
-        raise InvalidArgumentError("A and z dimensions disagree")
-    svals = np.linalg.svd(A, compute_uv=False)
-    if svals[-1] <= 1e-12 * svals[0]:
-        raise InvalidArgumentError("A is rank deficient")
-    H = A.T @ A
-    H = 0.5 * (H + H.T)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise InvalidArgumentError(f"H must be square, got shape {H.shape}")
+    if H.shape[0] != z.shape[0]:
+        raise InvalidArgumentError("H and z dimensions disagree")
+    if not np.allclose(H, H.T, atol=1e-12 * max(1.0, np.abs(H).max())):
+        raise InvalidArgumentError("H must be symmetric")
     eigs = np.linalg.eigvalsh(H)
+    if not eigs[0] > 1e-24 * eigs[-1]:
+        raise InvalidArgumentError("H is not positive definite")
 
     def value(x):
         d = np.asarray(x, dtype=float) - z
-        Ad = A @ d
-        return 0.5 * float(Ad @ Ad)
+        return 0.5 * float(d @ (H @ d))
 
     def grad(x):
         return H @ (np.asarray(x, dtype=float) - z)
@@ -81,18 +81,18 @@ def make_quadratic(A: np.ndarray, z: np.ndarray) -> SmoothFunction:
     )
 
 
-def quadratic_from_hessian(H: np.ndarray, z: np.ndarray) -> SmoothFunction:
-    """Quadratic with a prescribed symmetric positive-definite Hessian."""
-    H = np.asarray(H, dtype=float)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise InvalidArgumentError(f"H must be square, got shape {H.shape}")
-    if not np.allclose(H, H.T, atol=1e-12 * max(1.0, np.abs(H).max())):
-        raise InvalidArgumentError("H must be symmetric")
-    try:
-        lower = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidArgumentError("H is not positive definite") from exc
-    return make_quadratic(lower.T, z)
+def make_quadratic(A: np.ndarray, z: np.ndarray) -> SmoothFunction:
+    """``quadratic_from_hessian(A^T A, z)``: f(x) = 0.5 * ||A (x - z)||^2.
+
+    ``A`` must be square and full rank: smallest singular value > 1e-12 times the largest.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise InvalidArgumentError(f"A must be square, got shape {A.shape}")
+    svals = np.linalg.svd(A, compute_uv=False)
+    if svals[-1] <= 1e-12 * svals[0]:
+        raise InvalidArgumentError("A is rank deficient")
+    return quadratic_from_hessian(A.T @ A, z)
 
 
 def _log_cosh(t: np.ndarray) -> np.ndarray:
@@ -111,23 +111,19 @@ def make_log_cosh_quadratic(H: np.ndarray, z: np.ndarray, c: float) -> SmoothFun
     if c < 0:
         raise InvalidArgumentError("c must be nonnegative")
     base = quadratic_from_hessian(H, z)
-    z = np.asarray(z, dtype=float)
-    Hm = np.asarray(H, dtype=float)
+    z = base.minimizer_hint
 
     def value(x):
-        d = np.asarray(x, dtype=float) - z
-        return 0.5 * float(d @ (Hm @ d)) + c * float(np.sum(_log_cosh(d)))
+        return base.value(x) + c * float(np.sum(_log_cosh(np.asarray(x, dtype=float) - z)))
 
     def grad(x):
-        d = np.asarray(x, dtype=float) - z
-        return Hm @ d + c * np.tanh(d)
+        return base.grad(x) + c * np.tanh(np.asarray(x, dtype=float) - z)
 
     def hess(x):
-        d = np.asarray(x, dtype=float) - z
-        return Hm + c * np.diag(1.0 / np.cosh(d) ** 2)
+        return base.hess(x) + c * np.diag(1.0 / np.cosh(np.asarray(x, dtype=float) - z) ** 2)
 
     return SmoothFunction(
-        dim=z.shape[0],
+        dim=base.dim,
         value=value,
         grad=grad,
         hess=hess,
@@ -138,13 +134,10 @@ def make_log_cosh_quadratic(H: np.ndarray, z: np.ndarray, c: float) -> SmoothFun
     )
 
 
-# Registry of non-quadratic families referenced by problem files.
+# Non-quadratic families referenced by problem files, called with the
+# loader-checked H and z and a dict of the other (finite scalar) parameters.
 BUILTIN_FUNCTIONS = {
-    "log_cosh_quadratic": lambda params: make_log_cosh_quadratic(
-        np.asarray(params["H"], dtype=float),
-        np.asarray(params["z"], dtype=float),
-        float(params.get("c", 1.0)),
-    ),
+    "log_cosh_quadratic": lambda H, z, p: make_log_cosh_quadratic(H, z, p.get("c", 1.0)),
 }
 
 
@@ -158,7 +151,7 @@ def norm_1_2(M: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ObjectiveSet:
-    """The n objectives with their shared constant bundle and cached minimizers."""
+    """The n objectives with their shared constant bundle and exact minimizer hints."""
 
     objectives: tuple
     mu: float
@@ -199,20 +192,13 @@ class ObjectiveSet:
         mu = min(f.mu for f in objectives)
         L = max(f.L for f in objectives)
         L_H = max(f.L_H for f in objectives)
-
-        from .manifold import minimize_function  # deferred: manifold imports this module
-
-        mins = []
-        for f in objectives:
-            x0 = f.minimizer_hint if f.minimizer_hint is not None else np.zeros(d)
-            res = minimize_function(f, x0, tol_grad=1e-10 * L)
-            mins.append(res.x)
-        minimizers = np.array(mins)
+        for i, f in enumerate(objectives):
+            m = f.minimizer_hint
+            if m is None or not np.linalg.norm(f.grad(m)) <= 1e-10 * L:
+                raise ConfigurationError(f"objective {i}: minimizer_hint is not its minimizer")
+        minimizers = np.array([f.minimizer_hint for f in objectives])
         minimizers.setflags(write=False)
-        r = 0.0
-        for i in range(len(objectives)):
-            for j in range(i + 1, len(objectives)):
-                r = max(r, float(np.linalg.norm(minimizers[i] - minimizers[j])))
+        r = max(float(np.linalg.norm(a - b)) for a in minimizers for b in minimizers)
         return cls(objectives=objectives, mu=mu, L=L, L_H=L_H, minimizers=minimizers, r=r)
 
 

@@ -7,8 +7,9 @@ A problem file is a JSON document::
      "preference": {"kind": "quadratic", "H": [[...]], "z": [...]},
      "constants": {"mu": .., "L": .., "L_H": .., "L0": ..}}   # optional
 
-Non-quadratic built-ins are referenced as
-``{"kind": "builtin", "name": ..., "params": {...}}``.  The optional
+Non-quadratic built-ins are referenced as ``{"kind": "builtin", "name": ...,
+"params": {"H": .., "z": .., ...}}``; every other parameter is a finite
+number.  A quadratic entry is 0.5 (x-z)^T H (x-z).  The optional
 constants block overrides the values computed for analytic families.
 """
 
@@ -55,21 +56,33 @@ def _finite_array(value, where: str) -> np.ndarray:
     return arr
 
 
+def _finite_number(value, where: str) -> float:
+    arr = _finite_array(value, where)
+    if arr.ndim != 0:
+        raise InvalidArgumentError(f"{where}: expected a number")
+    return float(arr)
+
+
+def _quadratic_data(fields: dict, dim: int, where: str):
+    """The finite ``H`` (dim x dim) and ``z`` (dim) of a quadratic or builtin entry."""
+    for key in ("H", "z"):
+        if key not in fields:
+            raise InvalidArgumentError(f"{where}: missing field '{key}'")
+    H = _finite_array(fields["H"], f"{where}.H")
+    z = _finite_array(fields["z"], f"{where}.z")
+    if H.shape != (dim, dim):
+        raise InvalidArgumentError(f"{where}.H: expected shape ({dim}, {dim}), got {H.shape}")
+    if z.shape != (dim,):
+        raise InvalidArgumentError(f"{where}.z: expected length {dim}, got {z.shape}")
+    return H, z
+
+
 def _function_from_entry(entry: dict, dim: int, where: str) -> SmoothFunction:
     if not isinstance(entry, dict):
         raise InvalidArgumentError(f"{where}: expected an object")
     kind = entry.get("kind")
     if kind == "quadratic":
-        for key in ("H", "z"):
-            if key not in entry:
-                raise InvalidArgumentError(f"{where}: missing field '{key}'")
-        H = _finite_array(entry["H"], f"{where}.H")
-        z = _finite_array(entry["z"], f"{where}.z")
-        if H.shape != (dim, dim):
-            raise InvalidArgumentError(f"{where}.H: expected shape ({dim}, {dim}), got {H.shape}")
-        if z.shape != (dim,):
-            raise InvalidArgumentError(f"{where}.z: expected length {dim}, got {z.shape}")
-        return quadratic_from_hessian(H, z)
+        return quadratic_from_hessian(*_quadratic_data(entry, dim, where))
     if kind == "builtin":
         name = entry.get("name")
         if name not in BUILTIN_FUNCTIONS:
@@ -77,12 +90,13 @@ def _function_from_entry(entry: dict, dim: int, where: str) -> SmoothFunction:
         params = entry.get("params", {})
         if not isinstance(params, dict):
             raise InvalidArgumentError(f"{where}.params: expected an object")
-        for key, value in params.items():
-            _finite_array(value, f"{where}.params.{key}")
-        fn = BUILTIN_FUNCTIONS[name](params)
-        if fn.dim != dim:
-            raise InvalidArgumentError(f"{where}: builtin dimension {fn.dim} != {dim}")
-        return fn
+        H, z = _quadratic_data(params, dim, f"{where}.params")
+        scalars = {
+            key: _finite_number(value, f"{where}.params.{key}")
+            for key, value in params.items()
+            if key not in ("H", "z")
+        }
+        return BUILTIN_FUNCTIONS[name](H, z, scalars)
     raise InvalidArgumentError(f"{where}.kind: expected 'quadratic' or 'builtin', got {kind!r}")
 
 
@@ -108,16 +122,11 @@ def problem_from_spec(spec: dict) -> ProblemInstance:
     if constants is not None:
         if not isinstance(constants, dict):
             raise InvalidArgumentError("constants: expected an object")
-        values = {}
-        for key in ("mu", "L", "L_H", "L0"):
-            if key in constants:
-                try:
-                    value = float(constants[key])
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise InvalidArgumentError(f"constants.{key}: expected a number") from exc
-                if not np.isfinite(value):
-                    raise InvalidArgumentError(f"constants.{key}: {value} is not finite")
-                values[key] = value
+        values = {
+            key: _finite_number(constants[key], f"constants.{key}")
+            for key in ("mu", "L", "L_H", "L0")
+            if key in constants
+        }
         L0 = values.pop("L0", None)
         if values:
             F = dataclasses.replace(F, **values)

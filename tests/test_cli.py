@@ -98,10 +98,17 @@ class TestSolveCommand:
             ({"preference": _quadratic([[1.0, 0.0], [0.0, 1.0]], [0.0, INF])}, "preference.z"),
             ({"preference": _log_cosh(c=NAN)}, "preference.params.c"),
             ({"preference": _log_cosh(z=[0.0, -INF])}, "preference.params.z"),
+            ({"preference": {**_log_cosh(), "params": {"z": [0.0, 1.0]}}},
+             "preference.params: missing field 'H'"),
+            ({"preference": {**_log_cosh(), "params": {"H": [[1.0, 0.0], [0.0, 1.0]]}}},
+             "preference.params: missing field 'z'"),
+            ({"preference": _log_cosh(c=[1.0, 2.0])}, "preference.params.c"),
+            ({"preference": _log_cosh(z=[[0.0], [0.0]])}, "preference.params.z"),
         ],
         ids=["negative-L_H", "negative-L0", "nan-L0", "overflowing-mu", "bool-dimension",
              "nan-objective-z", "inf-objective-H", "inf-preference-z", "nan-builtin-c",
-             "inf-builtin-z"],
+             "inf-builtin-z", "missing-builtin-H", "missing-builtin-z", "vector-builtin-c",
+             "column-builtin-z"],
     )
     def test_unsound_spec_exits_one(self, change, field, tmp_path, capsys):
         path = tmp_path / "bad.json"

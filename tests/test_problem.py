@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -46,12 +48,20 @@ class TestMakeQuadratic:
         np.testing.assert_allclose(f.grad(E1), E1)
         np.testing.assert_allclose(f.hess(E1), np.eye(2))
 
-    def test_cholesky_factor_gradient(self):
+    def test_cholesky_factor_gradient(self, rng):
         # H = [[1,1],[1,2]] centered at -e1: grad at 0 is H e1 = (1, 1)
         H = np.array([[1.0, 1.0], [1.0, 2.0]])
         f = quadratic_from_hessian(H, -E1)
         np.testing.assert_allclose(f.grad(np.zeros(2)), np.array([1.0, 1.0]), atol=1e-12)
         np.testing.assert_allclose(f.hess(np.zeros(2)), H, atol=1e-12)
+        # the function keeps the given H itself, not a refactored H
+        for d in range(1, 9):
+            H, z, x = random_spd(rng, d), rng.normal(size=d), rng.normal(size=d)
+            f = quadratic_from_hessian(H, z)
+            np.testing.assert_array_equal(f.hess(x), H)
+            np.testing.assert_array_equal(f.grad(x), H @ (x - z))
+            eigs = np.linalg.eigvalsh(H)
+            assert (f.mu, f.L) == (eigs[0], eigs[-1])
 
     def test_scaled_identity_constants(self):
         f = make_quadratic(2.0 * np.eye(2), E2)
@@ -153,6 +163,14 @@ class TestObjectiveSet:
             np.linalg.norm(a - b) for a in F.minimizers for b in F.minimizers
         ]
         assert F.r == pytest.approx(max(dists))
+
+    def test_minimizer_hint_must_be_the_minimizer(self):
+        other = make_quadratic(np.eye(2), E2)
+        f = make_quadratic(np.eye(2), E1)
+        for hint in (None, E1 + 1e-6):
+            bad = dataclasses.replace(f, minimizer_hint=hint)
+            with pytest.raises(ConfigurationError, match="objective 1"):
+                ObjectiveSet.from_objectives([other, bad])
 
     def test_gradient_bound_on_stationary_points(self, rng):
         # max_i ||grad f_i(x_beta)|| <= L * (sampled diameter), sampling the
