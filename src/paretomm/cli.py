@@ -193,9 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True)
     p.add_argument("--eps0", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument(
+        "--alpha",
+        type=float,
+        default=0.5,
+        help="share of eps0 that bounds the weight gap; the rest bounds err (default 0.5)",
+    )
     p.add_argument("--max-outer", type=int, default=100_000)
-    p.add_argument("--beta0", help="comma-separated initial weights")
+    p.add_argument("--beta0", help="comma-separated initial weights, one per objective")
     p.add_argument(
         "--newton-inner",
         action="store_true",

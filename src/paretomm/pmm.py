@@ -1,11 +1,12 @@
 """Majorization-minimization over the Pareto manifold.
 
-Each outer iteration builds a quadratic upper bound for the pulled-back
-preference around the current pair (x, beta), minimizes it over the simplex
-to a stationarity gap proportional to eps0, then re-solves the scalarized
-problem at the new weights to a gradient norm proportional to eps.  A point
-is certified stationary when its residual, its estimated-gradient gap, and
-the gradient-estimation error bound are all within their budgets.
+Each outer iteration builds an isotropic quadratic upper bound for the
+pulled-back preference around the current pair (x, beta), minimizes it over
+the simplex exactly by one Euclidean projection, then re-solves the
+scalarized problem at the new weights to a gradient norm proportional to
+eps.  A point is certified stationary when its residual, its
+estimated-gradient gap, and the gradient-estimation error bound are all
+within their budgets.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
-from .errors import BudgetExceededError, ConfigurationError, NumericalFailureError
+from .errors import BudgetExceededError, ConfigurationError, InvalidArgumentError, NumericalFailureError
 from .manifold import (
     ManifoldPoint,
     err_grad_f0,
@@ -66,7 +68,7 @@ def build_surrogate(problem: ProblemInstance, point: ManifoldPoint) -> Surrogate
     """Surrogate at ``point``; its error bound uses ``point.residual``."""
     JT = problem.F.jacobian_T(point.x)
     g0 = problem.f0.grad(point.x)
-    g0n = float(np.linalg.norm(g0))
+    g0n = float(scipy.linalg.norm(g0, check_finite=False))  # BLAS nrm2: no overflow at 1e300
     J = grad_x_star_estimate(problem.F, point.x, point.beta, jacobian_T=JT)
     return SurrogateState(
         anchor=point,
@@ -82,10 +84,10 @@ def build_surrogate(problem: ProblemInstance, point: ManifoldPoint) -> Surrogate
 class SolverConfig:
     """Outer-loop tolerances and budgets.
 
-    Requires 0 < eps <= eps0^2 <= 1.  The convergence constants c1/c2 are
-    not settable: ``compute_c1_c2`` evaluates them at every iterate.  The
-    scalarized solves always use Newton's method; ``newton_inner`` is
-    accepted for compatibility and ignored.
+    Requires 0 < eps <= eps0^2 <= 1 and max_outer >= 0.  The convergence
+    constants c1/c2 are not settable: ``compute_c1_c2`` evaluates them at
+    every iterate.  The scalarized solves always use Newton's method;
+    ``newton_inner`` is accepted for compatibility and ignored.
     """
 
     eps0: float
@@ -102,6 +104,8 @@ class SolverConfig:
             raise ConfigurationError("requires 0 < eps <= eps0^2")
         if not (0.0 < self.alpha < 1.0):
             raise ConfigurationError("requires alpha in (0, 1)")
+        if self.max_outer < 0:
+            raise ConfigurationError("requires max_outer >= 0")
 
 
 @dataclass(frozen=True)
@@ -191,7 +195,9 @@ def compute_c1_c2(
         return 1.0, 1.0
     F = problem.F
     x = np.asarray(x, dtype=float)
-    g0n = grad_f0_norm if grad_f0_norm is not None else float(np.linalg.norm(problem.f0.grad(x)))
+    g0n = grad_f0_norm
+    if g0n is None:
+        g0n = float(scipy.linalg.norm(problem.f0.grad(x), check_finite=False))
     if jacobian_T is None:
         jacobian_T = F.jacobian_T(x)
     gFn = math.sqrt(float(np.linalg.eigvalsh(jacobian_T.T @ jacobian_T)[-1]))  # ||J||_2
@@ -277,7 +283,8 @@ def pmm_solve(
 ) -> PmmResult:
     """Run the outer majorize-minimize loop until certification or budget.
 
-    ``init`` optionally supplies (x0, beta0); the defaults are uniform
+    ``init`` optionally supplies (x0, beta0), with n weights and a length-d
+    x0 (``InvalidArgumentError`` otherwise); the defaults are uniform
     weights and the weight-averaged objective minimizers.  Stationarity is
     checked every iteration, so a certifiable iterate ends the run as soon
     as it appears.  Sub-solver failures propagate with the trace attached.
@@ -287,7 +294,11 @@ def pmm_solve(
     if init is not None:
         x0, beta0 = init
         beta = beta0 if isinstance(beta0, SimplexPoint) else SimplexPoint(np.asarray(beta0, float))
+        if beta.n != n:
+            raise InvalidArgumentError(f"beta0 has {beta.n} weights, expected {n}")
         x = np.asarray(x0, dtype=float) if x0 is not None else beta.weights @ F.minimizers
+        if x.shape != (F.dim,):
+            raise InvalidArgumentError(f"x0 has shape {x.shape}, expected ({F.dim},)")
     else:
         beta = SimplexPoint.uniform(n)
         x = beta.weights @ F.minimizers
@@ -324,7 +335,7 @@ def pmm_solve(
                 raise NumericalFailureError(
                     f"non-finite surrogate at outer iteration {k}; assumptions violated"
                 )
-            if n > 1 and surrogate.curvature > 0.0:
+            if surrogate.curvature > 0.0:  # mu_g = 0 when the minimizers coincide
                 Q = SimplexQuadratic(
                     anchor=beta, linear=surrogate.linear, curvature=surrogate.curvature
                 )

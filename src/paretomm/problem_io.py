@@ -77,12 +77,20 @@ def _quadratic_data(fields: dict, dim: int, where: str):
     return H, z
 
 
+def _named(where: str, build, *args) -> SmoothFunction:
+    """``build(*args)``, with ``where`` prefixed to the message of its own check errors."""
+    try:
+        return build(*args)
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"{where}: {exc}") from exc
+
+
 def _function_from_entry(entry: dict, dim: int, where: str) -> SmoothFunction:
     if not isinstance(entry, dict):
         raise InvalidArgumentError(f"{where}: expected an object")
     kind = entry.get("kind")
     if kind == "quadratic":
-        return quadratic_from_hessian(*_quadratic_data(entry, dim, where))
+        return _named(where, quadratic_from_hessian, *_quadratic_data(entry, dim, where))
     if kind == "builtin":
         name = entry.get("name")
         if name not in BUILTIN_FUNCTIONS:
@@ -96,7 +104,7 @@ def _function_from_entry(entry: dict, dim: int, where: str) -> SmoothFunction:
             for key, value in params.items()
             if key not in ("H", "z")
         }
-        return BUILTIN_FUNCTIONS[name](H, z, scalars)
+        return _named(f"{where}.params", BUILTIN_FUNCTIONS[name], H, z, scalars)
     raise InvalidArgumentError(f"{where}.kind: expected 'quadratic' or 'builtin', got {kind!r}")
 
 

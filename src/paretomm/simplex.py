@@ -3,14 +3,15 @@
 The simplex is treated as a metric space under the l1 norm.  Stationarity of
 a smooth function at beta is measured by the l1-normalized gap
 max(0, sup_{beta'} -v^T (beta' - beta) / ||beta' - beta||_1), which reduces
-to a maximum over the vertices.  The isotropic quadratic surrogate is
-minimized exactly by one Euclidean projection, whose l2 tangent-cone gap is
-zero in exact arithmetic.  The minimum-norm point of a polytope is one
-nonnegative least-squares solve.
+to a maximum over the vertices.  Each isotropic quadratic surrogate is
+minimized exactly by one Euclidean projection of its unconstrained step
+(Duchi et al., ICML 2008); nothing is iterated to a tolerance.  The
+minimum-norm point of a polytope is one nonnegative least-squares solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ from .errors import InvalidArgumentError
 
 @dataclass(frozen=True, eq=False)
 class SimplexPoint:
-    """Convex-weight vector: nonnegative entries summing to one."""
+    """Convex-weight vector: finite nonnegative entries, rescaled to sum to one."""
 
     weights: np.ndarray
 
@@ -28,10 +29,14 @@ class SimplexPoint:
         w = np.asarray(self.weights, dtype=float).copy()
         if w.ndim != 1 or w.size == 0:
             raise InvalidArgumentError("weights must be a nonempty vector")
-        if np.min(w) < -1e-9:
-            raise InvalidArgumentError(f"negative weight {np.min(w)}")
+        lo = w.min()
+        if lo < -1e-9:
+            raise InvalidArgumentError(f"negative weight {lo}")
         w = np.maximum(w, 0.0)
-        s = w.sum()
+        with np.errstate(over="ignore"):
+            s = w.sum()
+        if not math.isfinite(s):  # a NaN or inf entry, or an overflowing sum
+            raise InvalidArgumentError("weights must be finite with a finite sum")
         if s <= 0:
             raise InvalidArgumentError("weights sum to zero")
         w /= s
@@ -86,9 +91,7 @@ def l1_stationarity_gap(v: np.ndarray, beta: SimplexPoint) -> float:
     w = beta.weights
     if v.shape != w.shape:
         raise InvalidArgumentError("v and beta dimensions disagree")
-    free = w > 1e-14
-    if not np.any(free):
-        return 0.0
+    free = w > 1e-14  # nonempty: the weights are finite and sum to one
     gap = 0.5 * (float(np.max(v[free])) - float(np.min(v)))
     return float(np.maximum(0.0, gap))  # unlike max(), keeps a NaN gap NaN
 
@@ -151,21 +154,16 @@ class SimplexQuadratic:
 
 
 def minimize_quadratic_over_simplex(Q: SimplexQuadratic, tol_gap: float):
-    """Exact minimizer: the projection of the unconstrained step from the anchor.
+    """Exact minimizer: one projection of the unconstrained step from the anchor.
 
     The quadratic is isotropic, so its minimizer over the simplex is
-    project(anchor - linear / curvature).  The anchor is returned unchanged,
-    with its l2 tangent-cone gap, when that gap already meets ``tol_gap``.
-    Otherwise the projection is returned with gap 0.0: the l2 tangent-cone
-    gap of the exact minimizer is zero in exact arithmetic (in floating
-    point it is rounding noise, so it is not recomputed), and the l2 gap
-    dominates the l1 gap.  Returns ``(point, achieved_gap)``.
+    project(anchor - linear / curvature).  Its l2 tangent-cone gap is zero
+    in exact arithmetic, so it meets any positive ``tol_gap`` and is
+    returned with gap 0.0 (the l2 gap dominates the l1 gap).  Returns
+    ``(point, achieved_gap)``.
     """
     if tol_gap <= 0:
         raise InvalidArgumentError("tol_gap must be positive")
-    gap = l2_tangent_gap(Q.linear, Q.anchor)
-    if gap <= tol_gap:
-        return Q.anchor, gap
     return project_to_simplex(Q.anchor.weights - Q.linear / Q.curvature), 0.0
 
 

@@ -104,11 +104,18 @@ class TestSolveCommand:
              "preference.params: missing field 'z'"),
             ({"preference": _log_cosh(c=[1.0, 2.0])}, "preference.params.c"),
             ({"preference": _log_cosh(z=[[0.0], [0.0]])}, "preference.params.z"),
+            ({"preference": _log_cosh(c=-1.0)}, "preference.params: c must be nonnegative"),
+            ({"objectives": [_quadratic(H_PNG, [-1.0, 0.0]), _log_cosh(c=-1.0)]},
+             "objectives[1].params: c must be nonnegative"),
+            ({"objectives": [_quadratic(H_PNG, [-1.0, 0.0]),
+                             _quadratic([[1.0, 2.0], [2.0, 1.0]], [1.0, 0.0])]},
+             "objectives[1]: H is not positive definite"),
         ],
         ids=["negative-L_H", "negative-L0", "nan-L0", "overflowing-mu", "bool-dimension",
              "nan-objective-z", "inf-objective-H", "inf-preference-z", "nan-builtin-c",
              "inf-builtin-z", "missing-builtin-H", "missing-builtin-z", "vector-builtin-c",
-             "column-builtin-z"],
+             "column-builtin-z", "negative-builtin-c", "negative-objective-builtin-c",
+             "indefinite-objective-H"],
     )
     def test_unsound_spec_exits_one(self, change, field, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -137,6 +144,18 @@ class TestSolveCommand:
         assert "Traceback" not in captured.err
         if code == 0:
             assert json.loads(captured.out.strip())["certificate"]["passed"] is True
+
+    @pytest.mark.parametrize(
+        "beta0", ["0.5", "1,2,3", "1,nan", "inf,1", "1e308,1e308"],
+        ids=["short", "long", "nan", "inf", "overflowing-sum"],
+    )
+    def test_bad_beta0_exits_one(self, beta0, png_file, capsys):
+        code = run_cli("solve", "--problem", png_file, "--eps0", "1e-3", "--eps", "1e-6",
+                       "--beta0", beta0)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_budget_exit_two(self, png_file, capsys):
         code = run_cli(

@@ -5,6 +5,7 @@ import pytest
 
 from paretomm import (
     ConfigurationError,
+    InvalidArgumentError,
     ManifoldPoint,
     ObjectiveSet,
     ProblemInstance,
@@ -45,6 +46,10 @@ class TestSolverConfig:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ConfigurationError):
             SolverConfig(eps0=1e-2, eps=1e-5, alpha=1.0)
+
+    def test_rejects_negative_max_outer(self):
+        with pytest.raises(ConfigurationError, match="max_outer"):
+            SolverConfig(eps0=1e-2, eps=1e-5, max_outer=-1)
 
 
 class TestBuildSurrogate:
@@ -216,6 +221,25 @@ class TestPmmSolve:
         assert result.status == "certified"
         assert len(result.trace) == 1
         np.testing.assert_allclose(result.point.beta.weights, [0.5, 0.5])
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.2])
+    def test_small_alpha_certifies(self, alpha):
+        # every step is the exact projection, so a small gap budget does not
+        # stall beta at an uncertified anchor
+        problem = problem_from_spec(triangle_spec())
+        config = SolverConfig(eps0=0.1, eps=0.01, alpha=alpha, max_outer=3000)
+        result = pmm_solve(problem, config)
+        assert result.status == "certified"
+        assert result.certificate.gap <= alpha * config.eps0
+
+    @pytest.mark.parametrize(
+        "init",
+        [(None, [1.0]), (None, [0.2, 0.3, 0.5]), ([0.0, 0.0, 0.0], [0.5, 0.5])],
+        ids=["short-beta0", "long-beta0", "long-x0"],
+    )
+    def test_init_dimensions_checked(self, png_instance, init):
+        with pytest.raises(InvalidArgumentError):
+            pmm_solve(png_instance, SolverConfig(eps0=1e-3, eps=1e-6), init=init)
 
     def test_budget_exceeded_status(self, png_instance):
         config = SolverConfig(eps0=1e-3, eps=1e-6, max_outer=2, newton_inner=True)

@@ -32,6 +32,13 @@ class TestSimplexPoint:
         with pytest.raises(InvalidArgumentError):
             SimplexPoint(np.array([1.0, -0.5]))
 
+    @pytest.mark.parametrize(
+        "w", [[1.0, np.nan], [np.inf, 1.0], [1e308, 1e308]], ids=["nan", "inf", "overflowing-sum"]
+    )
+    def test_rejects_non_finite(self, w):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            SimplexPoint(np.array(w))
+
     def test_immutable(self):
         p = SimplexPoint.uniform(3)
         with pytest.raises(ValueError):
@@ -117,7 +124,7 @@ class TestQuadraticSolver:
         anchor = SimplexPoint(np.array([0.3, 0.7]))
         Q = SimplexQuadratic(anchor=anchor, linear=np.zeros(2), curvature=1.0)
         beta, gap = minimize_quadratic_over_simplex(Q, tol_gap=1e-12)
-        assert beta is anchor
+        np.testing.assert_allclose(beta.weights, anchor.weights, rtol=0.0, atol=1e-15)
         assert gap == 0.0
 
     def test_projected_step_to_vertex(self):
