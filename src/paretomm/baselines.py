@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError, InvalidArgumentError
+from .errors import InfeasibleError, InvalidArgumentError, NumericalFailureError
 from .problem import (
     ObjectiveSet,
     ProblemInstance,
@@ -35,8 +35,8 @@ class PngConfig:
     max_iters: int
 
     def __post_init__(self):
-        if min(self.c, self.step, self.eps_stop) <= 0 or self.max_iters <= 0:
-            raise InvalidArgumentError("all PNG parameters must be positive")
+        if not all(0 < v < np.inf for v in (self.c, self.step, self.eps_stop)) or self.max_iters <= 0:
+            raise InvalidArgumentError("all PNG parameters must be finite and positive")
 
 
 def _png_vector_from_grads(G: np.ndarray, g0: np.ndarray, c: float) -> np.ndarray:
@@ -47,6 +47,8 @@ def _png_vector_from_grads(G: np.ndarray, g0: np.ndarray, c: float) -> np.ndarra
 
     d = G.shape[1]
     h = c - G @ g0
+    if not np.isfinite(h).all():
+        raise NumericalFailureError("constraint levels overflow at this point")
     E = np.vstack([G.T, h])
     target = np.zeros(d + 1)
     target[d] = 1.0
@@ -107,6 +109,8 @@ class _PngState:
         self.x = np.asarray(x, dtype=float)
         G = F.jacobian_T(self.x).T
         g0 = f0.grad(self.x)
+        if not (np.isfinite(G).all() and np.isfinite(g0).all()):
+            raise NumericalFailureError(f"non-finite gradient at x={self.x.tolist()}")
         _, self.m = min_norm_over_simplex(G.T)
         try:
             self.v = _png_vector_from_grads(G, g0, c)
@@ -232,6 +236,7 @@ def _polish_to_stationary(F, f0, seed, config):
     return None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow surfaces as a non-finite gradient
 def png_descent(
     F: ObjectiveSet, f0: SmoothFunction, x0: np.ndarray, config: PngConfig
 ) -> PngResult:
@@ -244,7 +249,11 @@ def png_descent(
     set the raw step blows up like c / distance, so displacements are
     capped there; when the capped dynamics stall, the stationary point is
     located by the curve-tracing polish and verified against the same test.
+    A non-finite x0 raises ``InvalidArgumentError``; a gradient that
+    overflows along the way raises ``NumericalFailureError``.
     """
+    if not np.isfinite(x0).all():
+        raise InvalidArgumentError("x0 must be finite")
     state = _PngState(F, f0, x0, config.c)
     traj = [state.x.copy()]
     band = max(config.eps_stop, 0.02 * max(F.r, 1e-6))

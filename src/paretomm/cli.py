@@ -4,17 +4,17 @@ Subcommands: ``solve`` (majorize-minimize run with trace CSV), ``png``
 (navigation-baseline descent with trajectory CSV), ``oracle`` (lattice
 search CSV), ``plot`` (SVG of a planar stationary set), and ``generate``
 (problem-file writer).  Exit codes: 0 success/certified, 2 budget exceeded
-or infeasible subproblem, 1 malformed input or numerical failure.  The
-``PMM_LOG`` variable (error, info, debug) sets the log level on stderr.
+or infeasible subproblem, 1 malformed input or numerical failure.  ``main``
+alone reports failures: each prints exactly one ``error:``, ``failed:`` or
+``infeasible:`` line on stderr.  A run that spends its iteration budget
+prints its summary and exits 2; argparse rejects malformed flags with exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
-import logging
 import os
 import sys
 
@@ -38,16 +38,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BUDGET = 2
 
-logger = logging.getLogger("paretomm")
-
-
-def _configure_logging():
-    level_name = os.environ.get("PMM_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    if level_name not in levels:
-        level_name = "error"
-    logging.basicConfig(stream=sys.stderr, level=levels[level_name])
-
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
@@ -68,15 +58,10 @@ def _cmd_solve(args) -> int:
     if args.beta0 is not None:
         beta0 = _parse_vector(args.beta0)
         init = (None, beta0)
-    try:
-        result = pmm_solve(problem, config, init=init)
-    except BudgetExceededError as exc:
-        logger.error("sub-solver budget exhausted: %s", exc)
-        return EXIT_BUDGET
+    result = pmm_solve(problem, config, init=init)
     if args.trace:
-        buf = io.StringIO()
-        result.trace.write_csv(buf)
-        problem_io.atomic_write_text(args.trace, buf.getvalue())
+        with problem_io.atomic_open(args.trace) as fh:
+            result.trace.write_csv(fh)
     summary = {
         "x": result.point.x.tolist(),
         "beta": result.point.beta.weights.tolist(),
@@ -101,12 +86,9 @@ def _cmd_png(args) -> int:
         )
     result = png_descent(problem.F, problem.f0, x0, config)
     if args.trace:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["it"] + [f"x_{i}" for i in range(problem.F.dim)])
-        for it, x in enumerate(result.trajectory):
-            writer.writerow([it] + [f"{v:.17g}" for v in x])
-        problem_io.atomic_write_text(args.trace, buf.getvalue())
+        header = ["it"] + [f"x_{i}" for i in range(problem.F.dim)]
+        with problem_io.atomic_open(args.trace) as fh:
+            problem_io.write_csv(fh, header, ([it, *x] for it, x in enumerate(result.trajectory)))
     print(
         json.dumps(
             {
@@ -122,13 +104,9 @@ def _cmd_png(args) -> int:
 def _cmd_oracle(args) -> int:
     problem = problem_io.load_problem(args.problem)
     result = grid_search_preference_opt(problem, args.resolution, collect=True)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    n = problem.F.n
-    writer.writerow([f"beta_{i}" for i in range(n)] + ["f0"])
-    for beta, _, value in result.rows:
-        writer.writerow([f"{w:.17g}" for w in beta.weights] + [f"{value:.17g}"])
-    problem_io.atomic_write_text(args.out, buf.getvalue())
+    header = [f"beta_{i}" for i in range(problem.F.n)] + ["f0"]
+    with problem_io.atomic_open(args.out) as fh:
+        problem_io.write_csv(fh, header, ([*beta.weights, value] for beta, _, value in result.rows))
     print(
         json.dumps(
             {
@@ -145,17 +123,20 @@ def _cmd_oracle(args) -> int:
 def _read_trace_path(path: str, dim: int) -> np.ndarray:
     with open(path) as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         cols = []
         for i in range(dim):
             name = f"x_{i}"
             if name not in header:
                 raise InvalidArgumentError(f"trace {path}: missing column {name}")
             cols.append(header.index(name))
-        rows = [[float(row[c]) for c in cols] for row in reader]
-    if not rows:
-        raise InvalidArgumentError(f"trace {path}: no data rows")
-    return np.array(rows)
+        try:
+            rows = np.array([[float(row[c]) for c in cols] for row in reader])
+        except (ValueError, IndexError) as exc:
+            raise InvalidArgumentError(f"trace {path}: malformed row ({exc})") from exc
+    if rows.size == 0 or not np.isfinite(rows).all():
+        raise InvalidArgumentError(f"trace {path}: needs finite data rows")
+    return rows
 
 
 def _cmd_plot(args) -> int:
@@ -164,13 +145,16 @@ def _cmd_plot(args) -> int:
     for path in args.overlay or []:
         overlays.append((os.path.basename(path), _read_trace_path(path, problem.F.dim)))
     svg = render_pareto_svg(problem, args.resolution, overlays)
-    problem_io.atomic_write_text(args.svg, svg)
+    with problem_io.atomic_open(args.svg) as fh:
+        fh.write(svg)
     return EXIT_OK
 
 
 def _cmd_generate(args) -> int:
     if args.preset is not None:
         spec = problem_io.PRESETS[args.preset]()
+    elif min(args.dimension, args.objectives) < 1 or args.seed < 0:
+        raise InvalidArgumentError("requires --dimension >= 1, --objectives >= 1 and --seed >= 0")
     else:
         rng = np.random.default_rng(args.seed)
         spec = problem_io.random_problem_spec(
@@ -244,12 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidArgumentError, ConfigurationError, SizeLimitError, FileNotFoundError) as exc:
+    except (InvalidArgumentError, ConfigurationError, SizeLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except InfeasibleError as exc:

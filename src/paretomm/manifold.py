@@ -15,11 +15,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import BudgetExceededError, NumericalFailureError
 from .problem import ObjectiveSet, ProblemInstance, SmoothFunction, scalarize
 from .simplex import SimplexPoint
+
+
+def stable_norm(v: np.ndarray) -> float:
+    """Euclidean norm by BLAS ``nrm2``, which rescales, so entries near 1e300 do not overflow."""
+    return float(scipy.linalg.norm(v, check_finite=False))
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +197,7 @@ def err_grad_f0(
         return 0.0
     x = np.asarray(x, dtype=float)
     if grad_f0_norm is None:
-        grad_f0_norm = float(np.linalg.norm(problem.f0.grad(x)))
+        grad_f0_norm = stable_norm(problem.f0.grad(x))
     if residual is None:
         residual = float(np.linalg.norm(scalarize(problem.F, beta).grad(x)))
     ratio = b.M1 / (2.0 * b.M0)

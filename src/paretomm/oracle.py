@@ -1,17 +1,19 @@
-"""Independent brute-force checks: grids, finite differences, closed forms.
+"""Brute-force checks: grids, finite differences, closed forms.
 
-Everything here is deliberately separate from the solver path it validates:
-finite differences check the implicit-derivative formula, lattice search
+Finite differences check the implicit-derivative formula, lattice search
 checks preference optimality, and the shared-Hessian closed form checks the
-inner solver.  Oracle solves run to a gradient tolerance an order of
-magnitude tighter than anything under test.
+inner solver.  None of them uses the outer loop, its surrogate or its
+certificate, but lattice search and the hull check do solve x*(beta) with
+the solver's own Newton ``solve_x_star``, to a gradient tolerance of 1e-12
+scaled up by the problem's smoothness constant and minimizer magnitude.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -55,22 +57,27 @@ def finite_difference_jacobian(
     return np.column_stack(cols)
 
 
+def _newton_tolerance(F: ObjectiveSet) -> float:
+    """1e-12 * max(1, L) * max(1, largest |minimizer entry|): above the gradient's rounding floor."""
+    return 1e-12 * max(1.0, F.L) * max(1.0, float(np.abs(F.minimizers).max()))
+
+
 def lattice_size(m: int, n: int) -> int:
     return comb(m + n - 1, n - 1)
 
 
-def simplex_lattice(m: int, n: int) -> Iterator[np.ndarray]:
-    """All weight vectors with denominator m, in lexicographic order."""
+def simplex_lattice(m: int, n: int) -> np.ndarray:
+    """Lexicographic (lattice_size, n) integer counts summing to m, one row per weight vector.
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            yield prefix + [remaining]
-            return
-        for k in range(remaining + 1):
-            yield from rec(prefix + [k], remaining - k, slots - 1)
-
-    for counts in rec([], m, n):
-        yield np.array(counts, dtype=float) / m
+    Stars and bars: the gaps between n - 1 bars placed among m + n - 1 slots.
+    """
+    total = lattice_size(m, n)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(m + n - 1), n - 1)),
+        dtype=np.int64,
+        count=total * (n - 1),
+    ).reshape(total, n - 1)
+    return np.diff(bars, axis=1, prepend=-1, append=m + n - 1) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,9 +95,10 @@ def grid_search_preference_opt(
 ) -> GridSearchResult:
     """Evaluate the preference at every lattice weight vector.
 
-    Inner solves use Newton at tolerance 1e-12.  Returns the minimizing
-    weights plus the observed min and max preference values over the
-    lattice; ``collect=True`` additionally keeps every (beta, x, f0) row.
+    Inner solves use Newton at ``_newton_tolerance(problem.F)``.  Returns
+    the minimizing weights plus the observed min and max preference values
+    over the lattice; ``collect=True`` additionally keeps every (beta, x, f0)
+    row.
     """
     if resolution < 1:
         raise InvalidArgumentError("resolution must be at least 1")
@@ -105,9 +113,10 @@ def grid_search_preference_opt(
     f_min, f_max = np.inf, -np.inf
     rows = [] if collect else None
     x_warm = None
-    for w in simplex_lattice(resolution, n):
-        beta = SimplexPoint(w)
-        point = solve_x_star(F, beta, tol_grad=1e-12, x0=x_warm)
+    tol = _newton_tolerance(F)
+    for counts in simplex_lattice(resolution, n):
+        beta = SimplexPoint(counts / resolution)
+        point = solve_x_star(F, beta, tol_grad=tol, x0=x_warm)
         x_warm = point.x
         value = problem.f0.value(point.x)
         f_min = min(f_min, value)
@@ -162,9 +171,10 @@ def hull_pareto_check(
     rng = np.random.default_rng(seed)
     centers = F.minimizers
     solve_pass = solve_fail = stat_pass = stat_fail = 0
+    tol = _newton_tolerance(F)
     for _ in range(samples):
         beta = SimplexPoint(rng.dirichlet(np.ones(F.n)))
-        point = solve_x_star(F, beta, tol_grad=1e-12)
+        point = solve_x_star(F, beta, tol_grad=tol)
         target = beta.weights @ centers
         if np.linalg.norm(point.x - target) <= 1e-8:
             solve_pass += 1

@@ -11,21 +11,20 @@ within their budgets.
 
 from __future__ import annotations
 
-import csv
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
+from . import problem_io
 from .errors import BudgetExceededError, ConfigurationError, InvalidArgumentError, NumericalFailureError
 from .manifold import (
     ManifoldPoint,
     err_grad_f0,
     grad_x_star_estimate,
     solve_x_star,
+    stable_norm,
 )
 from .problem import ProblemInstance
 from .simplex import (
@@ -34,8 +33,6 @@ from .simplex import (
     l1_stationarity_gap,
     minimize_quadratic_over_simplex,
 )
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +65,7 @@ def build_surrogate(problem: ProblemInstance, point: ManifoldPoint) -> Surrogate
     """Surrogate at ``point``; its error bound uses ``point.residual``."""
     JT = problem.F.jacobian_T(point.x)
     g0 = problem.f0.grad(point.x)
-    g0n = float(scipy.linalg.norm(g0, check_finite=False))  # BLAS nrm2: no overflow at 1e300
+    g0n = stable_norm(g0)
     J = grad_x_star_estimate(problem.F, point.x, point.beta, jacobian_T=JT)
     return SurrogateState(
         anchor=point,
@@ -197,7 +194,7 @@ def compute_c1_c2(
     x = np.asarray(x, dtype=float)
     g0n = grad_f0_norm
     if g0n is None:
-        g0n = float(scipy.linalg.norm(problem.f0.grad(x), check_finite=False))
+        g0n = stable_norm(problem.f0.grad(x))
     if jacobian_T is None:
         jacobian_T = F.jacobian_T(x)
     gFn = math.sqrt(float(np.linalg.eigvalsh(jacobian_T.T @ jacobian_T)[-1]))  # ||J||_2
@@ -245,18 +242,12 @@ class IterateTrace:
         return np.array([r.f0_value for r in self.records])
 
     def write_csv(self, stream):
-        n = self.records[0].beta.size
-        d = self.records[0].x.size
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(trace_header(n, d))
-        for r in self.records:
-            writer.writerow(
-                [r.k]
-                + [f"{v:.17g}" for v in r.beta]
-                + [f"{v:.17g}" for v in r.x]
-                + [f"{r.residual:.17g}", f"{r.f0_value:.17g}", f"{r.gap:.17g}", f"{r.err:.17g}"]
-                + [int(r.certified)]
-            )
+        first = self.records[0]
+        rows = (
+            [r.k, *r.beta, *r.x, r.residual, r.f0_value, r.gap, r.err, int(r.certified)]
+            for r in self.records
+        )
+        problem_io.write_csv(stream, trace_header(first.beta.size, first.x.size), rows)
 
 
 def trace_header(n: int, d: int) -> list:
@@ -327,7 +318,6 @@ def pmm_solve(
                 )
             )
             if cert.passed:
-                logger.info("certified at outer iteration %d", k)
                 return PmmResult(point=point, trace=trace, status="certified", certificate=cert)
             if k == config.max_outer:
                 break
@@ -340,14 +330,6 @@ def pmm_solve(
                     anchor=beta, linear=surrogate.linear, curvature=surrogate.curvature
                 )
                 beta, _ = minimize_quadratic_over_simplex(Q, tol_gap=c1 * config.eps0)
-            logger.debug(
-                "outer %d: residual=%.3e gap=%.3e err=%.3e f0=%.8f",
-                k,
-                point.residual,
-                cert.gap,
-                cert.err,
-                trace.records[-1].f0_value,
-            )
             # The solved point's residual is the scalarized gradient norm at
             # (x, beta), so it anchors the next surrogate as it is.
             point = solve_x_star(

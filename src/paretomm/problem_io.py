@@ -15,6 +15,8 @@ constants block overrides the values computed for analytic families.
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import dataclasses
 import json
 import os
@@ -32,18 +34,26 @@ from .problem import (
 )
 
 
-def atomic_write_text(path: str, text: str):
-    """Write via a temporary file plus rename so readers never see a torn file."""
+@contextlib.contextmanager
+def atomic_open(path: str):
+    """Text stream renamed over ``path`` on a clean exit, so readers never see a torn file."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv(stream, header, rows):
+    """CSV of ``header`` and ``rows``; ``.17g`` cells print ints as digits and round-trip floats."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([f"{v:.17g}" for v in row] for row in rows)
 
 
 def _finite_array(value, where: str) -> np.ndarray:
@@ -159,7 +169,8 @@ def load_problem(path: str) -> ProblemInstance:
 
 
 def save_problem_spec(path: str, spec: dict):
-    atomic_write_text(path, json.dumps(spec, indent=2) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(spec, indent=2) + "\n")
 
 
 def _quadratic_entry(H: np.ndarray, z: np.ndarray) -> dict:

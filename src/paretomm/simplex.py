@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericalFailureError
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,5 +185,7 @@ def min_norm_over_simplex(G: np.ndarray):
     target = np.zeros(d + 1)
     target[d] = 1.0
     y, _ = nnls(np.vstack([G, np.ones(n)]), target)
+    if not y.sum() > 0:  # the solve underflows to y = 0 on columns near the float range
+        raise NumericalFailureError("min-norm solve lost every weight; G is too large")
     beta = SimplexPoint(y)
     return beta, float(np.linalg.norm(G @ beta.weights))

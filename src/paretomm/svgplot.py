@@ -42,23 +42,20 @@ class _Frame:
 
 
 def _lattice_lines(resolution, n, xs):
-    """Group lattice images into coordinate polylines.
+    """Group lattice images, in ``simplex_lattice`` order, into coordinate polylines.
 
-    For each weight coordinate held at a fixed lattice level, the remaining
-    lattice points trace one image line of the parametrization.
+    Two objectives give one line.  Otherwise, for each weight coordinate held
+    at a fixed lattice level, the remaining points trace one image line.
     """
-    counts = [tuple(np.rint(w * resolution).astype(int)) for w in simplex_lattice(resolution, n)]
-    by_count = dict(zip(counts, xs))
-    lines = []
     if n == 2:
-        ordered = sorted(by_count)
-        lines.append([by_count[c] for c in ordered])
-        return lines
+        return [list(xs)]
+    counts = simplex_lattice(resolution, n)
+    lines = []
     for axis in range(n):
         for level in range(resolution + 1):
-            members = sorted(c for c in by_count if c[axis] == level)
+            members = np.flatnonzero(counts[:, axis] == level)
             if len(members) >= 2:
-                lines.append([by_count[c] for c in members])
+                lines.append([xs[i] for i in members])
     return lines
 
 

@@ -1,10 +1,15 @@
+import contextlib
 import csv
+import io
 import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from paretomm import BudgetExceededError, cli
 from paretomm.cli import main
 from paretomm.oracle import lattice_size
 from paretomm.problem_io import (
@@ -157,6 +162,21 @@ class TestSolveCommand:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_sub_solver_budget_prints_failed_line(self, png_file, monkeypatch, capsys):
+        def spent(*args, **kwargs):
+            raise BudgetExceededError("inner solver stopped at gradient norm 1e-3")
+
+        monkeypatch.setattr(cli, "pmm_solve", spent)
+        code = run_cli("solve", "--problem", png_file, "--eps0", "1e-3", "--eps", "1e-6")
+        assert code == 2
+        assert capsys.readouterr().err == "failed: inner solver stopped at gradient norm 1e-3\n"
+
+    def test_directory_as_problem_exits_one(self, tmp_path, capsys):
+        code = run_cli("solve", "--problem", tmp_path, "--eps0", "1e-3", "--eps", "1e-6")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_budget_exit_two(self, png_file, capsys):
         code = run_cli(
             "solve", "--problem", png_file, "--eps0", "1e-3", "--eps", "1e-6",
@@ -194,6 +214,21 @@ class TestPngCommand:
         assert code == 2
         assert "infeasible" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize(
+        "flag, value, prefix",
+        [("--x0", "nan,0", "error:"), ("--x0", "1e308,1e308", "failed:"),
+         ("--x0", "1e200,1e200", "failed:"), ("--c", "nan", "error:"),
+         ("--step", "inf", "error:"), ("--eps-stop", "nan", "error:")],
+        ids=["nan-x0", "overflowing-x0", "huge-x0", "nan-c", "inf-step", "nan-eps-stop"],
+    )
+    def test_bad_numbers_exit_one(self, flag, value, prefix, png_file, capsys):
+        args = {"--c": "0.01", "--eps-stop": "1e-2", "--x0": "0.2,0.9", "--max-iters": "50"}
+        args[flag] = value
+        code = run_cli("png", "--problem", png_file, *[f"{k}={v}" for k, v in args.items()])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(prefix) and "Traceback" not in err
+
     def test_stationary_start_immediate(self, tmp_path, capsys):
         path = tmp_path / "pair.json"
         save_problem_spec(str(path), PRESETS["identity-pair"]())
@@ -218,6 +253,13 @@ class TestOracleCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["beta_0", "beta_1", "beta_2", "f0"]
         assert len(rows) - 1 == lattice_size(m, 3)
+
+    def test_directory_as_out_exits_one(self, png_file, tmp_path, capsys):
+        code = run_cli("oracle", "--problem", png_file, "--resolution", 3, "--out", tmp_path)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "png.json"]  # no temporary file left
 
     def test_summary_line(self, png_file, tmp_path, capsys):
         out_csv = tmp_path / "o.csv"
@@ -270,6 +312,19 @@ class TestPlotCommand:
         assert len(lines) == 1
         assert len(lines[0].get("points").split()) == 2  # the two objective minimizers
 
+    @pytest.mark.parametrize(
+        "text", ["", "k,x_0,x_1\n0,abc,1\n", "k,x_0,x_1\n0,1\n", "k,x_0,x_1\n0,nan,1\n"],
+        ids=["empty", "bad-cell", "short-row", "nan-cell"],
+    )
+    def test_malformed_overlay_exits_one(self, text, png_file, tmp_path, capsys):
+        trace = tmp_path / "bad.csv"
+        trace.write_text(text)
+        code = run_cli("plot", "--problem", png_file, "--resolution", 3,
+                       "--svg", tmp_path / "o.svg", "--overlay", trace)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_wrong_dimension_exits_one(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         path = tmp_path / "d3.json"
@@ -304,6 +359,19 @@ class TestGenerateCommand:
         run_cli("generate", "--out", a, "--seed", "3")
         run_cli("generate", "--out", b, "--seed", "3")
         assert a.read_text() == b.read_text()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--dimension", "0"), ("--objectives", "0"), ("--dimension", "-3"), ("--seed", "-1")],
+        ids=["zero-dimension", "zero-objectives", "negative-dimension", "negative-seed"],
+    )
+    def test_bad_size_exits_one(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        code = run_cli("generate", "--out", out, f"{flag}={value}")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
 
     def test_preset(self, tmp_path):
         out = tmp_path / "p.json"
@@ -343,3 +411,51 @@ class TestBuiltinProblemFile:
         assert problem.F.mu == 0.3
         assert problem.F.L == 3.0
         assert problem.f0.L == 2.0
+
+
+# Each numeric flag takes a value from this set or a small count; no value may
+# end a run in a traceback.
+ODD_NUMBERS = ["nan", "inf", "-inf", "-1", "0", "1e-300", "1e308", "abc", ""]
+numbers = st.one_of(st.sampled_from(ODD_NUMBERS), st.integers(1, 10).map(str))
+vectors = st.lists(numbers, min_size=1, max_size=3).map(",".join)
+NUMERIC_FLAGS = {
+    "solve": {"eps0": numbers, "eps": numbers, "alpha": numbers, "max-outer": numbers,
+              "beta0": vectors},
+    "png": {"c": numbers, "eps-stop": numbers, "step": numbers, "max-iters": numbers,
+            "x0": vectors},
+    "oracle": {"resolution": numbers},
+    "generate": {"dimension": numbers, "objectives": numbers, "seed": numbers},
+}
+OUTPUT_FLAG = {"solve": "trace", "png": "trace", "oracle": "out", "generate": "out"}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli-property")
+    save_problem_spec(str(path / "png.json"), png_counterexample_spec())
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_numeric_flags_never_traceback(workdir, data):
+    command = data.draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
+    flags = data.draw(st.fixed_dictionaries(NUMERIC_FLAGS[command]))
+    argv = [command, f"--{OUTPUT_FLAG[command]}={workdir / 'out'}"]
+    if command != "generate":
+        argv.append(f"--problem={workdir / 'png.json'}")
+    argv += [f"--{flag}={value}" for flag, value in flags.items()]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected a value it cannot parse
+            assert exc.code == 2
+            return
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    if lines:  # a failure: exactly one line
+        assert code != 0 and len(lines) == 1
+        assert lines[0].startswith(("error:", "failed:", "infeasible:"))
+    else:  # success, or an iteration limit reached (summary printed, exit 2)
+        assert code == 0 or (code == 2 and command in ("solve", "png"))

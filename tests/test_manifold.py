@@ -12,6 +12,7 @@ from paretomm import (
     ObjectiveSet,
     SimplexPoint,
     SmoothFunction,
+    build_surrogate,
     err_grad_f0,
     grad_x_star_estimate,
     grad_x_star_exact,
@@ -23,6 +24,7 @@ from paretomm import (
 )
 from paretomm.manifold import spd_solve
 from paretomm.oracle import finite_difference_jacobian, tangent_directions
+from paretomm.problem_io import png_counterexample_spec, problem_from_spec
 from conftest import random_logcosh_problem, random_quadratic_problem
 
 E1 = np.array([1.0, 0.0])
@@ -273,6 +275,17 @@ class TestErrGradF0:
 
         problem = ProblemInstance.create(F, make_quadratic(np.eye(2), E2))
         assert err_grad_f0(problem, np.array([3.0, 3.0]), SimplexPoint(np.array([1.0]))) == 0.0
+
+    def test_huge_preference_gradient_stays_finite(self):
+        # ||grad f0|| is about 1e300, so its square overflows; the bound must not
+        spec = png_counterexample_spec()
+        spec["preference"] = {"kind": "quadratic", "H": [[1e300, 0.0], [0.0, 1e300]], "z": [0.0, 1.0]}
+        problem = problem_from_spec(spec)
+        beta = SimplexPoint(np.array([0.5, 0.5]))
+        x = np.array([0.1, 0.0])
+        err = err_grad_f0(problem, x, beta)
+        assert np.isfinite(err)
+        assert err == build_surrogate(problem, ManifoldPoint.from_x_beta(problem.F, x, beta)).err_term
 
     def test_true_gradient_sandwich(self, rng):
         # the estimated pullback gradient is within err_grad_f0 of the true one

@@ -17,6 +17,7 @@ from paretomm import (
     tangent_directions,
 )
 from paretomm.oracle import simplex_lattice
+from paretomm.problem_io import problem_from_spec, triangle_spec
 from conftest import random_quadratic_problem
 
 E1 = np.array([1.0, 0.0])
@@ -81,10 +82,27 @@ class TestGridSearch:
 
     def test_lattice_row_count_formula(self):
         for m, n in [(5, 2), (7, 3), (4, 4)]:
-            pts = list(simplex_lattice(m, n))
-            assert len(pts) == lattice_size(m, n)
-            for w in pts:
-                assert w.sum() == pytest.approx(1.0)
+            counts = simplex_lattice(m, n)
+            assert counts.shape == (lattice_size(m, n), n)
+            assert counts.dtype.kind == "i" and counts.min() >= 0
+            assert (counts.sum(axis=1) == m).all()
+            assert [tuple(c) for c in counts] == sorted(set(tuple(c) for c in counts))
+
+    @pytest.mark.parametrize("field, change", [("H", lambda H: 1e4 * np.array(H)),
+                                               ("z", lambda z: np.array(z) + 1e4)],
+                             ids=["hessians-times-1e4", "centers-plus-1e4"])
+    def test_rescaled_triangle_finishes(self, field, change):
+        # the gradient's rounding floor grows with L and with |x|; an absolute
+        # 1e-12 Newton target sat below it and spun to the iteration budget
+        spec = triangle_spec()
+        for entry in spec["objectives"] + [spec["preference"]]:
+            entry[field] = change(entry[field]).tolist()
+        problem = problem_from_spec(spec)
+        result = grid_search_preference_opt(problem, 6, collect=True)
+        assert result.count == lattice_size(6, 3)
+        for beta, x, _ in result.rows:
+            residual = np.linalg.norm(beta.weights @ problem.F.jacobian_T(x).T)
+            assert residual <= 1e-12 * problem.F.L * max(1.0, np.abs(problem.F.minimizers).max())
 
     def test_size_guards(self, rng):
         problem = random_quadratic_problem(rng, d=2, n=3)
