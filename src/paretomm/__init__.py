@@ -7,7 +7,6 @@ minimization with certified approximate stationarity.
 """
 
 from .errors import (
-    BudgetExceededError,
     ConfigurationError,
     InfeasibleError,
     InvalidArgumentError,

@@ -360,12 +360,10 @@ def rotation_map(v0: np.ndarray, vectors: Sequence[np.ndarray]) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ImpossibilityInstance:
     problem: ProblemInstance
-    x_star: np.ndarray
-    rotation: np.ndarray  # the raw positive-definite map
     hessian: np.ndarray  # shared symmetric Hessian of the objectives
     centers: np.ndarray  # (n, d) quadratic centers, the Pareto hull vertices
     v0: np.ndarray
-    gradients: np.ndarray  # (n, d) prescribed objective gradients at x_star
+    gradients: np.ndarray  # (n, d) prescribed objective gradients at the origin
 
 
 def build_impossibility_instance(vs: Sequence[np.ndarray]) -> ImpossibilityInstance:
@@ -391,14 +389,11 @@ def build_impossibility_instance(vs: Sequence[np.ndarray]) -> ImpossibilityInsta
     H = 0.5 * (H + H.T)
     centers = np.array([-G @ v for v in vectors])
     objectives = [quadratic_from_hessian(H, z) for z in centers]
-    d = v0.size
-    f0 = quadratic_from_hessian(np.eye(d), -v0)
+    f0 = quadratic_from_hessian(np.eye(v0.size), -v0)
     F = ObjectiveSet.from_objectives(objectives)
     problem = ProblemInstance.create(F, f0)
     return ImpossibilityInstance(
         problem=problem,
-        x_star=np.zeros(d),
-        rotation=R,
         hessian=H,
         centers=centers,
         v0=v0,

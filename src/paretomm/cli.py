@@ -22,7 +22,6 @@ import numpy as np
 
 from . import problem_io
 from .errors import (
-    BudgetExceededError,
     ConfigurationError,
     InfeasibleError,
     InvalidArgumentError,
@@ -238,9 +237,9 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (BudgetExceededError, NumericalFailureError) as exc:
+    except NumericalFailureError as exc:
         print(f"failed: {exc}", file=sys.stderr)
-        return EXIT_BUDGET if isinstance(exc, BudgetExceededError) else EXIT_ERROR
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Iteration budgets are not errors: the outer loop and the navigation baseline
+return a ``budget-exceeded`` status, and the Newton inner solve stops at its
+target or at the rounding floor.
+"""
 
 
 class InvalidArgumentError(ValueError):
@@ -11,20 +16,6 @@ class ConfigurationError(ValueError):
 
 class NumericalFailureError(RuntimeError):
     """Non-finite values or a Hessian that is not positive definite."""
-
-
-class BudgetExceededError(RuntimeError):
-    """An iteration budget ran out before the requested tolerance.
-
-    Carries the best iterate seen and its convergence metric (gradient
-    norm or stationarity gap, depending on the solver).
-    """
-
-    def __init__(self, message, best=None, metric=None, trace=None):
-        super().__init__(message)
-        self.best = best
-        self.metric = metric
-        self.trace = trace
 
 
 class InfeasibleError(RuntimeError):

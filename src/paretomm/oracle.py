@@ -6,6 +6,8 @@ inner solver.  None of them uses the outer loop, its surrogate or its
 certificate, but lattice search and the hull check do solve x*(beta) with
 the solver's own Newton ``solve_x_star``, to a gradient tolerance of 1e-12
 scaled up by the problem's smoothness constant and minimizer magnitude.
+That tolerance sits above the rounding floor, so a lattice point usually
+stops one Newton step earlier than a solve down to the floor would.
 """
 
 from __future__ import annotations

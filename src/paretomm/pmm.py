@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import problem_io
-from .errors import BudgetExceededError, ConfigurationError, InvalidArgumentError, NumericalFailureError
+from .errors import ConfigurationError, InvalidArgumentError, NumericalFailureError
 from .manifold import (
     ManifoldPoint,
     err_grad_f0,
@@ -34,6 +34,8 @@ from .simplex import (
     minimize_quadratic_over_simplex,
 )
 
+_MACHINE_EPSILON = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True, eq=False)
 class SurrogateState:
@@ -46,6 +48,7 @@ class SurrogateState:
     anchor, the inputs ``compute_c1_c2`` needs.  The absolute value at the
     anchor is unknown (it contains the preference at the exact scalarized
     minimizer), so only offsets from the anchor are exposed.
+    ``residual_floor`` is the rounding error the anchor's residual may carry.
     """
 
     anchor: ManifoldPoint
@@ -54,6 +57,7 @@ class SurrogateState:
     err_term: float
     grad_f0_norm: float
     jacobian_T: np.ndarray
+    residual_floor: float
 
     def relative_value(self, beta: SimplexPoint) -> float:
         """Upper-bound value at beta minus the unknown anchor constant."""
@@ -63,10 +67,15 @@ class SurrogateState:
 
 def build_surrogate(problem: ProblemInstance, point: ManifoldPoint) -> SurrogateState:
     """Surrogate at ``point``; its error bound uses ``point.residual``."""
-    JT = problem.F.jacobian_T(point.x)
+    F = problem.F
+    JT = F.jacobian_T(point.x)
     g0 = problem.f0.grad(point.x)
     g0n = stable_norm(g0)
-    J = grad_x_star_estimate(problem.F, point.x, point.beta, jacobian_T=JT)
+    J = grad_x_star_estimate(F, point.x, point.beta, jacobian_T=JT)
+    # The residual sums beta_i grad f_i(x), each evaluated to about (n + d) * kappa
+    # machine epsilons of its size, so it can cancel far below its exact value.
+    sizes = np.abs(JT).sum(axis=0)  # ||grad f_i(x)||_1
+    floor = (F.n + F.dim) * F.kappa * _MACHINE_EPSILON * float(sizes @ point.beta.weights)
     return SurrogateState(
         anchor=point,
         linear=J.matrix.T @ g0,
@@ -74,16 +83,18 @@ def build_surrogate(problem: ProblemInstance, point: ManifoldPoint) -> Surrogate
         err_term=err_grad_f0(problem, point.x, point.beta, g0n, point.residual),
         grad_f0_norm=g0n,
         jacobian_T=JT,
+        residual_floor=floor,
     )
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Outer-loop tolerances and budgets.
+    """Outer-loop tolerances and the outer iteration budget.
 
     Requires 0 < eps <= eps0^2 <= 1 and max_outer >= 0.  The convergence
     constants c1/c2 are not settable: ``compute_c1_c2`` evaluates them at
-    every iterate.  The scalarized solves always use Newton's method;
+    every iterate.  The scalarized solves always use Newton's method, which
+    stops at its target or at the rounding floor, so they take no budget;
     ``newton_inner`` is accepted for compatibility and ignored.
     """
 
@@ -91,7 +102,6 @@ class SolverConfig:
     eps: float
     alpha: float = 0.5
     max_outer: int = 100_000
-    max_inner_x: int = 200_000
     newton_inner: bool = False
 
     def __post_init__(self):
@@ -107,7 +117,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class StationarityCertificate:
-    """The three verified quantities and their budgets."""
+    """The three verified quantities and their budgets.
+
+    ``residual`` is the computed scalarized gradient norm plus its rounding
+    floor (``SurrogateState.residual_floor``), a bound on the exact value.
+    """
 
     residual: float
     gap: float
@@ -141,7 +155,7 @@ class StationarityCertificate:
 
 def _certificate(surrogate, eps0, eps, alpha) -> StationarityCertificate:
     return StationarityCertificate(
-        residual=surrogate.anchor.residual,
+        residual=surrogate.anchor.residual + surrogate.residual_floor,
         gap=l1_stationarity_gap(surrogate.linear, surrogate.anchor.beta),
         err=surrogate.err_term,
         eps=eps,
@@ -159,10 +173,11 @@ def verify_preference_stationarity(
 ):
     """Check the three-part certificate at (x, beta).
 
-    (i) the scalarized gradient norm at x is at most eps, (ii) the
-    l1-normalized gap of the estimated pulled-back gradient at beta is at
-    most alpha * eps0, and (iii) the gradient-estimation error bound is at
-    most (1 - alpha) * eps0.  Returns ``(bool, certificate)``.
+    (i) the scalarized gradient norm at x plus its rounding floor is at
+    most eps, (ii) the l1-normalized gap of the estimated pulled-back
+    gradient at beta is at most alpha * eps0, and (iii) the
+    gradient-estimation error bound is at most (1 - alpha) * eps0.
+    Returns ``(bool, certificate)``.
     """
     if not (0.0 < alpha < 1.0):
         raise ConfigurationError("requires alpha in (0, 1)")
@@ -197,10 +212,12 @@ def compute_c1_c2(
         g0n = stable_norm(problem.f0.grad(x))
     if jacobian_T is None:
         jacobian_T = F.jacobian_T(x)
-    gFn = math.sqrt(float(np.linalg.eigvalsh(jacobian_T.T @ jacobian_T)[-1]))  # ||J||_2
+    scale = float(np.abs(jacobian_T).max())  # ||J||_2 from the Gram matrix of J / scale
+    JS = jacobian_T / scale if scale > 0.0 else jacobian_T
+    gFn = scale * math.sqrt(float(np.linalg.eigvalsh(JS.T @ JS)[-1]))
     ratio = b.M1 / (2.0 * b.M0)
     mixed = (ratio * g0n + problem.f0.L * b.M0) / F.mu
-    t1 = 2.0 + 6.0 * F.L * g0n / (F.mu**2 * b.mu_g)
+    t1 = 2.0 + 6.0 * F.kappa * (g0n / F.mu) / b.mu_g
     t2 = 12.0 * mixed * gFn / b.mu_g
     c1 = 1.0 / max(t1, t2)
     c2 = 1.0 / max(1.0, 2.0 * mixed * max(2.0, b.mu_g / c1**2)) if c1**2 > 0.0 else 0.0
@@ -278,7 +295,11 @@ def pmm_solve(
     x0 (``InvalidArgumentError`` otherwise); the defaults are uniform
     weights and the weight-averaged objective minimizers.  Stationarity is
     checked every iteration, so a certifiable iterate ends the run as soon
-    as it appears.  Sub-solver failures propagate with the trace attached.
+    as it appears.  Each x*(beta) solve may stop at its rounding floor above
+    its target; the run continues from that point and the certificate judges
+    it like any other.  A residual rounding floor above eps, which no point
+    can get under, raises ``NumericalFailureError``; so do the other
+    numerical failures of the sub-solvers.
     """
     F = problem.F
     n = F.n
@@ -298,50 +319,47 @@ def pmm_solve(
     x_ref = None  # first solved iterate, anchor of the runtime tube check
 
     point = ManifoldPoint.from_x_beta(F, x, beta)
-    try:
-        for k in range(config.max_outer + 1):
-            surrogate = build_surrogate(problem, point)
-            cert = _certificate(surrogate, config.eps0, config.eps, config.alpha)
-            c1, c2 = compute_c1_c2(problem, point.x, surrogate.grad_f0_norm, surrogate.jacobian_T)
-            trace.append(
-                TraceRecord(
-                    k=k,
-                    beta=beta.weights.copy(),
-                    x=point.x.copy(),
-                    residual=point.residual,
-                    f0_value=problem.f0.value(point.x),
-                    gap=cert.gap,
-                    err=cert.err,
-                    certified=cert.passed,
-                    c1=c1,
-                    c2=c2,
-                )
+    for k in range(config.max_outer + 1):
+        surrogate = build_surrogate(problem, point)
+        cert = _certificate(surrogate, config.eps0, config.eps, config.alpha)
+        c1, c2 = compute_c1_c2(problem, point.x, surrogate.grad_f0_norm, surrogate.jacobian_T)
+        trace.append(
+            TraceRecord(
+                k=k,
+                beta=beta.weights.copy(),
+                x=point.x.copy(),
+                residual=point.residual,
+                f0_value=problem.f0.value(point.x),
+                gap=cert.gap,
+                err=cert.err,
+                certified=cert.passed,
+                c1=c1,
+                c2=c2,
             )
-            if cert.passed:
-                return PmmResult(point=point, trace=trace, status="certified", certificate=cert)
-            if k == config.max_outer:
-                break
-            if not np.all(np.isfinite(surrogate.linear)) or not np.isfinite(surrogate.err_term):
-                raise NumericalFailureError(
-                    f"non-finite surrogate at outer iteration {k}; assumptions violated"
-                )
-            if surrogate.curvature > 0.0:  # mu_g = 0 when the minimizers coincide
-                Q = SimplexQuadratic(
-                    anchor=beta, linear=surrogate.linear, curvature=surrogate.curvature
-                )
-                beta, _ = minimize_quadratic_over_simplex(Q, tol_gap=c1 * config.eps0)
-            # The solved point's residual is the scalarized gradient norm at
-            # (x, beta), so it anchors the next surrogate as it is.
-            point = solve_x_star(
-                F, beta, tol_grad=c2 * config.eps, max_iters=config.max_inner_x, x0=point.x
+        )
+        if cert.passed:
+            return PmmResult(point=point, trace=trace, status="certified", certificate=cert)
+        if k == config.max_outer:
+            break
+        if not np.all(np.isfinite(surrogate.linear)) or not np.isfinite(surrogate.err_term):
+            raise NumericalFailureError(
+                f"non-finite surrogate at outer iteration {k}; assumptions violated"
             )
-            if x_ref is None:
-                x_ref = point.x.copy()
-            elif float(np.linalg.norm(point.x - x_ref)) > tube:
-                raise NumericalFailureError(
-                    "iterate left the Pareto neighborhood; declared constants look wrong"
-                )
-    except BudgetExceededError as exc:
-        exc.trace = trace
-        raise
+        if surrogate.residual_floor > config.eps:
+            floor = surrogate.residual_floor
+            raise NumericalFailureError(f"eps is below the residual's rounding floor {floor:.3e}")
+        if surrogate.curvature > 0.0:  # mu_g = 0 when the minimizers coincide
+            Q = SimplexQuadratic(
+                anchor=beta, linear=surrogate.linear, curvature=surrogate.curvature
+            )
+            beta, _ = minimize_quadratic_over_simplex(Q, tol_gap=c1 * config.eps0)
+        # The solved point's residual is the scalarized gradient norm at
+        # (x, beta), so it anchors the next surrogate as it is.
+        point = solve_x_star(F, beta, tol_grad=c2 * config.eps, x0=point.x)
+        if x_ref is None:
+            x_ref = point.x.copy()
+        elif float(np.linalg.norm(point.x - x_ref)) > tube:
+            raise NumericalFailureError(
+                "iterate left the Pareto neighborhood; declared constants look wrong"
+            )
     return PmmResult(point=point, trace=trace, status="budget-exceeded", certificate=cert)

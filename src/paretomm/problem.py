@@ -120,7 +120,9 @@ def make_log_cosh_quadratic(H: np.ndarray, z: np.ndarray, c: float) -> SmoothFun
         return base.grad(x) + c * np.tanh(np.asarray(x, dtype=float) - z)
 
     def hess(x):
-        return base.hess(x) + c * np.diag(1.0 / np.cosh(np.asarray(x, dtype=float) - z) ** 2)
+        with np.errstate(over="ignore"):  # cosh overflows past |t| ~ 710, its square past ~355
+            sech2 = 1.0 / np.cosh(np.asarray(x, dtype=float) - z) ** 2
+        return base.hess(x) + c * np.diag(sech2)
 
     return SmoothFunction(
         dim=base.dim,

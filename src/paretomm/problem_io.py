@@ -233,14 +233,15 @@ def random_problem_spec(
     dimension: int,
     n_objectives: int,
     shared_hessian: bool = False,
-    eig_range=(0.5, 3.0),
-    center_scale: float = 1.5,
 ) -> dict:
-    """Random positive-definite quadratic instance."""
+    """Random positive-definite quadratic instance.
+
+    Hessian eigenvalues are uniform on [0.5, 3]; centre entries are normal with scale 1.5.
+    """
 
     def random_spd():
         Q, _ = np.linalg.qr(rng.normal(size=(dimension, dimension)))
-        eigs = rng.uniform(*eig_range, size=dimension)
+        eigs = rng.uniform(0.5, 3.0, size=dimension)
         H = Q @ np.diag(eigs) @ Q.T
         return 0.5 * (H + H.T)
 
@@ -248,9 +249,9 @@ def random_problem_spec(
     objectives = []
     for _ in range(n_objectives):
         H = shared if shared is not None else random_spd()
-        z = rng.normal(size=dimension) * center_scale
+        z = rng.normal(size=dimension) * 1.5
         objectives.append(_quadratic_entry(H, z))
-    preference = _quadratic_entry(random_spd(), rng.normal(size=dimension) * center_scale)
+    preference = _quadratic_entry(random_spd(), rng.normal(size=dimension) * 1.5)
     return {"dimension": dimension, "objectives": objectives, "preference": preference}
 
 

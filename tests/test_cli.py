@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paretomm import BudgetExceededError, cli
 from paretomm.cli import main
 from paretomm.oracle import lattice_size
 from paretomm.problem_io import (
@@ -137,8 +137,10 @@ class TestSolveCommand:
         [
             {"preference": _quadratic([[1e300, 0.0], [0.0, 1e300]], [0.0, 1.0])},
             {"objectives": [_quadratic(H_PNG, [-1.0, 0.0]), _quadratic(H_PNG, [1e150, 0.0])]},
+            {"objectives": [_quadratic((np.array(H_PNG) * 1e160).tolist(), [-1.0, 0.0]),
+                            _quadratic((np.array(H_PNG) * 1e160).tolist(), [1.0, 0.0])]},
         ],
-        ids=["huge-preference-H", "huge-objective-z"],
+        ids=["huge-preference-H", "huge-objective-z", "huge-objective-H"],
     )
     def test_extreme_finite_spec_exits_cleanly(self, change, tmp_path, capsys):
         path = tmp_path / "extreme.json"
@@ -162,14 +164,29 @@ class TestSolveCommand:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
-    def test_sub_solver_budget_prints_failed_line(self, png_file, monkeypatch, capsys):
-        def spent(*args, **kwargs):
-            raise BudgetExceededError("inner solver stopped at gradient norm 1e-3")
-
-        monkeypatch.setattr(cli, "pmm_solve", spent)
-        code = run_cli("solve", "--problem", png_file, "--eps0", "1e-3", "--eps", "1e-6")
-        assert code == 2
-        assert capsys.readouterr().err == "failed: inner solver stopped at gradient norm 1e-3\n"
+    def test_log_cosh_far_apart_prints_one_line(self, tmp_path, capsys):
+        # |x - z| reaches 600, where cosh^2 in the log-cosh Hessian overflows
+        spec = {
+            "dimension": 1,
+            "objectives": [
+                {"kind": "builtin", "name": "log_cosh_quadratic",
+                 "params": {"H": [[1.0]], "z": [z], "c": 1.0}} for z in (-500.0, 500.0)
+            ],
+            "preference": _quadratic([[1.0]], [100.0]),
+        }
+        path = tmp_path / "far.json"
+        save_problem_spec(str(path), spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # a warning prints on stderr, as outside pytest
+            code = run_cli("solve", "--problem", path, "--eps0", "0.1", "--eps", "0.01")
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) == 1
+        out = json.loads(lines[0])
+        assert out["status"] == "certified"
+        assert abs(out["x"][0] - 100.0) <= 1e-3
 
     def test_directory_as_problem_exits_one(self, tmp_path, capsys):
         code = run_cli("solve", "--problem", tmp_path, "--eps0", "1e-3", "--eps", "1e-6")

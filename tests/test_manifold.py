@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paretomm import (
-    BudgetExceededError,
     ManifoldPoint,
     NumericalFailureError,
     ObjectiveSet,
@@ -24,7 +23,7 @@ from paretomm import (
 )
 from paretomm.manifold import spd_solve
 from paretomm.oracle import finite_difference_jacobian, tangent_directions
-from paretomm.problem_io import png_counterexample_spec, problem_from_spec
+from paretomm.problem_io import identity_pair_spec, png_counterexample_spec, problem_from_spec
 from conftest import random_logcosh_problem, random_quadratic_problem
 
 E1 = np.array([1.0, 0.0])
@@ -81,11 +80,23 @@ class TestSolveXStar:
         gd_bound = 2.0 * F.kappa * np.log(max(r0 / tol, np.e))
         assert res.iterations <= 0.2 * gd_bound
 
-    def test_budget_exhausted_carries_best(self, identity_pair):
-        beta = SimplexPoint(np.array([0.5, 0.5]))
-        with pytest.raises(BudgetExceededError) as info:
-            solve_x_star(identity_pair.F, beta, tol_grad=1e-12, max_iters=0, x0=np.array([5.0, 5.0]))
-        assert info.value.best is not None
+    @pytest.mark.parametrize("start", ["hint", "off"])
+    def test_target_below_rounding_floor_stops_at_floor(self, start):
+        # With centres near 1e4 the gradient rounds to ~1e-13, far above the
+        # target: the solve stops at the floor instead of iterating on.
+        spec = identity_pair_spec()
+        for entry in spec["objectives"] + [spec["preference"]]:
+            entry["z"] = [v + 1e4 for v in entry["z"]]
+        F = problem_from_spec(spec).F
+        beta = SimplexPoint(np.array([0.3, 0.7]))
+        f_beta = scalarize(F, beta)
+        x0 = f_beta.minimizer_hint if start == "hint" else np.array([5.0, 5.0]) + 1e4
+        res = minimize_function(f_beta, x0, 1e-20)
+        assert res.iterations <= 10
+        assert 0.0 < res.grad_norm < 1e-11
+        assert res.grad_norm == ManifoldPoint.from_x_beta(F, res.x, beta).residual
+        pt = solve_x_star(F, beta, tol_grad=1e-20, x0=x0)
+        assert pt.residual == ManifoldPoint.from_x_beta(F, pt.x, beta).residual
 
     def test_non_finite_gradient_fails(self):
         bad = SmoothFunction(

@@ -2,11 +2,15 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paretomm import (
     ConfigurationError,
+    InfeasibleError,
     InvalidArgumentError,
     ManifoldPoint,
+    NumericalFailureError,
     ObjectiveSet,
     ProblemInstance,
     SimplexPoint,
@@ -20,7 +24,7 @@ from paretomm import (
     verify_preference_stationarity,
 )
 from paretomm.pmm import trace_header
-from paretomm.problem_io import problem_from_spec, triangle_spec
+from paretomm.problem_io import png_counterexample_spec, problem_from_spec, triangle_spec
 from conftest import random_quadratic_problem, random_logcosh_problem
 
 E1 = np.array([1.0, 0.0])
@@ -349,11 +353,106 @@ class TestTraceCsv:
         ks = [r.k for r in result.trace]
         assert ks == sorted(set(ks))
 
-    def test_subsolver_budget_attaches_trace(self, png_instance):
-        from paretomm import BudgetExceededError
 
-        config = SolverConfig(eps0=1e-3, eps=1e-6, max_inner_x=0)
-        with pytest.raises(BudgetExceededError) as info:
-            pmm_solve(png_instance, config, init=(np.array([3.0, 3.0]), np.array([0.9, 0.1])))
-        assert info.value.trace is not None
-        assert len(info.value.trace) >= 1
+def closed_form_check(spec, beta, x):
+    """Residual at x and exact-Jacobian l1 gap at x*(beta) of a quadratic spec, by numpy alone.
+
+    x*(beta) solves (sum b_i H_i) x = sum b_i H_i z_i; its Jacobian column i
+    is -H_beta^{-1} H_i (x* - z_i); the gap is the smallest eps with
+    -v^T (beta' - beta) <= eps ||beta' - beta||_1 over the simplex, for
+    v = J^T grad f0(x*), i.e. the largest (v_j - v_i) / 2 with beta_j > 0.
+    """
+    Hs = [np.array(e["H"], float) for e in spec["objectives"]]
+    zs = [np.array(e["z"], float) for e in spec["objectives"]]
+    H0, z0 = np.array(spec["preference"]["H"], float), np.array(spec["preference"]["z"], float)
+    H_beta = sum(b * H for b, H in zip(beta, Hs))
+    residual = float(np.linalg.norm(sum(b * H @ (x - z) for b, H, z in zip(beta, Hs, zs))))
+    x_star = np.linalg.solve(H_beta, sum(b * H @ z for b, H, z in zip(beta, Hs, zs)))
+    grads = np.column_stack([H @ (x_star - z) for H, z in zip(Hs, zs)])
+    v = -np.linalg.solve(H_beta, grads).T @ (H0 @ (x_star - z0))
+    gap = max((v[j] - v[i]) / 2.0 for j in range(len(v)) if beta[j] > 0 for i in range(len(v)))
+    return residual, gap
+
+
+def _transformed_triangle(shift=0.0, h_scale=1.0):
+    spec = triangle_spec()
+    for entry in spec["objectives"] + [spec["preference"]]:
+        entry["H"] = (np.array(entry["H"]) * h_scale).tolist()
+        entry["z"] = (np.array(entry["z"]) + shift).tolist()
+    return spec
+
+
+class TestRoundingFloor:
+    """Inner targets c2 * eps below the gradient's rounding floor still certify."""
+
+    def test_shifted_centres_take_the_unshifted_steps(self):
+        config = SolverConfig(eps0=1e-3, eps=1e-6)
+        base = pmm_solve(problem_from_spec(triangle_spec()), config)
+        spec = _transformed_triangle(shift=1e4)
+        result = pmm_solve(problem_from_spec(spec), config)
+        assert result.status == "certified"
+        assert len(result.trace) == len(base.trace)
+        np.testing.assert_allclose(result.point.beta.weights, base.point.beta.weights, atol=1e-12)
+        residual, gap = closed_form_check(spec, result.point.beta.weights, result.point.x)
+        assert residual <= config.eps and gap <= config.eps0
+
+    def test_scaled_hessians_certify(self):
+        config = SolverConfig(eps0=1e-3, eps=1e-6)
+        spec = _transformed_triangle(h_scale=1e4)
+        result = pmm_solve(problem_from_spec(spec), config)
+        assert result.status == "certified"
+        residual, gap = closed_form_check(spec, result.point.beta.weights, result.point.x)
+        assert residual <= config.eps and gap <= config.eps0
+
+    def test_residual_under_its_rounding_floor_never_passes(self):
+        # Gradients near 1e160 cancel to a computed residual of 0 at x = 0; the
+        # rounding floor of that sum is far above eps, so the leg cannot pass
+        spec = png_counterexample_spec()
+        for entry in spec["objectives"]:
+            entry["H"] = (np.array(entry["H"]) * 1e160).tolist()
+        problem = problem_from_spec(spec)
+        beta = SimplexPoint(np.array([0.5, 0.5]))
+        point = ManifoldPoint.from_x_beta(problem.F, np.zeros(2), beta)
+        assert point.residual == 0.0
+        passed, cert = verify_preference_stationarity(problem, point, eps0=1e-2, eps=1e-4)
+        assert not passed and cert.residual > 1e100
+        with pytest.raises(NumericalFailureError, match="rounding floor"):
+            pmm_solve(problem, SolverConfig(eps0=1e-2, eps=1e-4))
+
+
+DOCUMENTED_ERRORS = (InvalidArgumentError, ConfigurationError, NumericalFailureError, InfeasibleError)
+
+
+def _random_quadratic(rng, d, scale, shift):
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    H = (Q * (rng.uniform(0.5, 3.0, size=d) * scale)) @ Q.T
+    return {"kind": "quadratic", "H": (0.5 * (H + H.T)).tolist(),
+            "z": (rng.normal(size=d) + shift).tolist()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    n=st.integers(1, 3),
+    exponents=st.tuples(*[st.sampled_from([-4, 0, 4, 160])] * 2),
+    shift=st.sampled_from([0.0, 1e4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_extreme_specs_fail_cleanly_or_certify_soundly(d, n, exponents, shift, seed):
+    # Objective and preference Hessians each scaled by 10^a; centres near 0 or 1e4.
+    rng = np.random.default_rng(seed)
+    scale_F, scale_f0 = (10.0**a for a in exponents)
+    spec = {
+        "dimension": d,
+        "objectives": [_random_quadratic(rng, d, scale_F, shift) for _ in range(n)],
+        "preference": _random_quadratic(rng, d, scale_f0, shift),
+    }
+    config = SolverConfig(eps0=0.1, eps=0.01, max_outer=300)
+    try:
+        result = pmm_solve(problem_from_spec(spec), config)
+    except DOCUMENTED_ERRORS:
+        return
+    if result.status == "certified":
+        residual, gap = closed_form_check(spec, result.point.beta.weights, result.point.x)
+        assert residual <= config.eps
+        assert gap <= config.eps0
