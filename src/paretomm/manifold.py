@@ -22,10 +22,23 @@ from .errors import NumericalFailureError
 from .problem import ObjectiveSet, ProblemInstance, SmoothFunction, scalarize
 from .simplex import SimplexPoint
 
+_MACHINE_EPSILON = float(np.finfo(float).eps)
+
 
 def stable_norm(v: np.ndarray) -> float:
     """Euclidean norm by BLAS ``nrm2``, which rescales, so entries near 1e300 do not overflow."""
     return float(scipy.linalg.norm(v, check_finite=False))
+
+
+def residual_floor(F: ObjectiveSet, jacobian_T: np.ndarray, beta: SimplexPoint) -> float:
+    """Rounding error the computed residual ||sum_i beta_i grad f_i(x)|| may carry.
+
+    Each grad f_i(x) is evaluated to about (n + d) * kappa machine epsilons
+    of its size, so the weighted sum can cancel far below its exact value.
+    ``jacobian_T`` is ``F.jacobian_T(x)``, whose columns are the gradients.
+    """
+    sizes = np.abs(jacobian_T).sum(axis=0)  # ||grad f_i(x)||_1
+    return (F.n + F.dim) * F.kappa * _MACHINE_EPSILON * float(sizes @ beta.weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,10 +195,12 @@ def err_grad_f0(
 ) -> float:
     """Bound on the estimation error of the pulled-back preference gradient.
 
-    (1/mu) * (M1/(2 M0) * ||grad f0(x)|| + L0 * M0) * ||grad f_beta(x)||.
-    Zero by convention when M0 = 0: the manifold is then a single point and
-    every term is analytically zero.  ``grad_f0_norm`` and ``residual`` are
-    the two norms, when the caller already has them.
+    (1/mu) * (M1/(2 M0) * ||grad f0(x)|| + L0 * M0) * r, where r bounds
+    ||grad f_beta(x)||: its computed value plus ``residual_floor``, since
+    the computed value can cancel below the exact one.  Zero by convention
+    when M0 = 0: the manifold is then a single point and every term is
+    analytically zero.  ``grad_f0_norm`` and ``residual`` (that bound, floor
+    included) are passed when the caller already has them.
     """
     b = problem.bundle
     if b.M0 == 0.0:
@@ -194,6 +209,8 @@ def err_grad_f0(
     if grad_f0_norm is None:
         grad_f0_norm = stable_norm(problem.f0.grad(x))
     if residual is None:
-        residual = stable_norm(scalarize(problem.F, beta).grad(x))
+        F = problem.F
+        residual = stable_norm(scalarize(F, beta).grad(x))
+        residual += residual_floor(F, F.jacobian_T(x), beta)
     ratio = b.M1 / (2.0 * b.M0)
     return (ratio * grad_f0_norm + problem.f0.L * b.M0) * residual / problem.F.mu

@@ -1,12 +1,18 @@
 """Majorization-minimization over the Pareto manifold.
 
-Each outer iteration builds an isotropic quadratic upper bound for the
+Each outer iteration builds an isotropic quadratic model of the
 pulled-back preference around the current pair (x, beta), minimizes it over
 the simplex exactly by one Euclidean projection, then re-solves the
 scalarized problem at the new weights to a gradient norm proportional to
-eps.  A point is certified stationary when its residual, its
-estimated-gradient gap, and the gradient-estimation error bound are all
-within their budgets.
+eps.  The model's curvature is found by backtracking (Beck and Teboulle,
+2009; Nesterov, 2013): each step starts at half the previous step's
+curvature and doubles it until the new point lowers f0 and lies under the
+model, up to the rounding slack of the two inexact points.  The bundle
+constant mu_g caps the curvature; at the cap the model is an upper bound by
+construction and the step is taken untested, so the worst-case rate is that
+of the fixed-mu_g method.  A point is certified stationary when its
+residual, its estimated-gradient gap, and the gradient-estimation error
+bound are all within their budgets; none of them reads the curvature.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .manifold import (
     ManifoldPoint,
     err_grad_f0,
     grad_x_star_estimate,
+    residual_floor,
     solve_x_star,
     stable_norm,
 )
@@ -34,7 +41,8 @@ from .simplex import (
     minimize_quadratic_over_simplex,
 )
 
-_MACHINE_EPSILON = float(np.finfo(float).eps)
+# Lowest trial curvature, relative to mu_g: a floor on the halving.
+_MIN_CURVATURE = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,8 +50,10 @@ class SurrogateState:
     """Quadratic upper bound in relative form around its anchor.
 
     ``linear`` is the estimated gradient of the pulled-back preference at the
-    anchor; ``curvature`` is the bundle constant mu_g; ``err_term`` bounds the
-    gap between the estimated and true gradients.  ``grad_f0_norm`` and
+    anchor; ``curvature`` is the bundle constant mu_g, the cap on the
+    backtracked curvature of each outer step; ``err_term`` bounds the gap
+    between the estimated and true gradients, computed from the anchor's
+    residual plus its rounding floor.  ``grad_f0_norm`` and
     ``jacobian_T`` are ||grad f0(x)|| and the objective Jacobian at the
     anchor, the inputs ``compute_c1_c2`` needs.  The absolute value at the
     anchor is unknown (it contains the preference at the exact scalarized
@@ -59,28 +69,32 @@ class SurrogateState:
     jacobian_T: np.ndarray
     residual_floor: float
 
-    def relative_value(self, beta: SimplexPoint) -> float:
-        """Upper-bound value at beta minus the unknown anchor constant."""
+    def relative_value(self, beta: SimplexPoint, curvature: Optional[float] = None) -> float:
+        """Model value at beta minus the unknown anchor constant.
+
+        ``curvature`` defaults to mu_g, at which the model is an upper bound
+        on the pulled-back preference; the outer loop passes its trial
+        curvature to test whether the model still bounds the new point.
+        """
+        if curvature is None:
+            curvature = self.curvature
         d = beta.weights - self.anchor.beta.weights
-        return float(self.linear @ d) + 0.5 * self.curvature * float(d @ d) + self.err_term
+        return float(self.linear @ d) + 0.5 * curvature * float(d @ d) + self.err_term
 
 
 def build_surrogate(problem: ProblemInstance, point: ManifoldPoint) -> SurrogateState:
-    """Surrogate at ``point``; its error bound uses ``point.residual``."""
+    """Surrogate at ``point``; its error bound uses ``point.residual`` plus its rounding floor."""
     F = problem.F
     JT = F.jacobian_T(point.x)
     g0 = problem.f0.grad(point.x)
     g0n = stable_norm(g0)
     J = grad_x_star_estimate(F, point.x, point.beta, jacobian_T=JT)
-    # The residual sums beta_i grad f_i(x), each evaluated to about (n + d) * kappa
-    # machine epsilons of its size, so it can cancel far below its exact value.
-    sizes = np.abs(JT).sum(axis=0)  # ||grad f_i(x)||_1
-    floor = (F.n + F.dim) * F.kappa * _MACHINE_EPSILON * float(sizes @ point.beta.weights)
+    floor = residual_floor(F, JT, point.beta)
     return SurrogateState(
         anchor=point,
         linear=J.matrix.T @ g0,
         curvature=problem.bundle.mu_g,
-        err_term=err_grad_f0(problem, point.x, point.beta, g0n, point.residual),
+        err_term=err_grad_f0(problem, point.x, point.beta, g0n, point.residual + floor),
         grad_f0_norm=g0n,
         jacobian_T=JT,
         residual_floor=floor,
@@ -228,6 +242,13 @@ def compute_c1_c2(
 
 @dataclass(frozen=True, eq=False)
 class TraceRecord:
+    """One outer iterate.
+
+    ``curvature`` and ``trials`` describe the step that produced it: the
+    accepted curvature and the x*(beta) solves it took, rejected trials
+    included (mu_g and 0 on the starting row).  Neither is in the CSV.
+    """
+
     k: int
     beta: np.ndarray
     x: np.ndarray
@@ -238,6 +259,8 @@ class TraceRecord:
     certified: bool
     c1: float
     c2: float
+    curvature: float
+    trials: int
 
 
 @dataclass
@@ -284,6 +307,48 @@ class PmmResult:
     certificate: StationarityCertificate
 
 
+def _rounding_slack(problem: ProblemInstance, point: ManifoldPoint, grad_f0_norm: float) -> float:
+    """Bound on |f0(x) - f0(x*(beta))| at a point with residual r.
+
+    Strong convexity puts x within r/mu of x*(beta), and f0 is L0-smooth.
+    """
+    dist = point.residual / problem.F.mu
+    return grad_f0_norm * dist + 0.5 * problem.f0.L * dist**2
+
+
+def _outer_step(problem, surrogate, f0_anchor, previous_curvature, tol_gap, tol_grad):
+    """One backtracked MM step from the surrogate's anchor.
+
+    Tries the exact model minimizer at half the previous step's curvature
+    (at least 1e-12 * mu_g), doubling it until the new point does not raise
+    f0 and its f0 rise is within the model's relative value plus the
+    rounding slack of both points; at the cap mu_g the step is taken
+    untested.  Returns ``(point, f0 value, curvature, trials)``.
+    """
+    F, anchor, cap = problem.F, surrogate.anchor, surrogate.curvature
+    curvature = max(0.5 * previous_curvature, _MIN_CURVATURE * cap)
+    slack = _rounding_slack(problem, anchor, surrogate.grad_f0_norm)
+    trials = 0
+    while True:
+        beta = anchor.beta
+        if cap > 0.0:  # mu_g = 0 when the minimizers coincide
+            Q = SimplexQuadratic(anchor=beta, linear=surrogate.linear, curvature=curvature)
+            beta, _ = minimize_quadratic_over_simplex(Q, tol_gap=tol_gap)
+        # The solved point's residual is the scalarized gradient norm at
+        # (x, beta), so it anchors the next surrogate as it is.
+        point = solve_x_star(F, beta, tol_grad=tol_grad, x0=anchor.x)
+        trials += 1
+        f0_value = problem.f0.value(point.x)
+        if curvature >= cap:
+            return point, f0_value, curvature, trials
+        rise = f0_value - f0_anchor
+        bound = surrogate.relative_value(beta, curvature) + slack
+        bound += _rounding_slack(problem, point, stable_norm(problem.f0.grad(point.x)))
+        if rise <= 0.0 and rise <= bound:
+            return point, f0_value, curvature, trials
+        curvature = min(2.0 * curvature, cap)
+
+
 def pmm_solve(
     problem: ProblemInstance,
     config: SolverConfig,
@@ -293,11 +358,16 @@ def pmm_solve(
 
     ``init`` optionally supplies (x0, beta0), with n weights and a length-d
     x0 (``InvalidArgumentError`` otherwise); the defaults are uniform
-    weights and the weight-averaged objective minimizers.  Stationarity is
-    checked every iteration, so a certifiable iterate ends the run as soon
-    as it appears.  Each x*(beta) solve may stop at its rounding floor above
-    its target; the run continues from that point and the certificate judges
-    it like any other.  A residual rounding floor above eps, which no point
+    weights and the weight-averaged objective minimizers.  Each step starts
+    at half the previous step's curvature (mu_g / 2 on the first step, at
+    least 1e-12 * mu_g) and doubles it after each failed descent or
+    upper-bound test; at the cap mu_g the step is taken untested, as in the
+    fixed-mu_g method.  The trace records the accepted curvature and the
+    x*(beta) solves of every step; the certificate never reads the
+    curvature.  Stationarity is checked every iteration, so a certifiable
+    iterate ends the run as soon as it appears.  Each x*(beta) solve may
+    stop at its rounding floor above its target; the run continues from
+    that point and the certificate judges it like any other.  A residual rounding floor above eps, which no point
     can get under, raises ``NumericalFailureError``; so do the other
     numerical failures of the sub-solvers.
     """
@@ -319,6 +389,8 @@ def pmm_solve(
     x_ref = None  # first solved iterate, anchor of the runtime tube check
 
     point = ManifoldPoint.from_x_beta(F, x, beta)
+    f0_value = problem.f0.value(point.x)
+    curvature, trials = problem.bundle.mu_g, 0
     for k in range(config.max_outer + 1):
         surrogate = build_surrogate(problem, point)
         cert = _certificate(surrogate, config.eps0, config.eps, config.alpha)
@@ -326,15 +398,17 @@ def pmm_solve(
         trace.append(
             TraceRecord(
                 k=k,
-                beta=beta.weights.copy(),
+                beta=point.beta.weights.copy(),
                 x=point.x.copy(),
                 residual=point.residual,
-                f0_value=problem.f0.value(point.x),
+                f0_value=f0_value,
                 gap=cert.gap,
                 err=cert.err,
                 certified=cert.passed,
                 c1=c1,
                 c2=c2,
+                curvature=curvature,
+                trials=trials,
             )
         )
         if cert.passed:
@@ -348,14 +422,9 @@ def pmm_solve(
         if surrogate.residual_floor > config.eps:
             floor = surrogate.residual_floor
             raise NumericalFailureError(f"eps is below the residual's rounding floor {floor:.3e}")
-        if surrogate.curvature > 0.0:  # mu_g = 0 when the minimizers coincide
-            Q = SimplexQuadratic(
-                anchor=beta, linear=surrogate.linear, curvature=surrogate.curvature
-            )
-            beta, _ = minimize_quadratic_over_simplex(Q, tol_gap=c1 * config.eps0)
-        # The solved point's residual is the scalarized gradient norm at
-        # (x, beta), so it anchors the next surrogate as it is.
-        point = solve_x_star(F, beta, tol_grad=c2 * config.eps, x0=point.x)
+        point, f0_value, curvature, trials = _outer_step(
+            problem, surrogate, f0_value, curvature, c1 * config.eps0, c2 * config.eps
+        )
         if x_ref is None:
             x_ref = point.x.copy()
         elif float(np.linalg.norm(point.x - x_ref)) > tube:

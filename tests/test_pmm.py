@@ -18,6 +18,7 @@ from paretomm import (
     StationarityCertificate,
     build_surrogate,
     compute_c1_c2,
+    err_grad_f0,
     make_quadratic,
     pmm_solve,
     solve_x_star,
@@ -418,6 +419,95 @@ class TestRoundingFloor:
         assert not passed and cert.residual > 1e100
         with pytest.raises(NumericalFailureError, match="rounding floor"):
             pmm_solve(problem, SolverConfig(eps0=1e-2, eps=1e-4))
+
+    def test_err_leg_carries_the_residual_floor(self):
+        # Centres at -+1e7 e1: at x = (1e-11, 0) the two gradients cancel to a
+        # computed residual of 0, while the exact residual ||H x|| is 1.4e-11,
+        # which puts the exact err bound far above its budget.
+        spec = png_counterexample_spec()
+        for entry in spec["objectives"]:
+            entry["z"] = (np.array(entry["z"]) * 1e7).tolist()
+        problem = problem_from_spec(spec)
+        beta = SimplexPoint(np.array([0.5, 0.5]))
+        point = ManifoldPoint.from_x_beta(problem.F, np.array([1e-11, 0.0]), beta)
+        assert point.residual == 0.0
+        assert err_grad_f0(problem, point.x, beta, residual=point.residual) == 0.0
+        passed, cert = verify_preference_stationarity(problem, point, eps0=1e-3, eps=1e-6)
+        assert cert.residual <= cert.eps and cert.gap <= cert.gap_budget
+        assert not passed and cert.err > cert.err_budget
+
+
+def closed_form_model_terms(spec, beta, x):
+    """f0(x), ||grad f0(x)|| and the estimated pulled-back gradient at (x, beta), by numpy alone.
+
+    The estimate evaluates the implicit-derivative formula at x itself:
+    column i of J is -H_beta^{-1} H_i (x - z_i), and the gradient is J^T grad f0(x).
+    """
+    Hs = [np.array(e["H"], float) for e in spec["objectives"]]
+    zs = [np.array(e["z"], float) for e in spec["objectives"]]
+    H0, z0 = np.array(spec["preference"]["H"], float), np.array(spec["preference"]["z"], float)
+    H_beta = sum(b * H for b, H in zip(beta, Hs))
+    grads = np.column_stack([H @ (x - z) for H, z in zip(Hs, zs)])
+    g0 = H0 @ (x - z0)
+    linear = -np.linalg.solve(H_beta, grads).T @ g0
+    return 0.5 * float((x - z0) @ H0 @ (x - z0)), float(np.linalg.norm(g0)), linear
+
+
+class TestBacktrackedCurvature:
+    """Each step halves the previous curvature, then doubles it until the step is accepted."""
+
+    @pytest.fixture(scope="class")
+    def planar_runs(self):
+        """(spec, result) of the benchmark's planar runs."""
+        config = SolverConfig(eps0=1e-3, eps=1e-6)
+        runs = []
+        for spec, beta0 in ((triangle_spec(), None), (png_counterexample_spec(), [0.9, 0.1])):
+            init = None if beta0 is None else (None, np.array(beta0))
+            runs.append((spec, pmm_solve(problem_from_spec(spec), config, init=init)))
+        return runs
+
+    def test_planar_presets_certify_within_50_steps(self, planar_runs):
+        # 2577 and 3626 steps at the fixed curvature mu_g
+        for _, result in planar_runs:
+            assert result.status == "certified"
+            assert len(result.trace) - 1 <= 50
+
+    def test_curvature_within_floor_and_cap(self, planar_runs, rng):
+        problem = random_logcosh_problem(rng, d=3, n=3, c=1.0)
+        logcosh = pmm_solve(problem, SolverConfig(eps0=1e-2, eps=1e-4, max_outer=3000))
+        runs = [(problem_from_spec(spec), r) for spec, r in planar_runs] + [(problem, logcosh)]
+        for problem, result in runs:
+            mu_g = problem.bundle.mu_g
+            assert result.trace.records[0].curvature == mu_g
+            assert result.trace.records[0].trials == 0
+            for r in result.trace.records[1:]:
+                assert 1e-12 * mu_g <= r.curvature <= mu_g
+                assert r.trials >= 1
+            assert any(r.curvature < mu_g for r in result.trace)
+
+    def test_steps_below_the_cap_descend_under_the_model(self, planar_runs):
+        for spec, result in planar_runs:
+            problem = problem_from_spec(spec)
+            mu = min(np.linalg.eigvalsh(np.array(e["H"], float))[0] for e in spec["objectives"])
+            L0 = np.linalg.eigvalsh(np.array(spec["preference"]["H"], float))[-1]
+
+            def slack(r, g0n):
+                dist = r.residual / mu
+                return g0n * dist + 0.5 * L0 * dist**2
+
+            records = result.trace.records
+            below_cap = 0
+            for prev, cur in zip(records, records[1:]):
+                f_prev, g_prev, linear = closed_form_model_terms(spec, prev.beta, prev.x)
+                f_cur, g_cur, _ = closed_form_model_terms(spec, cur.beta, cur.x)
+                if cur.curvature >= problem.bundle.mu_g:
+                    continue
+                below_cap += 1
+                d = cur.beta - prev.beta
+                model = float(linear @ d) + 0.5 * cur.curvature * float(d @ d) + prev.err
+                assert f_cur <= f_prev
+                assert f_cur - f_prev <= model + slack(prev, g_prev) + slack(cur, g_cur)
+            assert below_cap >= len(records) // 2
 
 
 DOCUMENTED_ERRORS = (InvalidArgumentError, ConfigurationError, NumericalFailureError, InfeasibleError)
