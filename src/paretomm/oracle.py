@@ -3,11 +3,16 @@
 Finite differences check the implicit-derivative formula, lattice search
 checks preference optimality, and the shared-Hessian closed form checks the
 inner solver.  None of them uses the outer loop, its surrogate or its
-certificate, but lattice search and the hull check do solve x*(beta) with
-the solver's own Newton ``solve_x_star``, to a gradient tolerance of 1e-12
-scaled up by the problem's smoothness constant and minimizer magnitude.
-That tolerance sits above the rounding floor, so a lattice point usually
-stops one Newton step earlier than a solve down to the floor would.
+certificate.  Lattice search and the hull check solve x*(beta) for many
+weight vectors at once.  When every objective declares L_H == 0 (a constant
+Hessian, so f_i(x) = 0.5 (x - z_i)^T H_i (x - z_i)), x*(beta) solves
+(sum_i beta_i H_i) x = sum_i beta_i H_i z_i, and one batched linear solve
+per block of weight vectors gives them all.  Every point whose scalarized
+gradient norm misses a tolerance of 1e-12, scaled up by the problem's
+smoothness constant and minimizer magnitude, is re-solved by the solver's
+own Newton ``solve_x_star``, warm-started at the previous point; so is every
+point of a set with a non-quadratic objective.  That tolerance sits above
+the rounding floor, so the contract is "Newton at that tolerance" either way.
 """
 
 from __future__ import annotations
@@ -21,11 +26,12 @@ import numpy as np
 
 from .errors import InvalidArgumentError, SizeLimitError
 from .manifold import solve_x_star
-from .problem import ObjectiveSet, ProblemInstance
+from .problem import ObjectiveSet, ProblemInstance, SmoothFunction
 from .simplex import SimplexPoint, min_norm_over_simplex
 
 DEFAULT_SAMPLING_SEED = 0xC0FFEE
 _LATTICE_LIMIT = 10**7
+_BLOCK_ROWS = 4096  # weight vectors per batched solve: peak memory O(block * d^2)
 
 
 def tangent_directions(n: int) -> np.ndarray:
@@ -82,6 +88,76 @@ def simplex_lattice(m: int, n: int) -> np.ndarray:
     return np.diff(bars, axis=1, prepend=-1, append=m + n - 1) - 1
 
 
+def _normalized_rows(A: np.ndarray) -> np.ndarray:
+    """Each row divided by its sum: bit for bit the weights ``SimplexPoint`` stores for it."""
+    return A / A.sum(axis=1, keepdims=True)
+
+
+def _stacked_quadratics(F: ObjectiveSet) -> Optional[tuple]:
+    """(H, z, g, rhs): each objective's second-order expansion about its minimizer hint.
+
+    The (n, d, d) Hessians H, (n, d) hints z and gradients g there, so that
+    grad f_i(x) = H_i (x - z_i) + g_i exactly, and rhs_i = H_i z_i - g_i.
+    None unless every objective declares L_H == 0, the contract for a
+    constant Hessian.  g is zero for a quadratic built from its centre.
+    """
+    if any(f.L_H != 0 for f in F.objectives):
+        return None
+    z = F.minimizers
+    H = np.array([f.hess(zi) for f, zi in zip(F.objectives, z)])
+    g = np.array([f.grad(zi) for f, zi in zip(F.objectives, z)])
+    with np.errstate(all="ignore"):
+        return H, z, g, np.einsum("ijk,ik->ij", H, z) - g
+
+
+def _x_star_rows(
+    F: ObjectiveSet,
+    quad: Optional[tuple],
+    W: np.ndarray,
+    beta_at: Callable[[int], SimplexPoint],
+    tol: float,
+    x_prev: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """x*(beta) for each row of the weight matrix W, as an (len(W), d) array.
+
+    For a quadratic set (``quad`` from ``_stacked_quadratics``) one batched
+    linear solve gives every row.  A row whose scalarized gradient norm is
+    not <= tol (NaN included), every row of a block whose solve is singular
+    and every row of a non-quadratic set (``quad`` None) is re-solved in
+    order by ``solve_x_star(F, beta_at(i), tol)``, warm-started at the
+    previous row's x, or at ``x_prev`` for the first row.
+    """
+    X = np.full((len(W), F.dim), np.nan)
+    residual = np.full(len(W), np.nan)
+    if quad is not None:
+        H, z, g, rhs = quad
+        with np.errstate(all="ignore"):
+            try:
+                X = np.linalg.solve(np.einsum("bi,ijk->bjk", W, H), (W @ rhs)[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                pass
+            G = sum(W[:, i, None] * ((X - z[i]) @ H[i].T + g[i]) for i in range(F.n))
+            residual = np.linalg.norm(G, axis=1)  # an overflow to inf sends the row to Newton
+    for i in np.flatnonzero(~(residual <= tol)):
+        x0 = X[i - 1] if i else x_prev
+        X[i] = solve_x_star(F, beta_at(i), tol_grad=tol, x0=x0).x
+    return X
+
+
+def _preference_values(f0: SmoothFunction, X: np.ndarray) -> np.ndarray:
+    """f0 at each row of X; one einsum when f0 declares L_H == 0 and has a minimizer hint.
+
+    A constant-Hessian f0 is its second-order expansion about the hint, exactly.
+    """
+    z0 = f0.minimizer_hint
+    if f0.L_H != 0 or z0 is None:
+        return np.array([f0.value(x) for x in X])
+    D = X - z0
+    with np.errstate(all="ignore"):
+        quadratic = 0.5 * np.einsum("bi,bi->b", D, D @ f0.hess(z0).T)
+        return f0.value(z0) + D @ f0.grad(z0) + quadratic
+
+
 @dataclass(frozen=True, eq=False)
 class GridSearchResult:
     best_beta: SimplexPoint
@@ -97,10 +173,12 @@ def grid_search_preference_opt(
 ) -> GridSearchResult:
     """Evaluate the preference at every lattice weight vector.
 
-    Inner solves use Newton at ``_newton_tolerance(problem.F)``.  Returns
-    the minimizing weights plus the observed min and max preference values
-    over the lattice; ``collect=True`` additionally keeps every (beta, x, f0)
-    row.
+    A quadratic objective set is solved directly, one batched linear solve
+    per block of lattice points; Newton at ``_newton_tolerance(problem.F)``
+    re-solves every point that solve leaves above that tolerance, and every
+    point of a non-quadratic set (see the module docstring).  Returns the
+    minimizing weights plus the observed min and max preference values over
+    the lattice; ``collect=True`` additionally keeps every (beta, x, f0) row.
     """
     if resolution < 1:
         raise InvalidArgumentError("resolution must be at least 1")
@@ -111,22 +189,29 @@ def grid_search_preference_opt(
     total = lattice_size(resolution, n)
     if total > _LATTICE_LIMIT:
         raise SizeLimitError(f"lattice has {total} points, above the {_LATTICE_LIMIT} cap")
+    quad = _stacked_quadratics(F)
+    tol = _newton_tolerance(F)
+    counts = simplex_lattice(resolution, n)
     best = (np.inf, None, None)
     f_min, f_max = np.inf, -np.inf
     rows = [] if collect else None
-    x_warm = None
-    tol = _newton_tolerance(F)
-    for counts in simplex_lattice(resolution, n):
-        beta = SimplexPoint(counts / resolution)
-        point = solve_x_star(F, beta, tol_grad=tol, x0=x_warm)
-        x_warm = point.x
-        value = problem.f0.value(point.x)
-        f_min = min(f_min, value)
-        f_max = max(f_max, value)
-        if value < best[0]:
-            best = (value, beta, point.x)
+    x_prev = None
+    for start in range(0, total, _BLOCK_ROWS):
+        block = counts[start : start + _BLOCK_ROWS]
+        W = _normalized_rows(block / resolution)
+        X = _x_star_rows(F, quad, W, lambda i: SimplexPoint(block[i] / resolution), tol, x_prev)
+        x_prev = X[-1]
+        values = _preference_values(problem.f0, X)
+        f_min = min(f_min, float(np.fmin.reduce(values)))
+        f_max = max(f_max, float(np.fmax.reduce(values)))
+        lower = np.flatnonzero(values < best[0])
+        if lower.size:
+            i = lower[np.argmin(values[lower])]
+            best = (values[i], SimplexPoint(block[i] / resolution), X[i])
         if rows is not None:
-            rows.append((beta, point.x, value))
+            rows.extend(
+                (SimplexPoint(c / resolution), x, float(v)) for c, x, v in zip(block, X, values)
+            )
     return GridSearchResult(
         best_beta=best[1],
         best_x=best[2],
@@ -164,28 +249,20 @@ def hull_pareto_check(
     solved minimizers must match the weighted center combination, and every
     hull point must make the smallest scalarized gradient vanish.
     """
-    probe = np.zeros(F.dim)
-    H0 = F.objectives[0].hess(probe)
-    scale = max(1.0, float(np.abs(H0).max()))
-    for f in F.objectives[1:]:
-        if np.max(np.abs(f.hess(probe) - H0)) > 1e-10 * scale:
-            raise InvalidArgumentError("objectives do not share a Hessian")
-    rng = np.random.default_rng(seed)
+    quad = _stacked_quadratics(F)
+    if quad is None:
+        raise InvalidArgumentError("objectives are not all quadratic (L_H == 0)")
+    H = quad[0]
+    if np.max(np.abs(H - H[0])) > 1e-10 * max(1.0, float(np.abs(H[0]).max())):
+        raise InvalidArgumentError("objectives do not share a Hessian")
     centers = F.minimizers
-    solve_pass = solve_fail = stat_pass = stat_fail = 0
-    tol = _newton_tolerance(F)
-    for _ in range(samples):
-        beta = SimplexPoint(rng.dirichlet(np.ones(F.n)))
-        point = solve_x_star(F, beta, tol_grad=tol)
-        target = beta.weights @ centers
-        if np.linalg.norm(point.x - target) <= 1e-8:
-            solve_pass += 1
-        else:
-            solve_fail += 1
-        y = SimplexPoint(rng.dirichlet(np.ones(F.n))).weights @ centers
+    # per sample a beta, then a hull point y: the order of one draw after another
+    draws = np.random.default_rng(seed).dirichlet(np.ones(F.n), size=(samples, 2))
+    W = _normalized_rows(draws[:, 0])
+    X = _x_star_rows(F, quad, W, lambda i: SimplexPoint(draws[i, 0]), _newton_tolerance(F))
+    solve_pass = int(np.sum(np.linalg.norm(X - W @ centers, axis=1) <= 1e-8))
+    stat_pass = 0
+    for y in _normalized_rows(draws[:, 1]) @ centers:
         _, gap = min_norm_over_simplex(F.jacobian_T(y))
-        if gap <= 1e-8:
-            stat_pass += 1
-        else:
-            stat_fail += 1
-    return HullCheckReport(solve_pass, solve_fail, stat_pass, stat_fail)
+        stat_pass += bool(gap <= 1e-8)
+    return HullCheckReport(solve_pass, samples - solve_pass, stat_pass, samples - stat_pass)

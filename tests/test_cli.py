@@ -286,6 +286,33 @@ class TestOracleCommand:
         assert out["count"] == 101
         assert abs(out["best_beta"][0] - 0.5) <= 0.01
 
+    # beta = (1, 0) puts x at the first centre (-1, 0), where f0 is exact
+    @pytest.mark.parametrize(
+        "change, f0_at_first_centre",
+        [
+            ({"preference": _quadratic([[1e300, 0.0], [0.0, 1e300]], [0.0, 1.0])}, 1e300),
+            ({"objectives": [_quadratic(H_PNG, [-1.0, 0.0]), _quadratic(H_PNG, [1e150, 0.0])]}, 1.0),
+            ({"objectives": [_quadratic((np.array(H_PNG) * 1e160).tolist(), [-1.0, 0.0]),
+                             _quadratic((np.array(H_PNG) * 1e160).tolist(), [1.0, 0.0])]}, 1.0),
+        ],
+        ids=["huge-preference-H", "huge-objective-z", "huge-objective-H"],
+    )
+    def test_extreme_finite_spec_exits_cleanly(self, change, f0_at_first_centre, tmp_path, capsys):
+        path = tmp_path / "extreme.json"
+        out_csv = tmp_path / "extreme.csv"
+        save_problem_spec(str(path), {**png_counterexample_spec(), **change})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("oracle", "--problem", path, "--resolution", 20, "--out", out_csv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in captured.err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if code == 0:
+            with open(out_csv) as fh:
+                last = list(csv.reader(fh))[-1]
+            assert [float(v) for v in last] == [1.0, 0.0, f0_at_first_centre]
+
 
 class TestPlotCommand:
     def test_svg_structure(self, tmp_path, capsys):

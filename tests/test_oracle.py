@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,17 +13,48 @@ from paretomm import (
     grid_search_preference_opt,
     hull_pareto_check,
     lattice_size,
+    make_log_cosh_quadratic,
     make_quadratic,
+    oracle,
     random_simplex_points,
     solve_x_star,
     tangent_directions,
 )
-from paretomm.oracle import simplex_lattice
+from paretomm.oracle import _newton_tolerance, simplex_lattice
 from paretomm.problem_io import problem_from_spec, triangle_spec
-from conftest import random_quadratic_problem
+from conftest import random_quadratic_problem, random_spd
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
+
+
+def _rescaled_triangle(field, change):
+    """``triangle`` with ``change`` applied to every objective's and the preference's H or z."""
+    spec = triangle_spec()
+    for entry in spec["objectives"] + [spec["preference"]]:
+        entry[field] = change(entry[field]).tolist()
+    return problem_from_spec(spec)
+
+
+def _log_cosh_problem(rng, d=3, n=3):
+    """Log-cosh objectives and preference: no L_H == 0 anywhere, so no batched path."""
+    objectives = [make_log_cosh_quadratic(random_spd(rng, d), rng.normal(size=d), 0.5)
+                  for _ in range(n)]
+    f0 = make_log_cosh_quadratic(random_spd(rng, d), rng.normal(size=d), 0.5)
+    return ProblemInstance.create(ObjectiveSet.from_objectives(objectives), f0)
+
+
+@pytest.fixture
+def newton_calls(monkeypatch):
+    """Count the Newton solves lattice search and the hull check make."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve_x_star(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "solve_x_star", counted)
+    return calls
 
 
 class TestFiniteDifferenceJacobian:
@@ -94,10 +127,7 @@ class TestGridSearch:
     def test_rescaled_triangle_finishes(self, field, change):
         # the gradient's rounding floor grows with L and with |x|; an absolute
         # 1e-12 Newton target sat below it and spun to the iteration budget
-        spec = triangle_spec()
-        for entry in spec["objectives"] + [spec["preference"]]:
-            entry[field] = change(entry[field]).tolist()
-        problem = problem_from_spec(spec)
+        problem = _rescaled_triangle(field, change)
         result = grid_search_preference_opt(problem, 6, collect=True)
         assert result.count == lattice_size(6, 3)
         for beta, x, _ in result.rows:
@@ -117,6 +147,84 @@ class TestGridSearch:
         assert len(result.rows) == 11
         betas, xs, vals = zip(*result.rows)
         assert min(vals) == result.f_star_min
+
+
+class TestBatchedLattice:
+    @pytest.mark.parametrize(
+        "make_problem, m",
+        [
+            (lambda: problem_from_spec(triangle_spec()), 20),
+            (lambda: random_quadratic_problem(np.random.default_rng(8), d=8, n=4), 6),
+            (lambda: _rescaled_triangle("H", lambda H: 1e4 * np.array(H)), 6),
+            (lambda: _rescaled_triangle("z", lambda z: np.array(z) + 1e4), 6),
+        ],
+        ids=["triangle", "d8n4", "hessians-times-1e4", "centers-plus-1e4"],
+    )
+    def test_rows_match_pointwise_newton(self, make_problem, m):
+        problem = make_problem()
+        F = problem.F
+        tol = _newton_tolerance(F)
+        result = grid_search_preference_opt(problem, m, collect=True)
+        assert len(result.rows) == lattice_size(m, F.n)
+        for counts, (beta, x, _) in zip(simplex_lattice(m, F.n), result.rows):
+            reference = solve_x_star(F, SimplexPoint(counts / m), tol_grad=tol)
+            np.testing.assert_array_equal(beta.weights, reference.beta.weights)
+            assert np.linalg.norm(x - reference.x) <= 1e-12 * max(1.0, np.linalg.norm(reference.x))
+            assert np.linalg.norm(beta.weights @ F.jacobian_T(x).T) <= tol
+
+    def test_quadratic_lattice_makes_no_newton_solve(self, newton_calls):
+        result = grid_search_preference_opt(problem_from_spec(triangle_spec()), 200)
+        assert result.count == 20301
+        assert newton_calls == []
+
+    def test_log_cosh_lattice_is_todays_warm_started_loop(self, rng, newton_calls):
+        problem = _log_cosh_problem(rng)
+        m = 10
+        result = grid_search_preference_opt(problem, m, collect=True)
+        assert len(newton_calls) == lattice_size(m, 3)
+        x_warm = None
+        for counts, (beta, x, value) in zip(simplex_lattice(m, 3), result.rows):
+            expected_beta = SimplexPoint(counts / m)
+            point = solve_x_star(problem.F, expected_beta, tol_grad=_newton_tolerance(problem.F),
+                                 x0=x_warm)
+            x_warm = point.x
+            np.testing.assert_array_equal(beta.weights, expected_beta.weights)
+            np.testing.assert_array_equal(x, point.x)
+            assert value == problem.f0.value(point.x)
+
+    def test_set_level_L_H_override_keeps_newton(self, newton_calls):
+        # the constants block overrides the set's L_H, never an objective's own
+        log_cosh = {"kind": "builtin", "name": "log_cosh_quadratic"}
+        spec = {
+            "dimension": 2,
+            "objectives": [{**log_cosh, "params": {"H": np.eye(2).tolist(), "z": z, "c": 1.0}}
+                           for z in ([-1.0, 0.0], [1.0, 0.0])],
+            "preference": {"kind": "quadratic", "H": np.eye(2).tolist(), "z": [0.0, 1.0]},
+            "constants": {"L_H": 0.0},
+        }
+        grid_search_preference_opt(problem_from_spec(spec), 4)
+        assert len(newton_calls) == 5
+
+    def test_hint_off_centre_stays_within_newton_tolerance(self, newton_calls):
+        # ObjectiveSet accepts a hint whose gradient is up to 1e-10 L, far above Newton's 1e-12 L
+        objectives = [dataclasses.replace(make_quadratic(np.eye(2), z), minimizer_hint=z + 5e-11)
+                      for z in (-E1, E1)]
+        F = ObjectiveSet.from_objectives(objectives)
+        result = grid_search_preference_opt(
+            ProblemInstance.create(F, make_quadratic(np.eye(2), E2)), 10, collect=True
+        )
+        for beta, x, _ in result.rows:
+            assert np.linalg.norm(beta.weights @ F.jacobian_T(x).T) <= _newton_tolerance(F)
+        assert newton_calls == []
+
+    def test_singular_block_falls_back_to_newton(self, identity_pair, newton_calls, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        result = grid_search_preference_opt(identity_pair, 10)
+        assert len(newton_calls) == 11
+        assert result.f_star_min == pytest.approx(0.5, abs=1e-9)
 
 
 class TestHullCheck:
@@ -140,6 +248,14 @@ class TestHullCheck:
         problem = random_quadratic_problem(rng, d=2, n=2, shared=False)
         with pytest.raises(InvalidArgumentError):
             hull_pareto_check(problem.F, samples=5)
+
+    def test_non_quadratic_rejected(self, rng):
+        with pytest.raises(InvalidArgumentError):
+            hull_pareto_check(_log_cosh_problem(rng).F, samples=5)
+
+    def test_batched_solve_makes_no_newton_solve(self, png_instance, newton_calls):
+        assert hull_pareto_check(png_instance.F, samples=50).solve_pass == 50
+        assert newton_calls == []
 
 
 def test_random_simplex_points_reproducible():
