@@ -3,16 +3,16 @@
 Finite differences check the implicit-derivative formula, lattice search
 checks preference optimality, and the shared-Hessian closed form checks the
 inner solver.  None of them uses the outer loop, its surrogate or its
-certificate.  Lattice search and the hull check solve x*(beta) for many
-weight vectors at once.  When every objective declares L_H == 0 (a constant
-Hessian, so f_i(x) = 0.5 (x - z_i)^T H_i (x - z_i)), x*(beta) solves
-(sum_i beta_i H_i) x = sum_i beta_i H_i z_i, and one batched linear solve
-per block of weight vectors gives them all.  Every point whose scalarized
-gradient norm misses a tolerance of 1e-12, scaled up by the problem's
-smoothness constant and minimizer magnitude, is re-solved by the solver's
-own Newton ``solve_x_star``, warm-started at the previous point; so is every
-point of a set with a non-quadratic objective.  That tolerance sits above
-the rounding floor, so the contract is "Newton at that tolerance" either way.
+certificate.  Lattice search and the hull check solve x*(beta) with the
+solver's own Newton ``solve_x_star``, to a gradient tolerance of 1e-12
+scaled up by the problem's smoothness constant and minimizer magnitude;
+that tolerance sits above the rounding floor.  When every objective
+declares L_H == 0 (a constant Hessian, so f_i(x) = 0.5 (x - z_i)^T H_i
+(x - z_i)), lattice search instead solves (sum_i beta_i H_i) x =
+sum_i beta_i H_i z_i directly, one batched linear solve per block of
+lattice points, and hands every point whose scalarized gradient norm misses
+that tolerance back to Newton, warm-started at the previous point.  So the
+contract is "Newton at that tolerance" either way.
 """
 
 from __future__ import annotations
@@ -94,20 +94,21 @@ def _normalized_rows(A: np.ndarray) -> np.ndarray:
 
 
 def _stacked_quadratics(F: ObjectiveSet) -> Optional[tuple]:
-    """(H, z, g, rhs): each objective's second-order expansion about its minimizer hint.
+    """(H, z, rhs): the (n, d, d) Hessians, (n, d) minimizers and rhs_i = H_i z_i.
 
-    The (n, d, d) Hessians H, (n, d) hints z and gradients g there, so that
-    grad f_i(x) = H_i (x - z_i) + g_i exactly, and rhs_i = H_i z_i - g_i.
     None unless every objective declares L_H == 0, the contract for a
-    constant Hessian.  g is zero for a quadratic built from its centre.
+    constant Hessian, and its gradient vanishes exactly at its minimizer
+    hint, so that grad f_i(x) = H_i (x - z_i).  The residual the batched
+    solve is checked with comes from that model, so it cannot see an
+    off-centre hint; such a set stays on Newton.
     """
-    if any(f.L_H != 0 for f in F.objectives):
-        return None
     z = F.minimizers
+    for f, zi in zip(F.objectives, z):
+        if f.L_H != 0 or np.any(f.grad(zi) != 0):
+            return None
     H = np.array([f.hess(zi) for f, zi in zip(F.objectives, z)])
-    g = np.array([f.grad(zi) for f, zi in zip(F.objectives, z)])
     with np.errstate(all="ignore"):
-        return H, z, g, np.einsum("ijk,ik->ij", H, z) - g
+        return H, z, np.einsum("ijk,ik->ij", H, z)
 
 
 def _x_star_rows(
@@ -130,13 +131,13 @@ def _x_star_rows(
     X = np.full((len(W), F.dim), np.nan)
     residual = np.full(len(W), np.nan)
     if quad is not None:
-        H, z, g, rhs = quad
+        H, z, rhs = quad
         with np.errstate(all="ignore"):
             try:
                 X = np.linalg.solve(np.einsum("bi,ijk->bjk", W, H), (W @ rhs)[..., None])[..., 0]
             except np.linalg.LinAlgError:
                 pass
-            G = sum(W[:, i, None] * ((X - z[i]) @ H[i].T + g[i]) for i in range(F.n))
+            G = sum(W[:, i, None] * ((X - z[i]) @ H[i].T) for i in range(F.n))
             residual = np.linalg.norm(G, axis=1)  # an overflow to inf sends the row to Newton
     for i in np.flatnonzero(~(residual <= tol)):
         x0 = X[i - 1] if i else x_prev
@@ -144,13 +145,14 @@ def _x_star_rows(
     return X
 
 
-def _preference_values(f0: SmoothFunction, X: np.ndarray) -> np.ndarray:
-    """f0 at each row of X; one einsum when f0 declares L_H == 0 and has a minimizer hint.
+def _preference_values(f0: SmoothFunction, X: np.ndarray, batched: bool) -> np.ndarray:
+    """f0 at each row of X; one einsum when ``batched`` and f0 declares L_H == 0 with a hint.
 
     A constant-Hessian f0 is its second-order expansion about the hint, exactly.
+    Without ``batched`` every row is ``f0.value``, as in the Newton loop.
     """
     z0 = f0.minimizer_hint
-    if f0.L_H != 0 or z0 is None:
+    if not batched or f0.L_H != 0 or z0 is None:
         return np.array([f0.value(x) for x in X])
     D = X - z0
     with np.errstate(all="ignore"):
@@ -201,7 +203,7 @@ def grid_search_preference_opt(
         W = _normalized_rows(block / resolution)
         X = _x_star_rows(F, quad, W, lambda i: SimplexPoint(block[i] / resolution), tol, x_prev)
         x_prev = X[-1]
-        values = _preference_values(problem.f0, X)
+        values = _preference_values(problem.f0, X, quad is not None)
         f_min = min(f_min, float(np.fmin.reduce(values)))
         f_max = max(f_max, float(np.fmax.reduce(values)))
         lower = np.flatnonzero(values < best[0])
@@ -249,20 +251,28 @@ def hull_pareto_check(
     solved minimizers must match the weighted center combination, and every
     hull point must make the smallest scalarized gradient vanish.
     """
-    quad = _stacked_quadratics(F)
-    if quad is None:
-        raise InvalidArgumentError("objectives are not all quadratic (L_H == 0)")
-    H = quad[0]
-    if np.max(np.abs(H - H[0])) > 1e-10 * max(1.0, float(np.abs(H[0]).max())):
-        raise InvalidArgumentError("objectives do not share a Hessian")
+    probe = np.zeros(F.dim)
+    H0 = F.objectives[0].hess(probe)
+    scale = max(1.0, float(np.abs(H0).max()))
+    for f in F.objectives[1:]:
+        if np.max(np.abs(f.hess(probe) - H0)) > 1e-10 * scale:
+            raise InvalidArgumentError("objectives do not share a Hessian")
+    rng = np.random.default_rng(seed)
     centers = F.minimizers
-    # per sample a beta, then a hull point y: the order of one draw after another
-    draws = np.random.default_rng(seed).dirichlet(np.ones(F.n), size=(samples, 2))
-    W = _normalized_rows(draws[:, 0])
-    X = _x_star_rows(F, quad, W, lambda i: SimplexPoint(draws[i, 0]), _newton_tolerance(F))
-    solve_pass = int(np.sum(np.linalg.norm(X - W @ centers, axis=1) <= 1e-8))
-    stat_pass = 0
-    for y in _normalized_rows(draws[:, 1]) @ centers:
+    solve_pass = solve_fail = stat_pass = stat_fail = 0
+    tol = _newton_tolerance(F)
+    for _ in range(samples):
+        beta = SimplexPoint(rng.dirichlet(np.ones(F.n)))
+        point = solve_x_star(F, beta, tol_grad=tol)
+        target = beta.weights @ centers
+        if np.linalg.norm(point.x - target) <= 1e-8:
+            solve_pass += 1
+        else:
+            solve_fail += 1
+        y = SimplexPoint(rng.dirichlet(np.ones(F.n))).weights @ centers
         _, gap = min_norm_over_simplex(F.jacobian_T(y))
-        stat_pass += bool(gap <= 1e-8)
-    return HullCheckReport(solve_pass, samples - solve_pass, stat_pass, samples - stat_pass)
+        if gap <= 1e-8:
+            stat_pass += 1
+        else:
+            stat_fail += 1
+    return HullCheckReport(solve_pass, solve_fail, stat_pass, stat_fail)
