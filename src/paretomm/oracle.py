@@ -88,11 +88,6 @@ def simplex_lattice(m: int, n: int) -> np.ndarray:
     return np.diff(bars, axis=1, prepend=-1, append=m + n - 1) - 1
 
 
-def _normalized_rows(A: np.ndarray) -> np.ndarray:
-    """Each row divided by its sum: bit for bit the weights ``SimplexPoint`` stores for it."""
-    return A / A.sum(axis=1, keepdims=True)
-
-
 def _stacked_quadratics(F: ObjectiveSet) -> Optional[tuple]:
     """(H, z, rhs): the (n, d, d) Hessians, (n, d) minimizers and rhs_i = H_i z_i.
 
@@ -115,18 +110,19 @@ def _x_star_rows(
     F: ObjectiveSet,
     quad: Optional[tuple],
     W: np.ndarray,
-    beta_at: Callable[[int], SimplexPoint],
+    betas: list,
     tol: float,
     x_prev: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """x*(beta) for each row of the weight matrix W, as an (len(W), d) array.
 
-    For a quadratic set (``quad`` from ``_stacked_quadratics``) one batched
-    linear solve gives every row.  A row whose scalarized gradient norm is
-    not <= tol (NaN included), every row of a block whose solve is singular
-    and every row of a non-quadratic set (``quad`` None) is re-solved in
-    order by ``solve_x_star(F, beta_at(i), tol)``, warm-started at the
-    previous row's x, or at ``x_prev`` for the first row.
+    ``betas[i]`` is the point whose weights are row i.  For a quadratic
+    set (``quad`` from ``_stacked_quadratics``) one batched linear solve
+    gives every row.  A row whose scalarized gradient norm is not <= tol
+    (NaN included), every row of a block whose solve is singular and every
+    row of a non-quadratic set (``quad`` None) is re-solved in order by
+    ``solve_x_star(F, betas[i], tol)``, warm-started at the previous row's
+    x, or at ``x_prev`` for the first row.
     """
     X = np.full((len(W), F.dim), np.nan)
     residual = np.full(len(W), np.nan)
@@ -141,7 +137,7 @@ def _x_star_rows(
             residual = np.linalg.norm(G, axis=1)  # an overflow to inf sends the row to Newton
     for i in np.flatnonzero(~(residual <= tol)):
         x0 = X[i - 1] if i else x_prev
-        X[i] = solve_x_star(F, beta_at(i), tol_grad=tol, x0=x0).x
+        X[i] = solve_x_star(F, betas[i], tol_grad=tol, x0=x0).x
     return X
 
 
@@ -167,7 +163,9 @@ class GridSearchResult:
     f_star_min: float
     f_star_max: float
     count: int
-    rows: Optional[list] = None  # (beta, x, f0) triples when collected
+    # (beta, x, f0) triples when collected; the betas of each 4096-point block
+    # wrap read-only row views of one weight matrix, checked once
+    rows: Optional[list] = None
 
 
 def grid_search_preference_opt(
@@ -199,9 +197,8 @@ def grid_search_preference_opt(
     rows = [] if collect else None
     x_prev = None
     for start in range(0, total, _BLOCK_ROWS):
-        block = counts[start : start + _BLOCK_ROWS]
-        W = _normalized_rows(block / resolution)
-        X = _x_star_rows(F, quad, W, lambda i: SimplexPoint(block[i] / resolution), tol, x_prev)
+        W, betas = SimplexPoint.rows(counts[start : start + _BLOCK_ROWS] / resolution)
+        X = _x_star_rows(F, quad, W, betas, tol, x_prev)
         x_prev = X[-1]
         values = _preference_values(problem.f0, X, quad is not None)
         f_min = min(f_min, float(np.fmin.reduce(values)))
@@ -209,11 +206,9 @@ def grid_search_preference_opt(
         lower = np.flatnonzero(values < best[0])
         if lower.size:
             i = lower[np.argmin(values[lower])]
-            best = (values[i], SimplexPoint(block[i] / resolution), X[i])
+            best = (values[i], betas[i], X[i])
         if rows is not None:
-            rows.extend(
-                (SimplexPoint(c / resolution), x, float(v)) for c, x, v in zip(block, X, values)
-            )
+            rows.extend(zip(betas, X, values.tolist()))
     return GridSearchResult(
         best_beta=best[1],
         best_x=best[2],

@@ -10,14 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paretomm import SimplexPoint, solve_x_star
 from paretomm.cli import main
-from paretomm.oracle import lattice_size
+from paretomm.oracle import _newton_tolerance, lattice_size, simplex_lattice
 from paretomm.problem_io import (
     PRESETS,
     load_problem,
     png_counterexample_spec,
     random_problem_spec,
     save_problem_spec,
+    write_csv,
 )
 
 
@@ -270,6 +272,33 @@ class TestOracleCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["beta_0", "beta_1", "beta_2", "f0"]
         assert len(rows) - 1 == lattice_size(m, 3)
+
+    def test_rows_match_pointwise_weights_and_newton(self, tmp_path, capsys):
+        # the beta columns byte for byte as written from SimplexPoint(counts / m); f0 as
+        # Newton's x*(beta) gives it, to the 1e-12 the batched solve is held to
+        path = tmp_path / "tri.json"
+        save_problem_spec(str(path), PRESETS["triangle"]())
+        out_csv = tmp_path / "oracle.csv"
+        m = 50
+        assert run_cli("oracle", "--problem", path, "--resolution", m, "--out", out_csv) == 0
+        summary = json.loads(capsys.readouterr().out)
+        problem = load_problem(str(path))
+        tol = _newton_tolerance(problem.F)
+        betas = [SimplexPoint(counts / m) for counts in simplex_lattice(m, problem.F.n)]
+        values = [problem.f0.value(solve_x_star(problem.F, b, tol_grad=tol).x) for b in betas]
+        expected = io.StringIO()
+        write_csv(expected, ["beta_0", "beta_1", "beta_2", "f0"],
+                  ([*b.weights, v] for b, v in zip(betas, values)))
+        with open(out_csv) as fh:
+            lines = fh.read().splitlines()
+        expected_lines = expected.getvalue().splitlines()
+        assert len(lines) == len(expected_lines) == lattice_size(m, 3) + 1
+        assert lines[0] == expected_lines[0]
+        for line, want, value in zip(lines[1:], expected_lines[1:], values):
+            beta_cells, f0_cell = line.rsplit(",", 1)
+            assert beta_cells == want.rsplit(",", 1)[0]
+            assert abs(float(f0_cell) - value) <= 1e-12 * max(1.0, abs(value))
+        assert summary["best_beta"] == betas[int(np.argmin(values))].weights.tolist()
 
     def test_directory_as_out_exits_one(self, png_file, tmp_path, capsys):
         code = run_cli("oracle", "--problem", png_file, "--resolution", 3, "--out", tmp_path)

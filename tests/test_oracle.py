@@ -177,6 +177,19 @@ class TestBatchedLattice:
         assert result.count == 20301
         assert newton_calls == []
 
+    def test_weight_rows_are_checked_once_per_block(self, monkeypatch):
+        calls = []
+        post_init = SimplexPoint.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(SimplexPoint, "__post_init__", counted)
+        result = grid_search_preference_opt(problem_from_spec(triangle_spec()), 200, collect=True)
+        assert len(result.rows) == 20301
+        assert len(calls) <= -(-20301 // oracle._BLOCK_ROWS)
+
     @pytest.mark.parametrize(
         "preference",
         [make_log_cosh_quadratic, lambda H, z, _: make_quadratic(H, z)],
