@@ -103,9 +103,10 @@ def _cmd_png(args) -> int:
 def _cmd_oracle(args) -> int:
     problem = problem_io.load_problem(args.problem)
     result = grid_search_preference_opt(problem, args.resolution, collect=True)
-    header = [f"beta_{i}" for i in range(problem.F.n)] + ["f0"]
+    n = problem.F.n
+    header = [f"beta_{i}" for i in range(n)] + ["f0"]
     with problem_io.atomic_open(args.out) as fh:
-        problem_io.write_csv(fh, header, ([*beta.weights, value] for beta, _, value in result.rows))
+        problem_io.write_csv(fh, header, ([*row[:n], row[-1]] for row in result.rows))
     print(
         json.dumps(
             {

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SizeLimitError
+from .errors import InvalidArgumentError, NumericalFailureError, SizeLimitError
 from .manifold import solve_x_star
 from .problem import ObjectiveSet, ProblemInstance, SmoothFunction
 from .simplex import SimplexPoint, min_norm_over_simplex
@@ -110,19 +110,19 @@ def _x_star_rows(
     F: ObjectiveSet,
     quad: Optional[tuple],
     W: np.ndarray,
-    betas: list,
+    A: np.ndarray,
     tol: float,
     x_prev: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """x*(beta) for each row of the weight matrix W, as an (len(W), d) array.
 
-    ``betas[i]`` is the point whose weights are row i.  For a quadratic
-    set (``quad`` from ``_stacked_quadratics``) one batched linear solve
-    gives every row.  A row whose scalarized gradient norm is not <= tol
-    (NaN included), every row of a block whose solve is singular and every
-    row of a non-quadratic set (``quad`` None) is re-solved in order by
-    ``solve_x_star(F, betas[i], tol)``, warm-started at the previous row's
-    x, or at ``x_prev`` for the first row.
+    Row i of W is ``SimplexPoint(A[i]).weights``.  For a quadratic set
+    (``quad`` from ``_stacked_quadratics``) one batched linear solve gives
+    every row.  A row whose scalarized gradient norm is not <= tol (NaN
+    included), every row of a block whose solve is singular and every row
+    of a non-quadratic set (``quad`` None) is re-solved in order by
+    ``solve_x_star(F, SimplexPoint(A[i]), tol)``, warm-started at the
+    previous row's x, or at ``x_prev`` for the first row.
     """
     X = np.full((len(W), F.dim), np.nan)
     residual = np.full(len(W), np.nan)
@@ -137,7 +137,7 @@ def _x_star_rows(
             residual = np.linalg.norm(G, axis=1)  # an overflow to inf sends the row to Newton
     for i in np.flatnonzero(~(residual <= tol)):
         x0 = X[i - 1] if i else x_prev
-        X[i] = solve_x_star(F, betas[i], tol_grad=tol, x0=x0).x
+        X[i] = solve_x_star(F, SimplexPoint(A[i]), tol_grad=tol, x0=x0).x
     return X
 
 
@@ -163,9 +163,9 @@ class GridSearchResult:
     f_star_min: float
     f_star_max: float
     count: int
-    # (beta, x, f0) triples when collected; the betas of each 4096-point block
-    # wrap read-only row views of one weight matrix, checked once
-    rows: Optional[list] = None
+    # when collected, a read-only (count, n + d + 1) array in simplex_lattice
+    # order whose columns are the weights, x*(beta) and f0
+    rows: Optional[np.ndarray] = None
 
 
 def grid_search_preference_opt(
@@ -178,7 +178,9 @@ def grid_search_preference_opt(
     re-solves every point that solve leaves above that tolerance, and every
     point of a non-quadratic set (see the module docstring).  Returns the
     minimizing weights plus the observed min and max preference values over
-    the lattice; ``collect=True`` additionally keeps every (beta, x, f0) row.
+    the lattice; ``collect=True`` additionally keeps every point's weights,
+    x and f0 as one row of ``rows``.  Raises ``NumericalFailureError`` when
+    f0 is not finite at any lattice point.
     """
     if resolution < 1:
         raise InvalidArgumentError("resolution must be at least 1")
@@ -194,11 +196,12 @@ def grid_search_preference_opt(
     counts = simplex_lattice(resolution, n)
     best = (np.inf, None, None)
     f_min, f_max = np.inf, -np.inf
-    rows = [] if collect else None
+    rows = np.empty((total, n + F.dim + 1)) if collect else None
     x_prev = None
     for start in range(0, total, _BLOCK_ROWS):
-        W, betas = SimplexPoint.rows(counts[start : start + _BLOCK_ROWS] / resolution)
-        X = _x_star_rows(F, quad, W, betas, tol, x_prev)
+        A = counts[start : start + _BLOCK_ROWS] / resolution
+        W = A / A.sum(axis=1, keepdims=True)  # bit for bit SimplexPoint(A[i]).weights
+        X = _x_star_rows(F, quad, W, A, tol, x_prev)
         x_prev = X[-1]
         values = _preference_values(problem.f0, X, quad is not None)
         f_min = min(f_min, float(np.fmin.reduce(values)))
@@ -206,11 +209,15 @@ def grid_search_preference_opt(
         lower = np.flatnonzero(values < best[0])
         if lower.size:
             i = lower[np.argmin(values[lower])]
-            best = (values[i], betas[i], X[i])
+            best = (values[i], start + i, X[i])
         if rows is not None:
-            rows.extend(zip(betas, X, values.tolist()))
+            rows[start : start + len(A)] = np.hstack([W, X, values[:, None]])
+    if best[1] is None:
+        raise NumericalFailureError("f0 is not finite at any lattice point")
+    if rows is not None:
+        rows.setflags(write=False)
     return GridSearchResult(
-        best_beta=best[1],
+        best_beta=SimplexPoint(counts[best[1]] / resolution),
         best_x=best[2],
         f_star_min=float(f_min),
         f_star_max=float(f_max),

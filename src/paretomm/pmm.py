@@ -349,6 +349,7 @@ def _outer_step(problem, surrogate, f0_anchor, previous_curvature, tol_gap, tol_
         curvature = min(2.0 * curvature, cap)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow ends in NumericalFailureError or a failed check
 def pmm_solve(
     problem: ProblemInstance,
     config: SolverConfig,

@@ -19,36 +19,6 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericalFailureError
 
 
-def _clipped(A, ndim: int):
-    """``(w, lo, s)`` for a weight vector (ndim 1) or a matrix of them as rows (ndim 2).
-
-    w is a C-ordered float copy of A clipped at 0; lo holds each vector's
-    smallest entry before clipping and s its sum after.
-    """
-    w = np.array(A, dtype=float, order="C")
-    if w.ndim != ndim or w.size == 0:
-        raise InvalidArgumentError("weights must be a nonempty vector")
-    lo = w.min(axis=-1)
-    np.maximum(w, 0.0, out=w)
-    with np.errstate(over="ignore"):
-        s = w.sum(axis=-1)
-    return w, lo, s
-
-
-def _check_rows(lo, s) -> None:
-    """Raise for the first vector with an entry below -1e-9 or a sum that is not finite and positive.
-
-    A NaN or inf entry, or an overflowing sum, makes the sum non-finite.
-    """
-    for lo_i, s_i in zip(lo, s):
-        if lo_i < -1e-9:
-            raise InvalidArgumentError(f"negative weight {lo_i}")
-        if not math.isfinite(s_i):
-            raise InvalidArgumentError("weights must be finite with a finite sum")
-        if s_i <= 0:
-            raise InvalidArgumentError("weights sum to zero")
-
-
 @dataclass(frozen=True, eq=False)
 class SimplexPoint:
     """Convex-weight vector: finite nonnegative entries, rescaled to sum to one."""
@@ -56,30 +26,22 @@ class SimplexPoint:
     weights: np.ndarray
 
     def __post_init__(self):
-        w, lo, s = _clipped(self.weights, 1)
-        _check_rows((lo,), (s,))
+        w = np.array(self.weights, dtype=float)
+        if w.ndim != 1 or w.size == 0:
+            raise InvalidArgumentError("weights must be a nonempty vector")
+        lo = w.min()
+        if lo < -1e-9:
+            raise InvalidArgumentError(f"negative weight {lo}")
+        np.maximum(w, 0.0, out=w)
+        with np.errstate(over="ignore"):
+            s = w.sum()
+        if not math.isfinite(s):  # a NaN or inf entry, or an overflowing sum
+            raise InvalidArgumentError("weights must be finite with a finite sum")
+        if s <= 0:
+            raise InvalidArgumentError("weights sum to zero")
         w /= s
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def rows(cls, A) -> tuple:
-        """``(W, points)``: the rows of the 2-D array A, checked and rescaled as one matrix.
-
-        W is the read-only matrix of weights and ``points[i]`` wraps a view
-        of its row i, bit for bit ``SimplexPoint(A[i]).weights``.  The checks
-        run vectorised over all rows, so no point is checked again; an
-        invalid A raises the error of its first bad row.
-        """
-        W, lo, s = _clipped(A, 2)
-        if not (lo.min() >= -1e-9 and s.min() > 0 and s.max() < math.inf):  # a NaN fails too
-            _check_rows(lo, s)
-        W /= s[:, None]
-        W.setflags(write=False)
-        points = [object.__new__(cls) for _ in range(len(W))]
-        for p, w in zip(points, W):
-            object.__setattr__(p, "weights", w)
-        return W, points
 
     @property
     def n(self) -> int:

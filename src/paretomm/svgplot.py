@@ -94,7 +94,8 @@ def render_pareto_svg(problem: ProblemInstance, resolution: int, overlays=()) ->
     if problem.F.dim != 2:
         raise InvalidArgumentError(f"plotting needs dimension 2, got {problem.F.dim}")
     result = grid_search_preference_opt(problem, resolution, collect=True)
-    xs = [row[1] for row in result.rows]
+    n = problem.F.n
+    xs = result.rows[:, n : n + 2]
     everything = list(xs) + [f.minimizer_hint for f in problem.F.objectives]
     everything.append(problem.f0.minimizer_hint)
     for _, path in overlays:
@@ -129,7 +130,7 @@ def render_pareto_svg(problem: ProblemInstance, resolution: int, overlays=()) ->
         )
 
     grid = ET.SubElement(svg, "g", {"id": "pareto-grid"})
-    for line in _lattice_lines(resolution, problem.F.n, xs):
+    for line in _lattice_lines(resolution, n, xs):
         ET.SubElement(
             grid,
             "polyline",

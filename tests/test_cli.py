@@ -141,8 +141,9 @@ class TestSolveCommand:
             {"objectives": [_quadratic(H_PNG, [-1.0, 0.0]), _quadratic(H_PNG, [1e150, 0.0])]},
             {"objectives": [_quadratic((np.array(H_PNG) * 1e160).tolist(), [-1.0, 0.0]),
                             _quadratic((np.array(H_PNG) * 1e160).tolist(), [1.0, 0.0])]},
+            {"preference": _quadratic([[1e300, 0.0], [0.0, 1e300]], [0.0, 1e10])},
         ],
-        ids=["huge-preference-H", "huge-objective-z", "huge-objective-H"],
+        ids=["huge-preference-H", "huge-objective-z", "huge-objective-H", "overflowing-preference"],
     )
     def test_extreme_finite_spec_exits_cleanly(self, change, tmp_path, capsys):
         path = tmp_path / "extreme.json"
@@ -323,8 +324,10 @@ class TestOracleCommand:
             ({"objectives": [_quadratic(H_PNG, [-1.0, 0.0]), _quadratic(H_PNG, [1e150, 0.0])]}, 1.0),
             ({"objectives": [_quadratic((np.array(H_PNG) * 1e160).tolist(), [-1.0, 0.0]),
                              _quadratic((np.array(H_PNG) * 1e160).tolist(), [1.0, 0.0])]}, 1.0),
+            # f0 overflows at every lattice point: no best weights, so no CSV
+            ({"preference": _quadratic([[1e300, 0.0], [0.0, 1e300]], [0.0, 1e10])}, None),
         ],
-        ids=["huge-preference-H", "huge-objective-z", "huge-objective-H"],
+        ids=["huge-preference-H", "huge-objective-z", "huge-objective-H", "overflowing-preference"],
     )
     def test_extreme_finite_spec_exits_cleanly(self, change, f0_at_first_centre, tmp_path, capsys):
         path = tmp_path / "extreme.json"
@@ -337,7 +340,10 @@ class TestOracleCommand:
         assert code in (0, 1, 2)
         assert "Traceback" not in captured.err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        if code == 0:
+        if f0_at_first_centre is None:
+            assert code == 1 and captured.err.startswith("failed:")
+            assert not out_csv.exists()
+        elif code == 0:
             with open(out_csv) as fh:
                 last = list(csv.reader(fh))[-1]
             assert [float(v) for v in last] == [1.0, 0.0, f0_at_first_centre]

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,8 +131,8 @@ class TestGridSearch:
         problem = _rescaled_triangle(field, change)
         result = grid_search_preference_opt(problem, 6, collect=True)
         assert result.count == lattice_size(6, 3)
-        for beta, x, _ in result.rows:
-            residual = np.linalg.norm(beta.weights @ problem.F.jacobian_T(x).T)
+        for w, x in zip(result.rows[:, :3], result.rows[:, 3:-1]):
+            residual = np.linalg.norm(w @ problem.F.jacobian_T(x).T)
             assert residual <= 1e-12 * problem.F.L * max(1.0, np.abs(problem.F.minimizers).max())
 
     def test_size_guards(self, rng):
@@ -144,9 +145,9 @@ class TestGridSearch:
 
     def test_collect_rows(self, identity_pair):
         result = grid_search_preference_opt(identity_pair, 10, collect=True)
-        assert len(result.rows) == 11
-        betas, xs, vals = zip(*result.rows)
-        assert min(vals) == result.f_star_min
+        assert result.rows.shape == (11, 2 + 2 + 1)
+        assert not result.rows.flags.writeable
+        assert min(result.rows[:, -1]) == result.f_star_min
 
 
 class TestBatchedLattice:
@@ -165,12 +166,13 @@ class TestBatchedLattice:
         F = problem.F
         tol = _newton_tolerance(F)
         result = grid_search_preference_opt(problem, m, collect=True)
-        assert len(result.rows) == lattice_size(m, F.n)
-        for counts, (beta, x, _) in zip(simplex_lattice(m, F.n), result.rows):
+        assert result.rows.shape == (lattice_size(m, F.n), F.n + F.dim + 1)
+        W, X = result.rows[:, : F.n], result.rows[:, F.n : -1]
+        for counts, w, x in zip(simplex_lattice(m, F.n), W, X):
             reference = solve_x_star(F, SimplexPoint(counts / m), tol_grad=tol)
-            np.testing.assert_array_equal(beta.weights, reference.beta.weights)
+            np.testing.assert_array_equal(w, reference.beta.weights)
             assert np.linalg.norm(x - reference.x) <= 1e-12 * max(1.0, np.linalg.norm(reference.x))
-            assert np.linalg.norm(beta.weights @ F.jacobian_T(x).T) <= tol
+            assert np.linalg.norm(w @ F.jacobian_T(x).T) <= tol
 
     def test_quadratic_lattice_makes_no_newton_solve(self, newton_calls):
         result = grid_search_preference_opt(problem_from_spec(triangle_spec()), 200)
@@ -188,7 +190,18 @@ class TestBatchedLattice:
         monkeypatch.setattr(SimplexPoint, "__post_init__", counted)
         result = grid_search_preference_opt(problem_from_spec(triangle_spec()), 200, collect=True)
         assert len(result.rows) == 20301
-        assert len(calls) <= -(-20301 // oracle._BLOCK_ROWS)
+        assert calls == [result.best_beta]  # only best_beta is built
+
+    def test_collected_rows_are_one_matrix(self):
+        problem = problem_from_spec(triangle_spec())
+        tracemalloc.start()
+        try:
+            result = grid_search_preference_opt(problem, 200, collect=True)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.rows.shape == (20301, 3 + 2 + 1)
+        assert held < 2 * 2**20  # the matrix is 0.97 MB; a SimplexPoint per row would hold 8.8 MB
 
     @pytest.mark.parametrize(
         "preference",
@@ -201,12 +214,13 @@ class TestBatchedLattice:
         result = grid_search_preference_opt(problem, m, collect=True)
         assert len(newton_calls) == lattice_size(m, 3)
         x_warm = None
-        for counts, (beta, x, value) in zip(simplex_lattice(m, 3), result.rows):
+        W, X, values = result.rows[:, :3], result.rows[:, 3:-1], result.rows[:, -1]
+        for counts, w, x, value in zip(simplex_lattice(m, 3), W, X, values):
             expected_beta = SimplexPoint(counts / m)
             point = solve_x_star(problem.F, expected_beta, tol_grad=_newton_tolerance(problem.F),
                                  x0=x_warm)
             x_warm = point.x
-            np.testing.assert_array_equal(beta.weights, expected_beta.weights)
+            np.testing.assert_array_equal(w, expected_beta.weights)
             np.testing.assert_array_equal(x, point.x)
             assert value == problem.f0.value(point.x)
 
@@ -232,8 +246,8 @@ class TestBatchedLattice:
         result = grid_search_preference_opt(
             ProblemInstance.create(F, make_quadratic(np.eye(2), E2)), 10, collect=True
         )
-        for beta, x, _ in result.rows:
-            assert np.linalg.norm(beta.weights @ F.jacobian_T(x).T) <= _newton_tolerance(F)
+        for w, x in zip(result.rows[:, :2], result.rows[:, 2:-1]):
+            assert np.linalg.norm(w @ F.jacobian_T(x).T) <= _newton_tolerance(F)
         assert len(newton_calls) == lattice_size(10, 2)
 
     def test_singular_block_falls_back_to_newton(self, identity_pair, newton_calls, monkeypatch):

@@ -45,71 +45,6 @@ class TestSimplexPoint:
             p.weights[0] = 2.0
 
 
-# Weight entries as lattice search and the solvers produce them: exact zeros,
-# rounding noise just below zero, and positive values over many magnitudes.
-_WEIGHT_ENTRY = st.one_of(
-    st.just(0.0),
-    st.floats(-1e-9, 0.0, exclude_max=True),
-    st.floats(0.0, 1e300, allow_subnormal=True),
-)
-
-
-@st.composite
-def _weight_matrices(draw):
-    """A (k, n) matrix of valid weight rows: each row gets one positive entry."""
-    k, n = draw(st.integers(1, 8)), draw(st.integers(1, 24))
-    A = draw(hnp.arrays(np.float64, (k, n), elements=_WEIGHT_ENTRY))
-    columns = draw(hnp.arrays(np.int64, k, elements=st.integers(0, n - 1)))
-    A[np.arange(k), columns] = draw(
-        hnp.arrays(np.float64, k, elements=st.floats(1e-300, 1e300))
-    )
-    return A
-
-
-def _error_message(make):
-    with pytest.raises(InvalidArgumentError) as caught:
-        make()
-    return str(caught.value)
-
-
-class TestSimplexPointRows:
-    @settings(max_examples=300, deadline=None)
-    @given(_weight_matrices())
-    def test_rows_match_single_points(self, A):
-        W, points = SimplexPoint.rows(A)
-        assert len(points) == len(A) and not W.flags.writeable
-        for row, point, w in zip(A, points, W):
-            np.testing.assert_array_equal(point.weights, SimplexPoint(row).weights)
-            np.testing.assert_array_equal(point.weights, w)
-            assert not point.weights.flags.writeable
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        _weight_matrices(),
-        st.data(),
-        st.sampled_from(["negative", "nan", "inf", "zero"]),
-    )
-    def test_bad_row_raises_its_single_point_error(self, A, data, kind):
-        i = data.draw(st.integers(0, len(A) - 1))
-        j = data.draw(st.integers(0, A.shape[1] - 1))
-        if kind == "negative":
-            A[i, j] = -data.draw(st.floats(1e-9, 1e300, exclude_min=True))
-        elif kind == "zero":
-            A[i] = 0.0
-        else:
-            A[i, j] = np.nan if kind == "nan" else np.inf
-        expected = _error_message(lambda: SimplexPoint(A[i]))
-        assert _error_message(lambda: SimplexPoint.rows(A)) == expected
-
-    @pytest.mark.parametrize(
-        "A", [np.ones(3), np.ones((2, 2, 2)), np.zeros((0, 3)), np.zeros((2, 0))],
-        ids=["vector", "3-d", "no-rows", "empty-rows"],
-    )
-    def test_not_a_nonempty_matrix(self, A):
-        expected = _error_message(lambda: SimplexPoint(np.zeros(0)))
-        assert _error_message(lambda: SimplexPoint.rows(A)) == expected
-
-
 class TestProjection:
     def test_interior_shift(self):
         p = project_to_simplex(np.array([0.2, 0.3]))
