@@ -10,7 +10,9 @@ be necessary for optimality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -49,7 +51,9 @@ def _png_vector_from_grads(G: np.ndarray, g0: np.ndarray, c: float) -> np.ndarra
     h = c - G @ g0
     if not np.isfinite(h).all():
         raise NumericalFailureError("constraint levels overflow at this point")
-    E = np.vstack([G.T, h])
+    E = np.empty((d + 1, G.shape[0]))
+    E[:d] = G.T
+    E[d] = h
     target = np.zeros(d + 1)
     target[d] = 1.0
     u, _ = nnls(E, target)
@@ -86,12 +90,12 @@ def pareto_stationarity_gap(F: ObjectiveSet, x: np.ndarray):
 
 def _angle_to_descent(v: np.ndarray, g0: np.ndarray) -> float:
     """Angle between v and -grad f0; pi when either vector vanishes."""
-    nv = float(np.linalg.norm(v))
-    ng = float(np.linalg.norm(g0))
+    nv = math.sqrt(v @ v)  # bit for bit np.linalg.norm of a 1-D vector
+    ng = math.sqrt(g0 @ g0)
     if nv == 0.0 or ng == 0.0:
-        return np.pi
+        return math.pi
     cosang = float(v @ (-g0)) / (nv * ng)
-    return float(np.arccos(np.clip(cosang, -1.0, 1.0)))
+    return float(np.arccos(min(max(cosang, -1.0), 1.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,21 +107,45 @@ class PngResult:
 
 
 class _PngState:
-    __slots__ = ("x", "m", "v", "angle")
+    """One PNG iterate: its gradients, checked finite, and what the loop reads of them.
+
+    ``m`` (the smallest scalarized gradient norm, one min-norm NNLS solve)
+    and ``v`` with ``angle`` (the projection vector and its angle to
+    -grad f0, one least-distance NNLS solve) are each computed on first
+    read.  Most readers need only one: the polish's angle probes read only
+    ``angle``, its band probes only ``m``, and the descent loop reads ``m``
+    only where the angle, the stall or the step length already qualify.
+    ``v`` is None and ``angle`` is pi where the halfspaces are infeasible;
+    an error from a solve surfaces at that first read.
+    """
 
     def __init__(self, F, f0, x, c):
         self.x = np.asarray(x, dtype=float)
-        G = F.jacobian_T(self.x).T
-        g0 = f0.grad(self.x)
-        if not (np.isfinite(G).all() and np.isfinite(g0).all()):
+        self._G = F.jacobian_T(self.x).T
+        self._g0 = f0.grad(self.x)
+        self._c = c
+        if not (np.isfinite(self._G).all() and np.isfinite(self._g0).all()):
             raise NumericalFailureError(f"non-finite gradient at x={self.x.tolist()}")
-        _, self.m = min_norm_over_simplex(G.T)
+
+    @cached_property
+    def m(self) -> float:
+        return min_norm_over_simplex(self._G.T)[1]
+
+    @cached_property
+    def _projection(self) -> tuple:
         try:
-            self.v = _png_vector_from_grads(G, g0, c)
-            self.angle = _angle_to_descent(self.v, g0)
+            v = _png_vector_from_grads(self._G, self._g0, self._c)
         except InfeasibleError:
-            self.v = None
-            self.angle = np.pi
+            return None, math.pi
+        return v, _angle_to_descent(v, self._g0)
+
+    @property
+    def v(self):
+        return self._projection[0]
+
+    @property
+    def angle(self) -> float:
+        return self._projection[1]
 
 
 def _fd_grad(fn, x, h):
@@ -260,12 +288,13 @@ def png_descent(
     anchor_x, anchor_it = state.x.copy(), 0
     next_polish_at = 0
     for it in range(config.max_iters):
-        if state.m <= config.eps_stop and state.angle <= COLLINEARITY_TOL:
+        # each test reads state.m last: most iterates never need the min-norm solve
+        if state.angle <= COLLINEARITY_TOL and state.m <= config.eps_stop:
             return PngResult(np.array(traj), state.x, "stationary", it)
         if float(np.linalg.norm(state.x - anchor_x)) > 5.0 * band:
             anchor_x, anchor_it = state.x.copy(), it
         stalled = it - anchor_it >= 100
-        if state.m <= 2.0 * band and state.angle <= 1.0 and stalled and it >= next_polish_at:
+        if stalled and it >= next_polish_at and state.angle <= 1.0 and state.m <= 2.0 * band:
             polished = _polish_to_stationary(F, f0, state.x, config)
             if polished is not None:
                 traj.append(polished)
@@ -277,10 +306,12 @@ def png_descent(
                 f"x={state.x.tolist()}"
             )
         move = config.step * state.v
-        length = float(np.linalg.norm(move))
-        cap = (state.m + band) / F.L
-        if state.m <= 4.0 * band and length > cap:
-            move *= cap / length
+        length = math.sqrt(move @ move)
+        # the cap (m + band) / L is at least band / L, so a shorter step is never capped
+        if length > band / F.L:
+            cap = (state.m + band) / F.L
+            if state.m <= 4.0 * band and length > cap:
+                move *= cap / length
         state = _PngState(F, f0, state.x - move, config.c)
         traj.append(state.x.copy())
     return PngResult(np.array(traj), state.x, "budget-exceeded", config.max_iters)

@@ -74,18 +74,24 @@ def lattice_size(m: int, n: int) -> int:
     return comb(m + n - 1, n - 1)
 
 
-def simplex_lattice(m: int, n: int) -> np.ndarray:
-    """Lexicographic (lattice_size, n) integer counts summing to m, one row per weight vector.
+def _lattice_blocks(m: int, n: int, rows: int):
+    """Lexicographic integer counts summing to m, as (<= rows, n) arrays in order.
 
-    Stars and bars: the gaps between n - 1 bars placed among m + n - 1 slots.
+    Stars and bars: the gaps between n - 1 bars placed among m + n - 1
+    slots.  One combinations iterator feeds every block, so no block holds
+    more than ``rows`` weight vectors.
     """
+    bars = itertools.chain.from_iterable(itertools.combinations(range(m + n - 1), n - 1))
     total = lattice_size(m, n)
-    bars = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(m + n - 1), n - 1)),
-        dtype=np.int64,
-        count=total * (n - 1),
-    ).reshape(total, n - 1)
-    return np.diff(bars, axis=1, prepend=-1, append=m + n - 1) - 1
+    for start in range(0, total, rows):
+        k = min(rows, total - start)
+        block = np.fromiter(itertools.islice(bars, k * (n - 1)), dtype=np.int64, count=k * (n - 1))
+        yield np.diff(block.reshape(k, n - 1), axis=1, prepend=-1, append=m + n - 1) - 1
+
+
+def simplex_lattice(m: int, n: int) -> np.ndarray:
+    """Lexicographic (lattice_size, n) integer counts summing to m, one row per weight vector."""
+    return next(_lattice_blocks(m, n, lattice_size(m, n)))
 
 
 def _stacked_quadratics(F: ObjectiveSet) -> Optional[tuple]:
@@ -193,13 +199,13 @@ def grid_search_preference_opt(
         raise SizeLimitError(f"lattice has {total} points, above the {_LATTICE_LIMIT} cap")
     quad = _stacked_quadratics(F)
     tol = _newton_tolerance(F)
-    counts = simplex_lattice(resolution, n)
     best = (np.inf, None, None)
     f_min, f_max = np.inf, -np.inf
     rows = np.empty((total, n + F.dim + 1)) if collect else None
     x_prev = None
-    for start in range(0, total, _BLOCK_ROWS):
-        A = counts[start : start + _BLOCK_ROWS] / resolution
+    blocks = _lattice_blocks(resolution, n, _BLOCK_ROWS)
+    for start, counts in zip(range(0, total, _BLOCK_ROWS), blocks):
+        A = counts / resolution
         W = A / A.sum(axis=1, keepdims=True)  # bit for bit SimplexPoint(A[i]).weights
         X = _x_star_rows(F, quad, W, A, tol, x_prev)
         x_prev = X[-1]
@@ -209,7 +215,7 @@ def grid_search_preference_opt(
         lower = np.flatnonzero(values < best[0])
         if lower.size:
             i = lower[np.argmin(values[lower])]
-            best = (values[i], start + i, X[i])
+            best = (values[i], counts[i], X[i])
         if rows is not None:
             rows[start : start + len(A)] = np.hstack([W, X, values[:, None]])
     if best[1] is None:
@@ -217,7 +223,7 @@ def grid_search_preference_opt(
     if rows is not None:
         rows.setflags(write=False)
     return GridSearchResult(
-        best_beta=SimplexPoint(counts[best[1]] / resolution),
+        best_beta=SimplexPoint(best[1] / resolution),
         best_x=best[2],
         f_star_min=float(f_min),
         f_star_max=float(f_max),

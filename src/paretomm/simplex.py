@@ -184,7 +184,10 @@ def min_norm_over_simplex(G: np.ndarray):
         raise InvalidArgumentError("G must have at least one column")
     target = np.zeros(d + 1)
     target[d] = 1.0
-    y, _ = nnls(np.vstack([G, np.ones(n)]), target)
+    E = np.empty((d + 1, n))
+    E[:d] = G
+    E[d] = 1.0
+    y, _ = nnls(E, target)
     if not y.sum() > 0:  # the solve underflows to y = 0 on columns near the float range
         raise NumericalFailureError("min-norm solve lost every weight; G is too large")
     beta = SimplexPoint(y)

@@ -4,6 +4,7 @@ import pytest
 from paretomm import (
     InfeasibleError,
     InvalidArgumentError,
+    NumericalFailureError,
     PngConfig,
     build_impossibility_instance,
     is_pareto_generic,
@@ -13,7 +14,8 @@ from paretomm import (
     png_vector,
     sample_preference_generic,
 )
-from paretomm.baselines import COLLINEARITY_TOL, rotation_map
+from paretomm import baselines
+from paretomm.baselines import COLLINEARITY_TOL, _PngState, rotation_map
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -101,6 +103,53 @@ class TestPngVector:
             assert np.linalg.norm(v - v_dual) <= 1e-6 * max(1.0, np.linalg.norm(v))
             assert np.min(G @ v - c) >= -1e-9
             checked += 1
+
+
+class TestPngState:
+    @pytest.mark.parametrize("instance", ["png_instance", "identity_pair"])
+    def test_lazy_reads_equal_their_definitions(self, instance, rng, request):
+        problem = request.getfixturevalue(instance)
+        F, f0 = problem.F, problem.f0
+        points = [rng.normal(size=2) for _ in range(20)] + [np.array([0.2, 0.0])]
+        infeasible = 0
+        for x in points:
+            for c in (0.01, 1.0):
+                state = _PngState(F, f0, x, c)
+                assert state.m == pareto_stationarity_gap(F, x)[1]
+                try:
+                    v = png_vector(F, f0, x, c)
+                except InfeasibleError:
+                    assert state.v is None and state.angle == np.pi
+                    infeasible += 1
+                    continue
+                np.testing.assert_array_equal(state.v, v)
+                g0 = f0.grad(x)
+                cosang = v @ -g0 / (np.linalg.norm(v) * np.linalg.norm(g0))
+                assert state.angle == np.arccos(np.clip(cosang, -1.0, 1.0))
+        assert infeasible > 0
+
+    def test_non_finite_gradient_raises_when_built(self, png_instance):
+        with np.errstate(over="ignore"), pytest.raises(NumericalFailureError):
+            _PngState(png_instance.F, png_instance.f0, np.array([1e308, 1e308]), 0.01)
+
+    def test_descent_skips_unread_min_norm_solves(self, png_instance, monkeypatch):
+        calls = {"min_norm": 0, "png_vector": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(baselines, "min_norm_over_simplex",
+                            counted("min_norm", baselines.min_norm_over_simplex))
+        monkeypatch.setattr(baselines, "_png_vector_from_grads",
+                            counted("png_vector", baselines._png_vector_from_grads))
+        config = PngConfig(c=0.01, step=0.05, eps_stop=1e-3, max_iters=100_000)
+        res = png_descent(png_instance.F, png_instance.f0, np.array([0.2, 0.9]), config)
+        assert res.status == "stationary"
+        # the loop reads m only near the band or where the step may be capped
+        assert 0 < 2 * calls["min_norm"] < calls["png_vector"]
 
 
 class TestPngDescent:

@@ -21,7 +21,7 @@ from paretomm import (
     solve_x_star,
     tangent_directions,
 )
-from paretomm.oracle import _newton_tolerance, simplex_lattice
+from paretomm.oracle import _lattice_blocks, _newton_tolerance, simplex_lattice
 from paretomm.problem_io import problem_from_spec, triangle_spec
 from conftest import random_quadratic_problem, random_spd
 
@@ -122,6 +122,12 @@ class TestGridSearch:
             assert (counts.sum(axis=1) == m).all()
             assert [tuple(c) for c in counts] == sorted(set(tuple(c) for c in counts))
 
+    def test_lattice_blocks_stream_the_same_rows(self):
+        for m, n in [(5, 2), (7, 3), (4, 4), (3, 1)]:
+            blocks = list(_lattice_blocks(m, n, 4))
+            assert all(len(b) == 4 for b in blocks[:-1]) and 1 <= len(blocks[-1]) <= 4
+            np.testing.assert_array_equal(np.concatenate(blocks), simplex_lattice(m, n))
+
     @pytest.mark.parametrize("field, change", [("H", lambda H: 1e4 * np.array(H)),
                                                ("z", lambda z: np.array(z) + 1e4)],
                              ids=["hessians-times-1e4", "centers-plus-1e4"])
@@ -202,6 +208,19 @@ class TestBatchedLattice:
             tracemalloc.stop()
         assert result.rows.shape == (20301, 3 + 2 + 1)
         assert held < 2 * 2**20  # the matrix is 0.97 MB; a SimplexPoint per row would hold 8.8 MB
+
+    def test_lattice_memory_does_not_grow_with_its_size(self):
+        # 5456 points at m = 30, 129,766 at m = 90; only one block of weights is held at a time
+        problem = random_quadratic_problem(np.random.default_rng(8), d=8, n=4)
+        peaks = []
+        for m in (30, 90):
+            tracemalloc.start()
+            try:
+                grid_search_preference_opt(problem, m)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
     @pytest.mark.parametrize(
         "preference",
