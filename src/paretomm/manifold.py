@@ -6,17 +6,16 @@ stationary points.  This module provides the Newton inner solver for
 x*(beta), the exact derivative of the map (an SPD solve against the
 objective Jacobian), its computable estimate at off-manifold points, and the
 error bound that controls how far the estimated gradient of the pulled-back
-preference can be from the true one.
+preference can be from the true one.  It needs numpy alone, not scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NumericalFailureError
 from .problem import ObjectiveSet, ProblemInstance, SmoothFunction, scalarize
@@ -26,8 +25,8 @@ _MACHINE_EPSILON = float(np.finfo(float).eps)
 
 
 def stable_norm(v: np.ndarray) -> float:
-    """Euclidean norm by BLAS ``nrm2``, which rescales, so entries near 1e300 do not overflow."""
-    return float(scipy.linalg.norm(v, check_finite=False))
+    """Euclidean norm by ``math.hypot``, which rescales, so entries near 1e300 do not overflow."""
+    return math.hypot(*np.ravel(v).tolist())
 
 
 def residual_floor(F: ObjectiveSet, jacobian_T: np.ndarray, beta: SimplexPoint) -> float:
@@ -71,27 +70,22 @@ class MinimizeResult:
 
 
 def spd_solve(H: np.ndarray, B: np.ndarray, mu_floor: float) -> np.ndarray:
-    """Solve H X = B by Cholesky, failing hard if H is not SPD above mu_floor/2.
+    """Solve H X = B, failing hard if H is not SPD above mu_floor/2.
 
     A curvature floor below half the declared strong convexity constant
     indicates a violated assumption rather than bad luck, so it raises, as
-    does a non-finite entry in H or B.  Calls LAPACK ``potrf``/``potrs``
-    directly: the same routines as ``cho_factor``/``cho_solve``, without
-    their per-call wrapping.
+    does a non-finite entry in H or B.  The floor is checked by a Cholesky
+    factorization of H - (mu_floor/2) I.
     """
     H = np.asarray(H, dtype=float)
     B = np.asarray(B, dtype=float)
     if not (np.isfinite(H).all() and np.isfinite(B).all()):
         raise NumericalFailureError("non-finite Hessian or right-hand side in an SPD solve")
-    info = 0
-    if mu_floor > 0:
-        _, info = dpotrf(H - 0.5 * mu_floor * np.eye(H.shape[0]), lower=True, clean=False)
-    if info == 0:
-        factor, info = dpotrf(H, lower=True, clean=False)
-    if info != 0:
-        raise NumericalFailureError(f"Hessian not positive definite above {0.5 * mu_floor:.3e}")
-    X, _ = dpotrs(factor, B, lower=True)
-    return X
+    try:
+        np.linalg.cholesky(H - 0.5 * mu_floor * np.eye(H.shape[0]))
+        return np.linalg.solve(H, B)
+    except np.linalg.LinAlgError:
+        raise NumericalFailureError(f"Hessian not positive definite above {0.5 * mu_floor:.3e}") from None
 
 
 def minimize_function(f: SmoothFunction, x0: np.ndarray, tol_grad: float) -> MinimizeResult:

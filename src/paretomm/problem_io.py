@@ -38,7 +38,10 @@ from .problem import (
 def atomic_open(path: str):
     """Text stream renamed over ``path`` on a clean exit, so readers never see a torn file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:  # name the requested path, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as fh:
             yield fh

@@ -2,14 +2,19 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paretomm
 from paretomm import SimplexPoint, solve_x_star
 from paretomm.cli import main
 from paretomm.oracle import _newton_tolerance, lattice_size, simplex_lattice
@@ -196,6 +201,22 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_runs_without_scipy(self, tmp_path):
+        # a None entry in sys.modules makes every scipy import raise ImportError
+        path = tmp_path / "triangle.json"
+        save_problem_spec(str(path), PRESETS["triangle"]())
+        script = ('import sys; sys.modules["scipy"] = None; from paretomm.cli import main; '
+                  'sys.exit(main(sys.argv[1:]))')
+        src = str(Path(paretomm.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "solve", "--problem", str(path),
+             "--eps0", "1e-3", "--eps", "1e-6"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["status"] == "certified"
+        assert proc.stderr == ""
 
     def test_budget_exit_two(self, png_file, capsys):
         code = run_cli(
@@ -460,6 +481,26 @@ class TestGenerateCommand:
         np.testing.assert_allclose(
             problem.F.objectives[0].hess(np.zeros(2)), [[1.0, 1.0], [1.0, 2.0]]
         )
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("solve", "--trace"), ("oracle", "--out"), ("plot", "--svg"), ("generate", "--out")],
+)
+def test_output_into_missing_directory_names_the_path(command, flag, png_file, tmp_path, capsys):
+    target = tmp_path / "missing" / "output"
+    extra = {
+        "solve": ["--problem", png_file, "--eps0", "1e-3", "--eps", "1e-6"],
+        "oracle": ["--problem", png_file, "--resolution", 3],
+        "plot": ["--problem", png_file, "--resolution", 3],
+        "generate": ["--preset", "triangle"],
+    }[command]
+    code = run_cli(command, flag, target, *extra)
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert str(target) in lines[0] and ".tmp" not in lines[0]
+    assert list(tmp_path.iterdir()) == [tmp_path / "png.json"]
 
 
 class TestBuiltinProblemFile:

@@ -21,7 +21,7 @@ from paretomm import (
     scalarize,
     solve_x_star,
 )
-from paretomm.manifold import spd_solve
+from paretomm.manifold import spd_solve, stable_norm
 from paretomm.oracle import finite_difference_jacobian, tangent_directions
 from paretomm.problem_io import identity_pair_spec, png_counterexample_spec, problem_from_spec
 from conftest import random_logcosh_problem, random_quadratic_problem
@@ -110,6 +110,30 @@ class TestSolveXStar:
         )
         with pytest.raises(NumericalFailureError):
             minimize_function(bad, np.zeros(1), 1e-8)
+
+
+class TestStableNorm:
+    def test_huge_entries_do_not_overflow(self):
+        assert stable_norm(np.array([1e300, 1e300])) == 1.4142135623730951e300
+
+    def test_non_finite_entries(self):
+        assert np.isnan(stable_norm(np.array([np.nan, 1.0])))
+        # hypot returns inf for any infinite entry, even beside a NaN
+        assert stable_norm(np.array([np.nan, np.inf])) == np.inf
+
+    @pytest.mark.parametrize("g0", [[np.nan, 1.0], [np.nan, np.inf], [np.inf, 1.0]])
+    def test_non_finite_starting_gradient_fails(self, g0):
+        f = SmoothFunction(
+            dim=2,
+            value=lambda x: 0.0,
+            grad=lambda x: np.array(g0),
+            hess=lambda x: np.eye(2),
+            mu=1.0,
+            L=1.0,
+            L_H=0.0,
+        )
+        with pytest.raises(NumericalFailureError, match="starting point"):
+            minimize_function(f, np.zeros(2), 1e-8)
 
 
 def _spd(d, seed, eigs_max):

@@ -270,8 +270,13 @@ class TestBatchedLattice:
         assert len(newton_calls) == lattice_size(10, 2)
 
     def test_singular_block_falls_back_to_newton(self, identity_pair, newton_calls, monkeypatch):
-        def singular(*args):
-            raise np.linalg.LinAlgError("Singular matrix")
+        solve = np.linalg.solve
+
+        def singular(a, b):
+            # only the batched (stacked 3-D) lattice solve fails; Newton's 2-D solves go through
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", singular)
         result = grid_search_preference_opt(identity_pair, 10)
