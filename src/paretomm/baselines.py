@@ -24,7 +24,7 @@ from .problem import (
     SmoothFunction,
     quadratic_from_hessian,
 )
-from .simplex import min_norm_over_simplex
+from .simplex import _nnls_lift, min_norm_over_simplex
 
 COLLINEARITY_TOL = 1e-6  # radians; the stopping test has no canonical tolerance
 
@@ -45,19 +45,13 @@ def _png_vector_from_grads(G: np.ndarray, g0: np.ndarray, c: float) -> np.ndarra
     # v = g0 + w with w the least-distance solution of G w >= h = c - G g0,
     # read off the NNLS residual r of [G^T; h^T] u ~ e_{d+1} (Lawson and
     # Hanson, ch. 23): w = -r[:d] / r[d].
-    from scipy.optimize import nnls  # deferred: slow to import; most commands never need it
-
     d = G.shape[1]
     h = c - G @ g0
     if not np.isfinite(h).all():
         raise NumericalFailureError("constraint levels overflow at this point")
-    E = np.empty((d + 1, G.shape[0]))
-    E[:d] = G.T
-    E[d] = h
-    target = np.zeros(d + 1)
-    target[d] = 1.0
-    u, _ = nnls(E, target)
-    r = E @ u - target
+    u, E = _nnls_lift(G.T, h)
+    r = E @ u
+    r[d] -= 1.0
     # NNLS optimality (E^T r >= 0, u^T E^T r = 0) gives ||r||^2 = -r[d] =
     # 1 / (1 + ||w||^2), and the halfspaces are infeasible exactly when it
     # is 0.  -r[d] = 1 - h^T u carries rounding error of order
@@ -112,9 +106,9 @@ class _PngState:
     ``m`` (the smallest scalarized gradient norm, one min-norm NNLS solve)
     and ``v`` with ``angle`` (the projection vector and its angle to
     -grad f0, one least-distance NNLS solve) are each computed on first
-    read.  Most readers need only one: the polish's angle probes read only
-    ``angle``, its band probes only ``m``, and the descent loop reads ``m``
-    only where the angle, the stall or the step length already qualify.
+    read.  Most readers need only one: the polish's line-search and
+    golden-section probes read only ``angle``, and the descent loop reads
+    ``m`` only where the angle, the stall or the step length already qualify.
     ``v`` is None and ``angle`` is pi where the halfspaces are infeasible;
     an error from a solve surfaces at that first read.
     """
@@ -148,24 +142,24 @@ class _PngState:
         return self._projection[1]
 
 
-def _fd_grad(fn, x, h):
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (fn(x + e) - fn(x - e)) / (2.0 * h)
-    return g
+def _probes(F, f0, x, h, c):
+    """The states at x + h e_i and x - h e_i for each coordinate i."""
+    return [(_PngState(F, f0, x + e, c), _PngState(F, f0, x - e, c)) for e in h * np.eye(x.size)]
+
+
+def _slope(probes, name, h):
+    """Central-difference gradient of the state attribute ``name`` from ``_probes``."""
+    return np.array([(getattr(p, name) - getattr(q, name)) / (2.0 * h) for p, q in probes])
 
 
 def _zero_angle_along(F, f0, x, direction, config, span):
-    """Golden-section the collinearity angle along x + t * direction."""
+    """Golden-section the collinearity angle along x + t * direction; the state at its end."""
     phi = (np.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = -span, span
 
     def val(t):
         return _PngState(F, f0, x + t * direction, config.c).angle
 
-    a, b = lo, hi
+    a, b = -span, span
     c1 = b - phi * (b - a)
     c2 = a + phi * (b - a)
     f1, f2 = val(c1), val(c2)
@@ -178,8 +172,7 @@ def _zero_angle_along(F, f0, x, direction, config, span):
             a, c1, f1 = c1, c2, f2
             c2 = a + phi * (b - a)
             f2 = val(c2)
-    t = 0.5 * (a + b)
-    return x + t * direction, val(t)
+    return _PngState(F, f0, x + 0.5 * (a + b) * direction, config.c)
 
 
 def _polish_to_stationary(F, f0, seed, config):
@@ -192,62 +185,52 @@ def _polish_to_stationary(F, f0, seed, config):
     located by a predictor-corrector walk: first descend the angle to the
     collinearity set, then slide along it until the smallest scalarized
     gradient norm is inside the requested level, re-zeroing the angle after
-    every slide.  The returned point passes the exact stopping test.
+    every slide.  Each point's state is built once and carried along.  The
+    returned point passes the exact stopping test.
     """
-    x = np.asarray(seed, dtype=float).copy()
-    state = _PngState(F, f0, x, config.c)
-    if state.v is None:
-        return None
-    h = max(1e-7, 1e-7 * float(np.linalg.norm(x)))
-
-    def angle_at(y):
-        return _PngState(F, f0, y, config.c).angle
+    c = config.c
+    state = _PngState(F, f0, np.asarray(seed, dtype=float).copy(), c)
+    h = max(1e-7, 1e-7 * float(np.linalg.norm(state.x)))
 
     # phase A: descend the angle onto the collinearity set
     seed_angle = state.angle
     for it_a in range(80):
-        state = _PngState(F, f0, x, config.c)
         if state.v is None:
             return None
         if state.angle <= 0.5 * COLLINEARITY_TOL:
             break
-        g = _fd_grad(angle_at, x, h)
+        g = _slope(_probes(F, f0, state.x, h, c), "angle", h)
         gn = float(np.linalg.norm(g))
         if gn <= 1e-14:
             return None
         if it_a > 10 and state.angle > seed_angle:
             return None
         step_len = state.angle / gn
-        improved = False
         for _ in range(12):
-            cand = x - step_len * g / gn
-            if angle_at(cand) < state.angle:
-                x = cand
-                improved = True
+            cand = _PngState(F, f0, state.x - step_len * g / gn, c)
+            if cand.angle < state.angle:
+                state = cand
                 break
             step_len *= 0.5
-        if not improved:
-            x, ang = _zero_angle_along(F, f0, x, g / gn, config, state.angle / gn)
-            if ang >= state.angle:
+        else:
+            end = _zero_angle_along(F, f0, state.x, g / gn, config, state.angle / gn)
+            if end.angle >= state.angle:
                 return None
-    state = _PngState(F, f0, x, config.c)
+            state = end
     if state.angle > COLLINEARITY_TOL:
         return None
 
     # phase B: slide along the set until the band condition holds
-    def m_at(y):
-        return _PngState(F, f0, y, config.c).m
-
     target = 0.7 * config.eps_stop
     for _ in range(500):
-        state = _PngState(F, f0, x, config.c)
         if state.v is None:
             return None
         if state.m <= config.eps_stop and state.angle <= COLLINEARITY_TOL:
-            return x
-        ga = _fd_grad(angle_at, x, h)
+            return state.x
+        probes = _probes(F, f0, state.x, h, c)
+        ga = _slope(probes, "angle", h)
         na = float(np.linalg.norm(ga))
-        gm = _fd_grad(m_at, x, h)
+        gm = _slope(probes, "m", h)
         if na > 1e-14:
             ga /= na
             gm = gm - (gm @ ga) * ga  # tangent component along the set
@@ -256,11 +239,14 @@ def _polish_to_stationary(F, f0, seed, config):
             return None
         step_len = min(0.5 * (state.m - target) / nm if state.m > target else 0.0, 0.05)
         step_len = max(step_len, 0.25 * config.eps_stop / max(nm, 1.0))
-        x = x - step_len * gm / nm
+        x = state.x - step_len * gm / nm
         if na > 1e-14:
-            x, ang = _zero_angle_along(F, f0, x, ga, config, 2.0 * step_len + state.angle / na)
-            if ang > COLLINEARITY_TOL and ang > 10.0 * state.angle:
+            end = _zero_angle_along(F, f0, x, ga, config, 2.0 * step_len + state.angle / na)
+            if end.angle > COLLINEARITY_TOL and end.angle > 10.0 * state.angle:
                 return None
+            state = end
+        else:
+            state = _PngState(F, f0, x, c)
     return None
 
 

@@ -5,14 +5,17 @@ Subcommands: ``solve`` (majorize-minimize run with trace CSV), ``png``
 search CSV), ``plot`` (SVG of a planar stationary set), and ``generate``
 (problem-file writer).  Exit codes: 0 success/certified, 2 budget exceeded
 or infeasible subproblem, 1 malformed input or numerical failure.  ``main``
-alone reports failures: each prints exactly one ``error:``, ``failed:`` or
-``infeasible:`` line on stderr.  A run that spends its iteration budget
-prints its summary and exits 2; argparse rejects malformed flags with exit 2.
+alone opens the output (before the command runs, so a bad path fails
+first), prints the summary (once the file is committed) and reports
+failures, each as exactly one ``error:``, ``failed:`` or ``infeasible:``
+line on stderr.  A run that spends its iteration budget prints its summary
+and exits 2; argparse rejects malformed flags with exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -45,7 +48,7 @@ def _parse_vector(text: str) -> np.ndarray:
         raise InvalidArgumentError(f"could not parse vector '{text}'") from exc
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args, out):
     problem = problem_io.load_problem(args.problem)
     config = SolverConfig(
         eps0=args.eps0,
@@ -58,9 +61,8 @@ def _cmd_solve(args) -> int:
         beta0 = _parse_vector(args.beta0)
         init = (None, beta0)
     result = pmm_solve(problem, config, init=init)
-    if args.trace:
-        with problem_io.atomic_open(args.trace) as fh:
-            result.trace.write_csv(fh)
+    if out is not None:
+        result.trace.write_csv(out)
     summary = {
         "x": result.point.x.tolist(),
         "beta": result.point.beta.weights.tolist(),
@@ -69,11 +71,10 @@ def _cmd_solve(args) -> int:
         "iterations": len(result.trace) - 1,
         "certificate": result.certificate.as_dict(),
     }
-    print(json.dumps(summary))
-    return EXIT_OK if result.status == "certified" else EXIT_BUDGET
+    return (EXIT_OK if result.status == "certified" else EXIT_BUDGET), summary
 
 
-def _cmd_png(args) -> int:
+def _cmd_png(args, out):
     problem = problem_io.load_problem(args.problem)
     config = PngConfig(
         c=args.c, step=args.step, eps_stop=args.eps_stop, max_iters=args.max_iters
@@ -84,40 +85,25 @@ def _cmd_png(args) -> int:
             f"x0 has {x0.size} entries, expected {problem.F.dim}"
         )
     result = png_descent(problem.F, problem.f0, x0, config)
-    if args.trace:
+    if out is not None:
         header = ["it"] + [f"x_{i}" for i in range(problem.F.dim)]
-        with problem_io.atomic_open(args.trace) as fh:
-            problem_io.write_csv(fh, header, ([it, *x] for it, x in enumerate(result.trajectory)))
-    print(
-        json.dumps(
-            {
-                "x": result.point.tolist(),
-                "status": result.status,
-                "iterations": result.iterations,
-            }
-        )
-    )
-    return EXIT_OK if result.status == "stationary" else EXIT_BUDGET
+        problem_io.write_csv(out, header, ([it, *x] for it, x in enumerate(result.trajectory)))
+    summary = {"x": result.point.tolist(), "status": result.status, "iterations": result.iterations}
+    return (EXIT_OK if result.status == "stationary" else EXIT_BUDGET), summary
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args, out):
     problem = problem_io.load_problem(args.problem)
     result = grid_search_preference_opt(problem, args.resolution, collect=True)
     n = problem.F.n
     header = [f"beta_{i}" for i in range(n)] + ["f0"]
-    with problem_io.atomic_open(args.out) as fh:
-        problem_io.write_csv(fh, header, ([*row[:n], row[-1]] for row in result.rows))
-    print(
-        json.dumps(
-            {
-                "best_beta": result.best_beta.weights.tolist(),
-                "f_star_min": result.f_star_min,
-                "f_star_max": result.f_star_max,
-                "count": result.count,
-            }
-        )
-    )
-    return EXIT_OK
+    problem_io.write_csv(out, header, ([*row[:n], row[-1]] for row in result.rows))
+    return EXIT_OK, {
+        "best_beta": result.best_beta.weights.tolist(),
+        "f_star_min": result.f_star_min,
+        "f_star_max": result.f_star_max,
+        "count": result.count,
+    }
 
 
 def _read_trace_path(path: str, dim: int) -> np.ndarray:
@@ -139,18 +125,16 @@ def _read_trace_path(path: str, dim: int) -> np.ndarray:
     return rows
 
 
-def _cmd_plot(args) -> int:
+def _cmd_plot(args, out):
     problem = problem_io.load_problem(args.problem)
     overlays = []
     for path in args.overlay or []:
         overlays.append((os.path.basename(path), _read_trace_path(path, problem.F.dim)))
-    svg = render_pareto_svg(problem, args.resolution, overlays)
-    with problem_io.atomic_open(args.svg) as fh:
-        fh.write(svg)
-    return EXIT_OK
+    out.write(render_pareto_svg(problem, args.resolution, overlays))
+    return EXIT_OK, None
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args, out):
     if args.preset is not None:
         spec = problem_io.PRESETS[args.preset]()
     elif min(args.dimension, args.objectives) < 1 or args.seed < 0:
@@ -160,9 +144,8 @@ def _cmd_generate(args) -> int:
         spec = problem_io.random_problem_spec(
             rng, args.dimension, args.objectives, shared_hessian=args.shared_hessian
         )
-    problem_io.save_problem_spec(args.out, spec)
-    print(json.dumps({"out": args.out}))
-    return EXIT_OK
+    problem_io.write_problem_spec(out, spec)
+    return EXIT_OK, {"out": args.out}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="accepted and ignored: the inner solves always use Newton's method",
     )
     p.add_argument("--trace", help="write per-iteration CSV here")
-    p.set_defaults(func=_cmd_solve)
+    p.set_defaults(func=_cmd_solve, output="trace")
 
     p = sub.add_parser("png", help="run the navigation-gradient baseline")
     p.add_argument("--problem", required=True)
@@ -201,20 +184,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--max-iters", type=int, default=200_000)
     p.add_argument("--trace", help="write trajectory CSV here")
-    p.set_defaults(func=_cmd_png)
+    p.set_defaults(func=_cmd_png, output="trace")
 
     p = sub.add_parser("oracle", help="lattice search over the weights")
     p.add_argument("--problem", required=True)
     p.add_argument("--resolution", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_oracle)
+    p.set_defaults(func=_cmd_oracle, output="out")
 
     p = sub.add_parser("plot", help="render the planar stationary set as SVG")
     p.add_argument("--problem", required=True)
     p.add_argument("--resolution", type=int, required=True)
     p.add_argument("--svg", required=True)
     p.add_argument("--overlay", action="append", help="trace CSV to mark (repeatable)")
-    p.set_defaults(func=_cmd_plot)
+    p.set_defaults(func=_cmd_plot, output="svg")
 
     p = sub.add_parser("generate", help="write a problem file")
     p.add_argument("--out", required=True)
@@ -223,15 +206,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objectives", type=int, default=2)
     p.add_argument("--shared-hessian", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_generate)
+    p.set_defaults(func=_cmd_generate, output="out")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    path = getattr(args, args.output)
     try:
-        return args.func(args)
+        with contextlib.nullcontext() if path is None else problem_io.atomic_open(path) as out:
+            code, summary = args.func(args, out)
     except (InvalidArgumentError, ConfigurationError, SizeLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -241,6 +225,9 @@ def main(argv=None) -> int:
     except NumericalFailureError as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    if summary is not None:
+        print(json.dumps(summary))
+    return code
 
 
 if __name__ == "__main__":

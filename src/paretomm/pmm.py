@@ -69,17 +69,10 @@ class SurrogateState:
     jacobian_T: np.ndarray
     residual_floor: float
 
-    def relative_value(self, beta: SimplexPoint, curvature: Optional[float] = None) -> float:
-        """Model value at beta minus the unknown anchor constant.
-
-        ``curvature`` defaults to mu_g, at which the model is an upper bound
-        on the pulled-back preference; the outer loop passes its trial
-        curvature to test whether the model still bounds the new point.
-        """
-        if curvature is None:
-            curvature = self.curvature
+    def relative_value(self, beta: SimplexPoint) -> float:
+        """Model value at beta (curvature mu_g, an upper bound) minus the unknown anchor constant."""
         d = beta.weights - self.anchor.beta.weights
-        return float(self.linear @ d) + 0.5 * curvature * float(d @ d) + self.err_term
+        return float(self.linear @ d) + 0.5 * self.curvature * float(d @ d) + self.err_term
 
 
 def build_surrogate(problem: ProblemInstance, point: ManifoldPoint) -> SurrogateState:
@@ -342,7 +335,7 @@ def _outer_step(problem, surrogate, f0_anchor, previous_curvature, tol_gap, tol_
         if curvature >= cap:
             return point, f0_value, curvature, trials
         rise = f0_value - f0_anchor
-        bound = surrogate.relative_value(beta, curvature) + slack
+        bound = Q.value_at(beta) + surrogate.err_term + slack  # cap > 0 here: Q is this trial's model
         bound += _rounding_slack(problem, point, stable_norm(problem.f0.grad(point.x)))
         if rise <= 0.0 and rise <= bound:
             return point, f0_value, curvature, trials

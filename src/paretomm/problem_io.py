@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import errno
 import json
 import os
 import tempfile
@@ -34,18 +35,30 @@ from .problem import (
 )
 
 
+def _naming(path: str, call, *args, **kwargs):
+    """``call(*args, **kwargs)``, its ``OSError`` re-raised naming ``path``, not a temporary file."""
+    try:
+        return call(*args, **kwargs)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
 @contextlib.contextmanager
 def atomic_open(path: str):
-    """Text stream renamed over ``path`` on a clean exit, so readers never see a torn file."""
+    """Text stream renamed over ``path`` on a clean exit, so readers never see a torn file.
+
+    An empty path, an existing directory (a symlink to one is replaced) or a missing parent
+    fails on entry, before the caller's block, naming ``path``.
+    """
+    if not path or (os.path.isdir(path) and not os.path.islink(path)):
+        code = errno.EISDIR if path else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
     directory = os.path.dirname(os.path.abspath(path))
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    except OSError as exc:  # name the requested path, not the temporary one
-        raise OSError(exc.errno, exc.strerror, path) from None
+    fd, tmp = _naming(path, tempfile.mkstemp, dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             yield fh
-        os.replace(tmp, path)
+        _naming(path, os.replace, tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -171,9 +184,14 @@ def load_problem(path: str) -> ProblemInstance:
     return problem_from_spec(spec)
 
 
+def write_problem_spec(stream, spec: dict):
+    """The problem-file text of ``spec``: indented JSON ending in a newline."""
+    stream.write(json.dumps(spec, indent=2) + "\n")
+
+
 def save_problem_spec(path: str, spec: dict):
     with atomic_open(path) as fh:
-        fh.write(json.dumps(spec, indent=2) + "\n")
+        write_problem_spec(fh, spec)
 
 
 def _quadratic_entry(H: np.ndarray, z: np.ndarray) -> dict:

@@ -167,6 +167,22 @@ def minimize_quadratic_over_simplex(Q: SimplexQuadratic, tol_gap: float):
     return project_to_simplex(Q.anchor.weights - Q.linear / Q.curvature), 0.0
 
 
+def _nnls_lift(top: np.ndarray, last):
+    """NNLS solution u of [top; last] u ~ e_{d+1}, ``top`` d x n, and that stacked matrix.
+
+    The min-norm point and the least-distance program both reduce to it (Lawson and Hanson, ch. 23).
+    """
+    from scipy.optimize import nnls  # deferred: slow to import; most commands never need it
+
+    d, n = top.shape
+    E = np.empty((d + 1, n))
+    E[:d] = top
+    E[d] = last
+    target = np.zeros(d + 1)
+    target[d] = 1.0
+    return nnls(E, target)[0], E
+
+
 def min_norm_over_simplex(G: np.ndarray):
     """Minimize ||G beta||_2 over the simplex, exactly, by one NNLS solve.
 
@@ -176,18 +192,10 @@ def min_norm_over_simplex(G: np.ndarray):
     minimizer beta = y / sum(y) (Lawson and Hanson, ch. 23).  Returns
     ``(SimplexPoint, norm)``.
     """
-    from scipy.optimize import nnls  # deferred: slow to import; most commands never need it
-
     G = np.atleast_2d(np.asarray(G, dtype=float))
-    d, n = G.shape
-    if n == 0:
+    if G.shape[1] == 0:
         raise InvalidArgumentError("G must have at least one column")
-    target = np.zeros(d + 1)
-    target[d] = 1.0
-    E = np.empty((d + 1, n))
-    E[:d] = G
-    E[d] = 1.0
-    y, _ = nnls(E, target)
+    y, _ = _nnls_lift(G, 1.0)
     if not y.sum() > 0:  # the solve underflows to y = 0 on columns near the float range
         raise NumericalFailureError("min-norm solve lost every weight; G is too large")
     beta = SimplexPoint(y)

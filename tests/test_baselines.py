@@ -190,6 +190,16 @@ class TestPngDescent:
         cosang = v @ descent / (np.linalg.norm(v) * np.linalg.norm(descent))
         assert np.arccos(np.clip(cosang, -1.0, 1.0)) <= COLLINEARITY_TOL
 
+    def test_failed_polish_is_retried_later(self, png_instance):
+        # at eps_stop 3e-4 the first polish from the stalled dynamics (0.2, 0.9)
+        # fails; the descent runs on and the retry 3000 iterations later succeeds
+        config = PngConfig(c=0.01, step=0.05, eps_stop=3e-4, max_iters=100_000)
+        res = png_descent(png_instance.F, png_instance.f0, np.array([0.2, 0.9]), config)
+        assert res.status == "stationary"
+        assert res.iterations == 3882
+        state = _PngState(png_instance.F, png_instance.f0, res.point, config.c)
+        assert state.angle <= COLLINEARITY_TOL and state.m <= config.eps_stop
+
     def test_budget_status(self, png_instance):
         config = PngConfig(c=0.01, step=0.05, eps_stop=1e-3, max_iters=3)
         res = png_descent(png_instance.F, png_instance.f0, np.array([0.2, 0.9]), config)

@@ -15,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paretomm
+from paretomm import cli
 from paretomm import SimplexPoint, solve_x_star
 from paretomm.cli import main
 from paretomm.oracle import _newton_tolerance, lattice_size, simplex_lattice
 from paretomm.problem_io import (
     PRESETS,
+    atomic_open,
     load_problem,
     png_counterexample_spec,
     random_problem_spec,
@@ -483,24 +485,62 @@ class TestGenerateCommand:
         )
 
 
+OUTPUTS = [("solve", "--trace"), ("png", "--trace"), ("oracle", "--out"), ("plot", "--svg"),
+           ("generate", "--out")]
+
+
 @pytest.mark.parametrize(
-    "command, flag",
-    [("solve", "--trace"), ("oracle", "--out"), ("plot", "--svg"), ("generate", "--out")],
+    "command, flag, existing",
+    [pytest.param(command, flag, existing,
+                  id=f"{command}-{flag}" + ("-existing-directory" if existing else ""))
+     for existing in (False, True) for command, flag in OUTPUTS],
 )
-def test_output_into_missing_directory_names_the_path(command, flag, png_file, tmp_path, capsys):
-    target = tmp_path / "missing" / "output"
+def test_output_into_missing_directory_names_the_path(
+    command, flag, existing, png_file, tmp_path, capsys, monkeypatch
+):
+    # a missing or existing directory fails when main opens the output, before any work
+    def never(*args, **kwargs):
+        raise AssertionError("the command ran before its output was opened")
+
+    for name in ("pmm_solve", "png_descent", "grid_search_preference_opt", "render_pareto_svg"):
+        monkeypatch.setattr(cli, name, never)
+    target = tmp_path / "existing" if existing else tmp_path / "missing" / "output"
+    if existing:
+        target.mkdir()
     extra = {
         "solve": ["--problem", png_file, "--eps0", "1e-3", "--eps", "1e-6"],
+        "png": ["--problem", png_file, "--c", "0.01", "--eps-stop", "1e-3", "--x0", "0.2,0.9"],
         "oracle": ["--problem", png_file, "--resolution", 3],
         "plot": ["--problem", png_file, "--resolution", 3],
         "generate": ["--preset", "triangle"],
     }[command]
     code = run_cli(command, flag, target, *extra)
-    lines = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert str(target) in lines[0] and ".tmp" not in lines[0]
-    assert list(tmp_path.iterdir()) == [tmp_path / "png.json"]
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == sorted([tmp_path / "png.json"] + [target] * existing)
+
+
+def test_atomic_open_names_the_path_only_for_its_own_calls(tmp_path):
+    target = tmp_path / "out"
+    with pytest.raises(IsADirectoryError) as info:
+        with atomic_open(str(target)) as fh:
+            fh.write("x")
+            target.mkdir()  # the rename at commit now fails
+    assert info.value.filename == str(target) and info.value.filename2 is None
+    absent = tmp_path / "absent"
+    with pytest.raises(FileNotFoundError) as info:  # raised in the block: passed on as it is
+        with atomic_open(str(tmp_path / "other")):
+            open(absent)
+    assert info.value.filename == str(absent)
+    with pytest.raises(FileNotFoundError) as info:  # an empty path fails on entry
+        with atomic_open(""):
+            pytest.fail("the block ran")
+    assert info.value.filename == ""
+    assert list(tmp_path.iterdir()) == [target]
 
 
 class TestBuiltinProblemFile:

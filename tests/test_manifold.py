@@ -15,6 +15,7 @@ from paretomm import (
     err_grad_f0,
     grad_x_star_estimate,
     grad_x_star_exact,
+    make_log_cosh_quadratic,
     make_quadratic,
     minimize_function,
     norm_1_2,
@@ -97,6 +98,20 @@ class TestSolveXStar:
         assert res.grad_norm == ManifoldPoint.from_x_beta(F, res.x, beta).residual
         pt = solve_x_star(F, beta, tol_grad=1e-20, x0=x0)
         assert pt.residual == ManifoldPoint.from_x_beta(F, pt.x, beta).residual
+
+    def test_armijo_halves_overshooting_newton_steps(self):
+        # far from z the log-cosh term is almost linear and the Hessian almost
+        # 0.01, so the full Newton step from x0 = 10 lands near -100
+        f = make_log_cosh_quadratic(np.array([[0.01]]), np.array([0.0]), 1.0)
+        calls = []
+
+        def value(x):  # at x0 and at every trial point of the line search
+            calls.append(float(x[0]))
+            return f.value(x)
+
+        res = minimize_function(dataclasses.replace(f, value=value), np.array([10.0]), 1e-12)
+        assert res.grad_norm <= 1e-12 and abs(res.x[0]) <= 1e-12
+        assert len(calls) > res.iterations + 1  # some step was halved
 
     def test_non_finite_gradient_fails(self):
         bad = SmoothFunction(

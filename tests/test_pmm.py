@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -318,6 +319,15 @@ class TestPmmSolve:
             assert (a.residual, a.f0_value, a.gap, a.err, a.certified, a.c1, a.c2) == (
                 b.residual, b.f0_value, b.gap, b.err, b.certified, b.c1, b.c2
             )
+
+    def test_iterate_outside_declared_tube_fails(self, png_instance):
+        # a Pareto-set radius far below the true one (about 1) puts the second
+        # solved iterate outside the tube around the first
+        bundle = dataclasses.replace(png_instance.bundle, R_bound=1e-6)
+        problem = dataclasses.replace(png_instance, bundle=bundle)
+        config = SolverConfig(eps0=1e-3, eps=1e-6)
+        with pytest.raises(NumericalFailureError, match="Pareto neighborhood"):
+            pmm_solve(problem, config, init=(None, np.array([0.9, 0.1])))
 
     def test_certified_point_near_oracle_minimizer(self, png_instance):
         config = SolverConfig(eps0=1e-2, eps=1e-4, newton_inner=True)
