@@ -74,6 +74,7 @@ from .oracle import (
     hull_pareto_check,
     lattice_size,
     random_simplex_points,
+    shared_hessian_optimum,
     tangent_directions,
 )
 

@@ -2,17 +2,18 @@
 
 Finite differences check the implicit-derivative formula, lattice search
 checks preference optimality, and the shared-Hessian closed form checks the
-inner solver.  None of them uses the outer loop, its surrogate or its
-certificate.  Lattice search and the hull check solve x*(beta) with the
-solver's own Newton ``solve_x_star``, to a gradient tolerance of 1e-12
-scaled up by the problem's smoothness constant and minimizer magnitude;
-that tolerance sits above the rounding floor.  When every objective
-declares L_H == 0 (a constant Hessian, so f_i(x) = 0.5 (x - z_i)^T H_i
-(x - z_i)), lattice search instead solves (sum_i beta_i H_i) x =
-sum_i beta_i H_i z_i directly, one batched linear solve per block of
-lattice points, and hands every point whose scalarized gradient norm misses
-that tolerance back to Newton, warm-started at the previous point.  So the
-contract is "Newton at that tolerance" either way.
+inner solver; with a quadratic preference that closed form also gives the
+exact preference optimum, for any number of objectives.  None of them uses
+the outer loop, its surrogate or its certificate.  Lattice search and the
+hull check solve x*(beta) with the solver's own Newton ``solve_x_star``, to
+a gradient tolerance of 1e-12 scaled up by the problem's smoothness constant
+and minimizer magnitude; that tolerance sits above the rounding floor.  When
+every objective declares L_H == 0 (a constant Hessian, so f_i(x) = 0.5
+(x - z_i)^T H_i (x - z_i)), lattice search instead solves
+(sum_i beta_i H_i) x = sum_i beta_i H_i z_i directly, one batched linear
+solve per block of lattice points, and hands every point whose scalarized
+gradient norm misses that tolerance back to Newton, warm-started at the
+previous point.  So the contract is "Newton at that tolerance" either way.
 """
 
 from __future__ import annotations
@@ -250,6 +251,16 @@ class HullCheckReport:
         return self.solve_fail == 0 and self.stationarity_fail == 0
 
 
+def _require_shared_hessian(F: ObjectiveSet):
+    """Raise ``InvalidArgumentError`` unless every Hessian at 0 is the first one, to 1e-10 relative."""
+    probe = np.zeros(F.dim)
+    H0 = F.objectives[0].hess(probe)
+    scale = max(1.0, float(np.abs(H0).max()))
+    for f in F.objectives[1:]:
+        if np.max(np.abs(f.hess(probe) - H0)) > 1e-10 * scale:
+            raise InvalidArgumentError("objectives do not share a Hessian")
+
+
 def hull_pareto_check(
     F: ObjectiveSet, samples: int, seed: int = DEFAULT_SAMPLING_SEED
 ) -> HullCheckReport:
@@ -259,12 +270,7 @@ def hull_pareto_check(
     solved minimizers must match the weighted center combination, and every
     hull point must make the smallest scalarized gradient vanish.
     """
-    probe = np.zeros(F.dim)
-    H0 = F.objectives[0].hess(probe)
-    scale = max(1.0, float(np.abs(H0).max()))
-    for f in F.objectives[1:]:
-        if np.max(np.abs(f.hess(probe) - H0)) > 1e-10 * scale:
-            raise InvalidArgumentError("objectives do not share a Hessian")
+    _require_shared_hessian(F)
     rng = np.random.default_rng(seed)
     centers = F.minimizers
     solve_pass = solve_fail = stat_pass = stat_fail = 0
@@ -284,3 +290,25 @@ def hull_pareto_check(
         else:
             stat_fail += 1
     return HullCheckReport(solve_pass, solve_fail, stat_pass, stat_fail)
+
+
+def shared_hessian_optimum(problem: ProblemInstance):
+    """Exact global minimum of f0(x*(beta)) over the simplex, for any n.
+
+    Needs quadratic objectives with a shared Hessian, so x*(beta) = Z^T beta
+    with Z the stacked centres, and a quadratic preference with minimizer
+    hint z0 and Hessian P = L L^T.  Since the weights sum to one,
+    f0(x*(beta)) = f0(z0) + 0.5 ||L^T (Z^T - z0 1^T) beta||^2, whose minimum
+    over the simplex is one ``min_norm_over_simplex`` solve.  Returns
+    ``(SimplexPoint, f*)``; raises ``InvalidArgumentError`` on any other
+    problem.
+    """
+    F, f0 = problem.F, problem.f0
+    _require_shared_hessian(F)
+    z0 = f0.minimizer_hint
+    if z0 is None or f0.L_H != 0 or any(f.L_H != 0 for f in F.objectives):
+        raise InvalidArgumentError("needs quadratic objectives and a quadratic preference")
+    eigs, V = np.linalg.eigh(f0.hess(z0))
+    LT = np.sqrt(np.maximum(eigs, 0.0))[:, None] * V.T
+    beta, norm = min_norm_over_simplex(LT @ (F.minimizers - z0).T)
+    return beta, f0.value(z0) + 0.5 * norm**2

@@ -4,7 +4,11 @@ Each outer iteration builds an isotropic quadratic model of the
 pulled-back preference around the current pair (x, beta), minimizes it over
 the simplex exactly by one Euclidean projection, then re-solves the
 scalarized problem at the new weights to a gradient norm proportional to
-eps.  The model's curvature is found by backtracking (Beck and Teboulle,
+eps.  Newton starts that solve at the tangent prediction x + J (beta_new -
+beta), with J the implicit derivative the model was built from (an Euler
+predictor with a Newton corrector; Allgower and Georg, 2003, ch. 2); for
+shared-Hessian quadratics x*(beta) is affine, so the prediction is exact.
+The model's curvature is found by backtracking (Beck and Teboulle,
 2009; Nesterov, 2013): each step starts at half the previous step's
 curvature and doubles it until the new point lowers f0 and lies under the
 model, up to the rounding slack of the two inexact points.  The bundle
@@ -59,6 +63,9 @@ class SurrogateState:
     anchor is unknown (it contains the preference at the exact scalarized
     minimizer), so only offsets from the anchor are exposed.
     ``residual_floor`` is the rounding error the anchor's residual may carry.
+    ``x_star_jacobian`` is the d x n implicit derivative J = dx*/dbeta
+    estimated at the anchor; each trial's x*(beta) solve starts at the
+    tangent prediction x + J (beta_new - beta).
     """
 
     anchor: ManifoldPoint
@@ -68,6 +75,7 @@ class SurrogateState:
     grad_f0_norm: float
     jacobian_T: np.ndarray
     residual_floor: float
+    x_star_jacobian: np.ndarray
 
     def relative_value(self, beta: SimplexPoint) -> float:
         """Model value at beta (curvature mu_g, an upper bound) minus the unknown anchor constant."""
@@ -91,6 +99,7 @@ def build_surrogate(problem: ProblemInstance, point: ManifoldPoint) -> Surrogate
         grad_f0_norm=g0n,
         jacobian_T=JT,
         residual_floor=floor,
+        x_star_jacobian=J.matrix,
     )
 
 
@@ -316,7 +325,9 @@ def _outer_step(problem, surrogate, f0_anchor, previous_curvature, tol_gap, tol_
     (at least 1e-12 * mu_g), doubling it until the new point does not raise
     f0 and its f0 rise is within the model's relative value plus the
     rounding slack of both points; at the cap mu_g the step is taken
-    untested.  Returns ``(point, f0 value, curvature, trials)``.
+    untested.  Each trial's x*(beta) solve starts at the anchor's tangent
+    prediction x + J (beta - beta_anchor).  Returns ``(point, f0 value,
+    curvature, trials)``.
     """
     F, anchor, cap = problem.F, surrogate.anchor, surrogate.curvature
     curvature = max(0.5 * previous_curvature, _MIN_CURVATURE * cap)
@@ -329,7 +340,8 @@ def _outer_step(problem, surrogate, f0_anchor, previous_curvature, tol_gap, tol_
             beta, _ = minimize_quadratic_over_simplex(Q, tol_gap=tol_gap)
         # The solved point's residual is the scalarized gradient norm at
         # (x, beta), so it anchors the next surrogate as it is.
-        point = solve_x_star(F, beta, tol_grad=tol_grad, x0=anchor.x)
+        x0 = anchor.x + surrogate.x_star_jacobian @ (beta.weights - anchor.beta.weights)
+        point = solve_x_star(F, beta, tol_grad=tol_grad, x0=x0)
         trials += 1
         f0_value = problem.f0.value(point.x)
         if curvature >= cap:

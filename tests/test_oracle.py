@@ -18,6 +18,7 @@ from paretomm import (
     make_quadratic,
     oracle,
     random_simplex_points,
+    shared_hessian_optimum,
     solve_x_star,
     tangent_directions,
 )
@@ -305,6 +306,32 @@ class TestHullCheck:
         problem = random_quadratic_problem(rng, d=2, n=2, shared=False)
         with pytest.raises(InvalidArgumentError):
             hull_pareto_check(problem.F, samples=5)
+
+
+class TestSharedHessianOptimum:
+    def test_png_example_optimum_at_the_midpoint(self, png_instance):
+        # x*(beta) = (beta_1 - beta_0, 0), nearest e2 at the origin
+        beta, f_star = shared_hessian_optimum(png_instance)
+        np.testing.assert_allclose(beta.weights, [0.5, 0.5], atol=1e-12)
+        assert f_star == pytest.approx(0.5, abs=1e-12)
+
+    def test_no_sampled_weight_beats_it_for_n_above_four(self, rng):
+        problem = random_quadratic_problem(rng, d=3, n=6, shared=True)
+        beta, f_star = shared_hessian_optimum(problem)
+        x = beta.weights @ problem.F.minimizers
+        assert problem.f0.value(x) == pytest.approx(f_star, rel=1e-12)
+        for w in random_simplex_points(6, 200):
+            assert problem.f0.value(w.weights @ problem.F.minimizers) >= f_star - 1e-12
+
+    def test_non_shared_rejected(self, rng):
+        with pytest.raises(InvalidArgumentError, match="share a Hessian"):
+            shared_hessian_optimum(random_quadratic_problem(rng, d=2, n=2, shared=False))
+
+    def test_non_quadratic_preference_rejected(self, png_instance):
+        f0 = make_log_cosh_quadratic(np.eye(2), E2, 1.0)
+        problem = ProblemInstance.create(png_instance.F, f0)
+        with pytest.raises(InvalidArgumentError, match="quadratic preference"):
+            shared_hessian_optimum(problem)
 
 
 def test_random_simplex_points_reproducible():

@@ -20,13 +20,21 @@ from paretomm import (
     build_surrogate,
     compute_c1_c2,
     err_grad_f0,
+    grid_search_preference_opt,
     make_quadratic,
+    manifold,
     pmm_solve,
+    shared_hessian_optimum,
     solve_x_star,
     verify_preference_stationarity,
 )
-from paretomm.pmm import trace_header
-from paretomm.problem_io import png_counterexample_spec, problem_from_spec, triangle_spec
+from paretomm.pmm import _rounding_slack, trace_header
+from paretomm.problem_io import (
+    png_counterexample_spec,
+    problem_from_spec,
+    random_problem_spec,
+    triangle_spec,
+)
 from conftest import random_quadratic_problem, random_logcosh_problem
 
 E1 = np.array([1.0, 0.0])
@@ -407,6 +415,16 @@ class TestRoundingFloor:
         residual, gap = closed_form_check(spec, result.point.beta.weights, result.point.x)
         assert residual <= config.eps and gap <= config.eps0
 
+    def test_far_shifted_centres_certify_soundly(self):
+        # At shift 1e10 x sits at its rounding floor, so the steps may differ
+        # from the unshifted run's; the certified point must still be stationary.
+        config = SolverConfig(eps0=1e-3, eps=1e-6)
+        spec = _transformed_triangle(shift=1e10)
+        result = pmm_solve(problem_from_spec(spec), config)
+        assert result.status == "certified"
+        residual, gap = closed_form_check(spec, result.point.beta.weights, result.point.x)
+        assert residual <= config.eps and gap <= config.eps0
+
     def test_scaled_hessians_certify(self):
         config = SolverConfig(eps0=1e-3, eps=1e-6)
         spec = _transformed_triangle(h_scale=1e4)
@@ -518,6 +536,69 @@ class TestBacktrackedCurvature:
                 assert f_cur <= f_prev
                 assert f_cur - f_prev <= model + slack(prev, g_prev) + slack(cur, g_cur)
             assert below_cap >= len(records) // 2
+
+
+class TestTangentPredictor:
+    """Each trial's x*(beta) solve starts at x + J (beta_new - beta), J estimated at the anchor."""
+
+    @pytest.fixture
+    def newton_iterations(self, monkeypatch):
+        """Iteration count of every inner Newton solve, in order."""
+        counts = []
+        inner = manifold.minimize_function
+
+        def counted(*args, **kwargs):
+            result = inner(*args, **kwargs)
+            counts.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(manifold, "minimize_function", counted)
+        return counts
+
+    def test_shared_hessian_prediction_is_exact(self, newton_iterations):
+        # x*(beta) = Z^T beta is affine, so the prediction needs no Newton step
+        # (the anchor start took one per solve)
+        problem = problem_from_spec(png_counterexample_spec())
+        result = pmm_solve(problem, SolverConfig(eps0=1e-3, eps=1e-6), init=(None, np.array([0.9, 0.1])))
+        assert result.status == "certified"
+        assert newton_iterations == [0] * 26
+
+    def test_log_cosh_triangle_takes_fewer_newton_steps(self, newton_iterations):
+        spec = triangle_spec()
+        spec["objectives"] = [
+            {"kind": "builtin", "name": "log_cosh_quadratic", "params": {"H": e["H"], "z": e["z"], "c": 1.0}}
+            for e in spec["objectives"]
+        ]
+        result = pmm_solve(problem_from_spec(spec), SolverConfig(eps0=1e-3, eps=1e-6))
+        assert result.status == "certified"
+        assert len(result.trace) - 1 == 16
+        assert sum(r.trials for r in result.trace) == len(newton_iterations) == 19
+        assert sum(newton_iterations) == 35  # 47 from the anchor
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(2, 6),
+    n=st.integers(2, 5),
+    eps0=st.sampled_from([1e-1, 1e-2, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certified_shared_hessian_point_is_near_the_global_optimum(d, n, eps0, seed):
+    # The pulled-back preference is convex here, so f0 - f* <= g^T (beta - beta*)
+    # <= 2 * (gap + err) <= 2 * eps0 at x*(beta): err bounds the l-infinity
+    # norm of the gradient error, which is what the l1 gap's dual needs.
+    problem = problem_from_spec(random_problem_spec(np.random.default_rng(seed), d, n, shared_hessian=True))
+    _, f_star = shared_hessian_optimum(problem)
+    result = pmm_solve(problem, SolverConfig(eps0=eps0, eps=eps0**2))
+    if result.status == "certified":
+        x = result.point.x
+        # the certificate's residual, floor included, bounds the exact one
+        point = dataclasses.replace(result.point, residual=result.certificate.residual)
+        slack = _rounding_slack(problem, point, float(np.linalg.norm(problem.f0.grad(x))))
+        assert problem.f0.value(x) - f_star <= 2.0 * eps0 + slack
+    if n <= 4:
+        grid = grid_search_preference_opt(problem, 30)
+        assert grid.f_star_min >= f_star - 1e-12 * (1.0 + abs(f_star))
 
 
 DOCUMENTED_ERRORS = (InvalidArgumentError, ConfigurationError, NumericalFailureError, InfeasibleError)
