@@ -252,7 +252,13 @@ class HullCheckReport:
 
 
 def _require_shared_hessian(F: ObjectiveSet):
-    """Raise ``InvalidArgumentError`` unless every Hessian at 0 is the first one, to 1e-10 relative."""
+    """Raise ``InvalidArgumentError`` unless the objectives are quadratics with one Hessian.
+
+    Quadratic means L_H = 0, so each Hessian is the same at every x and is
+    compared with the first one at 0, to 1e-10 relative.
+    """
+    if any(f.L_H != 0 for f in F.objectives):
+        raise InvalidArgumentError("objectives are not all quadratics")
     probe = np.zeros(F.dim)
     H0 = F.objectives[0].hess(probe)
     scale = max(1.0, float(np.abs(H0).max()))
@@ -306,8 +312,8 @@ def shared_hessian_optimum(problem: ProblemInstance):
     F, f0 = problem.F, problem.f0
     _require_shared_hessian(F)
     z0 = f0.minimizer_hint
-    if z0 is None or f0.L_H != 0 or any(f.L_H != 0 for f in F.objectives):
-        raise InvalidArgumentError("needs quadratic objectives and a quadratic preference")
+    if z0 is None or f0.L_H != 0:
+        raise InvalidArgumentError("needs a quadratic preference")
     eigs, V = np.linalg.eigh(f0.hess(z0))
     LT = np.sqrt(np.maximum(eigs, 0.0))[:, None] * V.T
     beta, norm = min_norm_over_simplex(LT @ (F.minimizers - z0).T)

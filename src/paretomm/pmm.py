@@ -22,7 +22,7 @@ bound are all within their budgets; none of them reads the curvature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -149,24 +149,15 @@ class StationarityCertificate:
     @property
     def passed(self) -> bool:
         """All three legs within budget; false if any entry is negative or non-finite."""
-        values = (self.residual, self.gap, self.err, self.eps, self.gap_budget, self.err_budget)
         return (
-            all(math.isfinite(v) and v >= 0.0 for v in values)
+            all(math.isfinite(v) and v >= 0.0 for v in vars(self).values())
             and self.residual <= self.eps
             and self.gap <= self.gap_budget
             and self.err <= self.err_budget
         )
 
     def as_dict(self) -> dict:
-        return {
-            "residual": self.residual,
-            "gap": self.gap,
-            "err": self.err,
-            "eps": self.eps,
-            "gap_budget": self.gap_budget,
-            "err_budget": self.err_budget,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _certificate(surrogate, eps0, eps, alpha) -> StationarityCertificate:
@@ -265,29 +256,17 @@ class TraceRecord:
     trials: int
 
 
-@dataclass
-class IterateTrace:
-    """Append-only per-iteration records of one outer run."""
-
-    records: list = field(default_factory=list)
-
-    def append(self, record: TraceRecord):
-        self.records.append(record)
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
+class IterateTrace(list):
+    """The ``TraceRecord`` of every outer iterate of one run, in order."""
 
     def f0_values(self) -> np.ndarray:
-        return np.array([r.f0_value for r in self.records])
+        return np.array([r.f0_value for r in self])
 
     def write_csv(self, stream):
-        first = self.records[0]
+        first = self[0]
         rows = (
             [r.k, *r.beta, *r.x, r.residual, r.f0_value, r.gap, r.err, int(r.certified)]
-            for r in self.records
+            for r in self
         )
         problem_io.write_csv(stream, trace_header(first.beta.size, first.x.size), rows)
 
@@ -378,18 +357,13 @@ def pmm_solve(
     numerical failures of the sub-solvers.
     """
     F = problem.F
-    n = F.n
-    if init is not None:
-        x0, beta0 = init
-        beta = beta0 if isinstance(beta0, SimplexPoint) else SimplexPoint(np.asarray(beta0, float))
-        if beta.n != n:
-            raise InvalidArgumentError(f"beta0 has {beta.n} weights, expected {n}")
-        x = np.asarray(x0, dtype=float) if x0 is not None else beta.weights @ F.minimizers
-        if x.shape != (F.dim,):
-            raise InvalidArgumentError(f"x0 has shape {x.shape}, expected ({F.dim},)")
-    else:
-        beta = SimplexPoint.uniform(n)
-        x = beta.weights @ F.minimizers
+    x0, beta0 = (None, SimplexPoint.uniform(F.n)) if init is None else init
+    beta = beta0 if isinstance(beta0, SimplexPoint) else SimplexPoint(np.asarray(beta0, float))
+    if beta.n != F.n:
+        raise InvalidArgumentError(f"beta0 has {beta.n} weights, expected {F.n}")
+    x = np.asarray(x0, dtype=float) if x0 is not None else beta.weights @ F.minimizers
+    if x.shape != (F.dim,):
+        raise InvalidArgumentError(f"x0 has shape {x.shape}, expected ({F.dim},)")
     trace = IterateTrace()
     tube = problem.bundle.R_bound + 2.0 * config.eps / F.mu + 1e-9
     x_ref = None  # first solved iterate, anchor of the runtime tube check

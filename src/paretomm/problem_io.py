@@ -179,7 +179,7 @@ def load_problem(path: str) -> ProblemInstance:
     with open(path) as fh:
         try:
             spec = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, too many digits
             raise InvalidArgumentError(f"problem file is not valid JSON: {exc}") from exc
     return problem_from_spec(spec)
 

@@ -2,8 +2,10 @@
 
 No plotting dependency: the scene is assembled with the standard XML tools.
 The stationary set is drawn as the lattice image of the weight-to-minimizer
-map (one polyline per fixed lattice coordinate), the quadratic objectives as
-level-set ellipses, and supplied trace files as paths with endpoint markers.
+map (one polyline per fixed lattice coordinate), each objective and the
+preference as level-set ellipses of their second-order model at their own
+minimizer (exact for quadratics), and supplied trace files as paths with
+endpoint markers.
 """
 
 from __future__ import annotations
@@ -114,20 +116,11 @@ def render_pareto_svg(problem: ProblemInstance, resolution: int, overlays=()) ->
     ET.SubElement(svg, "rect", {"width": "100%", "height": "100%", "fill": "white"})
 
     contours = ET.SubElement(svg, "g", {"id": "objective-contours"})
-    probe = np.zeros(2)
-    for i, f in enumerate(problem.F.objectives):
-        color = _COLORS[i % len(_COLORS)]
+    styles = [(f, _COLORS[i % len(_COLORS)], False) for i, f in enumerate(problem.F.objectives)]
+    for f, color, dashed in styles + [(problem.f0, "#666666", True)]:
+        H = f.hess(f.minimizer_hint)
         for level in (0.05, 0.2, 0.45):
-            contours.append(
-                _ellipse_element(frame, f.hess(probe), f.minimizer_hint, level, color)
-            )
-    for level in (0.05, 0.2, 0.45):
-        contours.append(
-            _ellipse_element(
-                frame, problem.f0.hess(probe), problem.f0.minimizer_hint, level,
-                "#666666", dashed=True,
-            )
-        )
+            contours.append(_ellipse_element(frame, H, f.minimizer_hint, level, color, dashed))
 
     grid = ET.SubElement(svg, "g", {"id": "pareto-grid"})
     for line in _lattice_lines(resolution, n, xs):

@@ -204,6 +204,21 @@ class TestSolveCommand:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe\x00bad",  # not UTF-8: UnicodeDecodeError
+         b"[" * 100_000 + b"]" * 100_000,  # too deep for the decoder: RecursionError
+         b'{"dimension": ' + b"1" * 5000 + b"}"],  # over the int-from-string digit limit
+        ids=["not-utf8", "too-deep", "too-many-digits"],
+    )
+    def test_unreadable_problem_file_exits_one(self, content, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code = run_cli("solve", "--problem", path, "--eps0", "1e-2", "--eps", "1e-4")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "Traceback" not in err
+
     def test_runs_without_scipy(self, tmp_path):
         # a None entry in sys.modules makes every scipy import raise ImportError
         path = tmp_path / "triangle.json"
@@ -402,6 +417,28 @@ class TestPlotCommand:
         ns = {"s": "http://www.w3.org/2000/svg"}
         root = ET.parse(svg_path).getroot()
         assert root.findall(".//s:circle", ns)
+
+    def test_log_cosh_contour_uses_hessian_at_its_centre(self, tmp_path):
+        # H = I with c = 1 has Hessian 2 I at its minimizer z, so its level
+        # sets there are circles; at the origin it would be diag(1.01, 2).
+        spec = {
+            "dimension": 2,
+            "objectives": [_log_cosh(z=[3.0, 0.0], c=1.0), _log_cosh(z=[0.0, 3.0], c=1.0)],
+            "preference": _quadratic([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+        }
+        path = tmp_path / "lc.json"
+        save_problem_spec(str(path), spec)
+        svg_path = tmp_path / "lc.svg"
+        assert run_cli("plot", "--problem", path, "--resolution", 4, "--svg", svg_path) == 0
+        ns = {"s": "http://www.w3.org/2000/svg"}
+        ellipses = ET.parse(svg_path).getroot().findall(".//s:ellipse", ns)
+        first, second = ellipses[0], ellipses[3]  # three levels per objective
+        # screen scales from the two centres, (3, 0) and (0, 3) in data space
+        sx = (float(first.get("cx")) - float(second.get("cx"))) / 3.0
+        sy = (float(first.get("cy")) - float(second.get("cy"))) / 3.0
+        data_rx = float(first.get("rx")) / sx
+        data_ry = float(first.get("ry")) / sy
+        assert data_rx == pytest.approx(data_ry, rel=1e-3)
 
     def test_resolution_one_gives_endpoint_segment(self, png_file, tmp_path):
         svg_path = tmp_path / "m1.svg"

@@ -307,6 +307,13 @@ class TestHullCheck:
         with pytest.raises(InvalidArgumentError):
             hull_pareto_check(problem.F, samples=5)
 
+    def test_non_quadratic_rejected(self):
+        # sech^2 is even, so the two Hessians agree at x = 0 and nowhere else on the e1 axis
+        H = np.array([[1.0, 1.0], [1.0, 2.0]])
+        F = ObjectiveSet.from_objectives([make_log_cosh_quadratic(H, z, 1.0) for z in (E1, -E1)])
+        with pytest.raises(InvalidArgumentError, match="not all quadratics"):
+            hull_pareto_check(F, samples=5)
+
 
 class TestSharedHessianOptimum:
     def test_png_example_optimum_at_the_midpoint(self, png_instance):

@@ -273,9 +273,9 @@ class TestPmmSolve:
             for r in result.trace
         ]
         for k in range(len(values) - 1):
-            c1 = result.trace.records[k].c1
+            c1 = result.trace[k].c1
             margin = 0.5 * c1**2 * config.eps0**2 / mu_g
-            certified_next = result.trace.records[k + 1].certified
+            certified_next = result.trace[k + 1].certified
             assert values[k + 1] - values[k] <= -margin + 1e-8 or certified_next
 
     def test_iteration_bound_from_oracle_range(self, png_instance):
@@ -367,7 +367,7 @@ class TestTraceCsv:
         first = rows[0].split(",")
         assert int(first[0]) == 0
         np.testing.assert_allclose(
-            [float(first[1]), float(first[2])], result.trace.records[0].beta
+            [float(first[1]), float(first[2])], result.trace[0].beta
         )
         ks = [r.k for r in result.trace]
         assert ks == sorted(set(ks))
@@ -506,9 +506,9 @@ class TestBacktrackedCurvature:
         runs = [(problem_from_spec(spec), r) for spec, r in planar_runs] + [(problem, logcosh)]
         for problem, result in runs:
             mu_g = problem.bundle.mu_g
-            assert result.trace.records[0].curvature == mu_g
-            assert result.trace.records[0].trials == 0
-            for r in result.trace.records[1:]:
+            assert result.trace[0].curvature == mu_g
+            assert result.trace[0].trials == 0
+            for r in result.trace[1:]:
                 assert 1e-12 * mu_g <= r.curvature <= mu_g
                 assert r.trials >= 1
             assert any(r.curvature < mu_g for r in result.trace)
@@ -523,7 +523,7 @@ class TestBacktrackedCurvature:
                 dist = r.residual / mu
                 return g0n * dist + 0.5 * L0 * dist**2
 
-            records = result.trace.records
+            records = result.trace
             below_cap = 0
             for prev, cur in zip(records, records[1:]):
                 f_prev, g_prev, linear = closed_form_model_terms(spec, prev.beta, prev.x)

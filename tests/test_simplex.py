@@ -161,7 +161,7 @@ class TestQuadraticSolver:
             beta, gap = minimize_quadratic_over_simplex(Q, tol_gap=1e-9)
             assert l1_stationarity_gap(Q.grad_at(beta), beta) <= 1e-9
 
-    def test_budget_error_carries_best(self):
+    def test_tolerance_below_rounding_returns_exact_minimizer(self):
         # a tolerance below rounding resolution still gets the exact
         # minimizer, reported with gap 0.0; its recomputed gap is rounding
         # noise
