@@ -126,20 +126,15 @@ class _PngState:
         return min_norm_over_simplex(self._G.T)[1]
 
     @cached_property
-    def _projection(self) -> tuple:
-        try:
-            v = _png_vector_from_grads(self._G, self._g0, self._c)
-        except InfeasibleError:
-            return None, math.pi
-        return v, _angle_to_descent(v, self._g0)
-
-    @property
     def v(self):
-        return self._projection[0]
+        try:
+            return _png_vector_from_grads(self._G, self._g0, self._c)
+        except InfeasibleError:
+            return None
 
-    @property
+    @cached_property
     def angle(self) -> float:
-        return self._projection[1]
+        return math.pi if self.v is None else _angle_to_descent(self.v, self._g0)
 
 
 def _probes(F, f0, x, h, c):
@@ -193,8 +188,7 @@ def _polish_to_stationary(F, f0, seed, config):
     h = max(1e-7, 1e-7 * float(np.linalg.norm(state.x)))
 
     # phase A: descend the angle onto the collinearity set
-    seed_angle = state.angle
-    for it_a in range(80):
+    for _ in range(80):
         if state.v is None:
             return None
         if state.angle <= 0.5 * COLLINEARITY_TOL:
@@ -202,8 +196,6 @@ def _polish_to_stationary(F, f0, seed, config):
         g = _slope(_probes(F, f0, state.x, h, c), "angle", h)
         gn = float(np.linalg.norm(g))
         if gn <= 1e-14:
-            return None
-        if it_a > 10 and state.angle > seed_angle:
             return None
         step_len = state.angle / gn
         for _ in range(12):

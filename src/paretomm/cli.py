@@ -5,11 +5,11 @@ Subcommands: ``solve`` (majorize-minimize run with trace CSV), ``png``
 search CSV), ``plot`` (SVG of a planar stationary set), and ``generate``
 (problem-file writer).  Exit codes: 0 success/certified, 2 budget exceeded
 or infeasible subproblem, 1 malformed input or numerical failure.  ``main``
-alone opens the output (before the command runs, so a bad path fails
-first), prints the summary (once the file is committed) and reports
-failures, each as exactly one ``error:``, ``failed:`` or ``infeasible:``
-line on stderr.  A run that spends its iteration budget prints its summary
-and exits 2; argparse rejects malformed flags with exit 2.
+alone opens the output, then loads the problem file (so a bad path fails
+before any input error), prints the summary (once the file is committed)
+and reports failures, each as exactly one ``error:``, ``failed:`` or
+``infeasible:`` line on stderr.  A run that spends its iteration budget
+prints its summary and exits 2; argparse rejects malformed flags with exit 2.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .svgplot import render_pareto_svg
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BUDGET = 2
+_GENERATE_LIMIT = 10**7  # matrix entries `generate` may draw: one Hessian per objective and f0
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -48,18 +49,14 @@ def _parse_vector(text: str) -> np.ndarray:
         raise InvalidArgumentError(f"could not parse vector '{text}'") from exc
 
 
-def _cmd_solve(args, out):
-    problem = problem_io.load_problem(args.problem)
+def _cmd_solve(args, problem, out):
     config = SolverConfig(
         eps0=args.eps0,
         eps=args.eps,
         alpha=args.alpha,
         max_outer=args.max_outer,
     )
-    init = None
-    if args.beta0 is not None:
-        beta0 = _parse_vector(args.beta0)
-        init = (None, beta0)
+    init = None if args.beta0 is None else (None, _parse_vector(args.beta0))
     result = pmm_solve(problem, config, init=init)
     if out is not None:
         result.trace.write_csv(out)
@@ -74,8 +71,7 @@ def _cmd_solve(args, out):
     return (EXIT_OK if result.status == "certified" else EXIT_BUDGET), summary
 
 
-def _cmd_png(args, out):
-    problem = problem_io.load_problem(args.problem)
+def _cmd_png(args, problem, out):
     config = PngConfig(
         c=args.c, step=args.step, eps_stop=args.eps_stop, max_iters=args.max_iters
     )
@@ -92,8 +88,7 @@ def _cmd_png(args, out):
     return (EXIT_OK if result.status == "stationary" else EXIT_BUDGET), summary
 
 
-def _cmd_oracle(args, out):
-    problem = problem_io.load_problem(args.problem)
+def _cmd_oracle(args, problem, out):
     result = grid_search_preference_opt(problem, args.resolution, collect=True)
     n = problem.F.n
     header = [f"beta_{i}" for i in range(n)] + ["f0"]
@@ -107,26 +102,19 @@ def _cmd_oracle(args, out):
 
 
 def _read_trace_path(path: str, dim: int) -> np.ndarray:
-    with open(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        cols = []
-        for i in range(dim):
-            name = f"x_{i}"
-            if name not in header:
-                raise InvalidArgumentError(f"trace {path}: missing column {name}")
-            cols.append(header.index(name))
-        try:
-            rows = np.array([[float(row[c]) for c in cols] for row in reader])
-        except (ValueError, IndexError) as exc:
-            raise InvalidArgumentError(f"trace {path}: malformed row ({exc})") from exc
+    try:
+        with open(path) as fh:
+            rows = np.array([[float(row[f"x_{i}"]) for i in range(dim)] for row in csv.DictReader(fh)])
+    except KeyError as exc:
+        raise InvalidArgumentError(f"trace {path}: missing column {exc.args[0]}") from exc
+    except (ValueError, TypeError, csv.Error) as exc:  # bad cell or UTF-8, short row, huge field
+        raise InvalidArgumentError(f"trace {path}: malformed row ({exc})") from exc
     if rows.size == 0 or not np.isfinite(rows).all():
         raise InvalidArgumentError(f"trace {path}: needs finite data rows")
     return rows
 
 
-def _cmd_plot(args, out):
-    problem = problem_io.load_problem(args.problem)
+def _cmd_plot(args, problem, out):
     overlays = []
     for path in args.overlay or []:
         overlays.append((os.path.basename(path), _read_trace_path(path, problem.F.dim)))
@@ -134,11 +122,13 @@ def _cmd_plot(args, out):
     return EXIT_OK, None
 
 
-def _cmd_generate(args, out):
+def _cmd_generate(args, problem, out):
     if args.preset is not None:
         spec = problem_io.PRESETS[args.preset]()
     elif min(args.dimension, args.objectives) < 1 or args.seed < 0:
         raise InvalidArgumentError("requires --dimension >= 1, --objectives >= 1 and --seed >= 0")
+    elif (entries := (args.objectives + 1) * args.dimension**2) > _GENERATE_LIMIT:
+        raise SizeLimitError(f"{entries} matrix entries to draw, above the {_GENERATE_LIMIT} cap")
     else:
         rng = np.random.default_rng(args.seed)
         spec = problem_io.random_problem_spec(
@@ -155,9 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
         "strongly convex objectives.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    problem_arg = argparse.ArgumentParser(add_help=False)
+    problem_arg.add_argument("--problem", required=True)
 
-    p = sub.add_parser("solve", help="run the majorize-minimize solver")
-    p.add_argument("--problem", required=True)
+    p = sub.add_parser("solve", parents=[problem_arg], help="run the majorize-minimize solver")
     p.add_argument("--eps0", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument(
@@ -176,8 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="write per-iteration CSV here")
     p.set_defaults(func=_cmd_solve, output="trace")
 
-    p = sub.add_parser("png", help="run the navigation-gradient baseline")
-    p.add_argument("--problem", required=True)
+    p = sub.add_parser("png", parents=[problem_arg], help="run the navigation-gradient baseline")
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--eps-stop", type=float, required=True)
     p.add_argument("--x0", required=True, help="comma-separated start point")
@@ -186,14 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="write trajectory CSV here")
     p.set_defaults(func=_cmd_png, output="trace")
 
-    p = sub.add_parser("oracle", help="lattice search over the weights")
-    p.add_argument("--problem", required=True)
+    p = sub.add_parser("oracle", parents=[problem_arg], help="lattice search over the weights")
     p.add_argument("--resolution", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_oracle, output="out")
 
-    p = sub.add_parser("plot", help="render the planar stationary set as SVG")
-    p.add_argument("--problem", required=True)
+    p = sub.add_parser("plot", parents=[problem_arg], help="render the planar stationary set as SVG")
     p.add_argument("--resolution", type=int, required=True)
     p.add_argument("--svg", required=True)
     p.add_argument("--overlay", action="append", help="trace CSV to mark (repeatable)")
@@ -215,7 +203,8 @@ def main(argv=None) -> int:
     path = getattr(args, args.output)
     try:
         with contextlib.nullcontext() if path is None else problem_io.atomic_open(path) as out:
-            code, summary = args.func(args, out)
+            problem = None if args.command == "generate" else problem_io.load_problem(args.problem)
+            code, summary = args.func(args, problem, out)
     except (InvalidArgumentError, ConfigurationError, SizeLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -198,6 +198,15 @@ def _quadratic_entry(H: np.ndarray, z: np.ndarray) -> dict:
     return {"kind": "quadratic", "H": np.asarray(H, float).tolist(), "z": np.asarray(z, float).tolist()}
 
 
+def _planar_spec(objectives, preference_centre) -> dict:
+    """Quadratic objectives from (H, z) pairs in the plane; preference 0.5 ||x - centre||^2."""
+    return {
+        "dimension": 2,
+        "objectives": [_quadratic_entry(H, z) for H, z in objectives],
+        "preference": _quadratic_entry(np.eye(2), preference_centre),
+    }
+
+
 def png_counterexample_spec() -> dict:
     """Two shared-Hessian quadratics whose navigation dynamics miss the optimum.
 
@@ -206,47 +215,28 @@ def png_counterexample_spec() -> dict:
     origin.
     """
     H = [[1.0, 1.0], [1.0, 2.0]]
-    return {
-        "dimension": 2,
-        "objectives": [
-            _quadratic_entry(H, [-1.0, 0.0]),
-            _quadratic_entry(H, [1.0, 0.0]),
-        ],
-        "preference": _quadratic_entry(np.eye(2), [0.0, 1.0]),
-    }
+    return _planar_spec([(H, [-1.0, 0.0]), (H, [1.0, 0.0])], [0.0, 1.0])
 
 
 def identity_pair_spec() -> dict:
     """Two identity-Hessian quadratics at -e1 and +e1, preference toward e2."""
-    return {
-        "dimension": 2,
-        "objectives": [
-            _quadratic_entry(np.eye(2), [-1.0, 0.0]),
-            _quadratic_entry(np.eye(2), [1.0, 0.0]),
-        ],
-        "preference": _quadratic_entry(np.eye(2), [0.0, 1.0]),
-    }
+    return _planar_spec([(np.eye(2), [-1.0, 0.0]), (np.eye(2), [1.0, 0.0])], [0.0, 1.0])
 
 
 def triangle_spec() -> dict:
     """Three anisotropic quadratics in the plane with a curved stationary set."""
-    return {
-        "dimension": 2,
-        "objectives": [
-            _quadratic_entry([[3.0, 0.0], [0.0, 0.5]], [0.0, 0.0]),
-            _quadratic_entry([[0.5, 0.0], [0.0, 3.0]], [2.0, 0.0]),
-            _quadratic_entry([[2.0, 0.9], [0.9, 2.0]], [1.0, 1.8]),
+    return _planar_spec(
+        [
+            ([[3.0, 0.0], [0.0, 0.5]], [0.0, 0.0]),
+            ([[0.5, 0.0], [0.0, 3.0]], [2.0, 0.0]),
+            ([[2.0, 0.9], [0.9, 2.0]], [1.0, 1.8]),
         ],
-        "preference": _quadratic_entry(np.eye(2), [1.0, 0.7]),
-    }
+        [1.0, 0.7],
+    )
 
 
 def single_objective_spec() -> dict:
-    return {
-        "dimension": 2,
-        "objectives": [_quadratic_entry([[2.0, 0.0], [0.0, 1.0]], [0.5, -0.25])],
-        "preference": _quadratic_entry(np.eye(2), [0.0, 1.0]),
-    }
+    return _planar_spec([([[2.0, 0.0], [0.0, 1.0]], [0.5, -0.25])], [0.0, 1.0])
 
 
 def random_problem_spec(

@@ -63,15 +63,20 @@ def project_to_simplex(y: np.ndarray) -> SimplexPoint:
 
     y is first shifted by its maximum, which leaves the projection unchanged
     and keeps the leading threshold test exact (0 - (0 - 1) = 1 > 0) when
-    the entries dwarf 1.
+    the entries dwarf 1.  A -inf entry gets weight 0; NaN or +inf is rejected.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise InvalidArgumentError("y must be a nonempty vector")
-    y = y - np.max(y)
+    top = np.max(y)  # NaN if any entry is NaN
+    if not math.isfinite(top):
+        raise InvalidArgumentError("y must have a finite largest entry (no NaN or +inf)")
+    y = y - top
     u = np.sort(y)[::-1]
+    if u[-1] == -np.inf:  # weight 0; dropped so the threshold test forms no -inf - -inf
+        u = u[u > -np.inf]
     cumsum = np.cumsum(u)
-    ks = np.arange(1, y.size + 1)
+    ks = np.arange(1, u.size + 1)
     cond = u - (cumsum - 1.0) / ks > 0
     rho = int(np.nonzero(cond)[0][-1])
     tau = (cumsum[rho] - 1.0) / (rho + 1.0)

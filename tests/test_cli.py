@@ -214,10 +214,16 @@ class TestSolveCommand:
     def test_unreadable_problem_file_exits_one(self, content, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_bytes(content)
-        code = run_cli("solve", "--problem", path, "--eps0", "1e-2", "--eps", "1e-4")
-        err = capsys.readouterr().err
-        assert code == 1
-        assert len(err.splitlines()) == 1 and err.startswith("error:") and "Traceback" not in err
+        for command in (["solve", "--eps0", "1e-2", "--eps", "1e-4", "--trace"],
+                        ["png", "--c", "0.01", "--eps-stop", "1e-2", "--x0", "0.2,0.9", "--trace"],
+                        ["oracle", "--resolution", "5", "--out"],
+                        ["plot", "--resolution", "5", "--svg"]):
+            code = run_cli(command[0], "--problem", path, *command[1:], tmp_path / "out")
+            captured = capsys.readouterr()
+            assert code == 1, command[0]
+            assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+            assert "Traceback" not in captured.err and captured.out == ""
+            assert os.listdir(tmp_path) == ["bad.json"]  # no output, no temporary file
 
     def test_runs_without_scipy(self, tmp_path):
         # a None entry in sys.modules makes every scipy import raise ImportError
@@ -452,17 +458,28 @@ class TestPlotCommand:
         assert len(lines[0].get("points").split()) == 2  # the two objective minimizers
 
     @pytest.mark.parametrize(
-        "text", ["", "k,x_0,x_1\n0,abc,1\n", "k,x_0,x_1\n0,1\n", "k,x_0,x_1\n0,nan,1\n"],
-        ids=["empty", "bad-cell", "short-row", "nan-cell"],
+        "content, message",
+        [(b"", "needs finite data rows"),
+         (b"k,x_0,x_1\n0,abc,1\n", "malformed row"),
+         (b"k,x_0,x_1\n0,1\n", "malformed row"),
+         (b"k,x_0,x_1\n0,nan,1\n", "needs finite data rows"),
+         (b"k,x_0\n0,1\n", "missing column x_1"),
+         (b"\xff\xfe\x00bad", "malformed row"),  # not UTF-8: UnicodeDecodeError
+         (b"k,x_0,x_1\n0," + b"1" * 200_000 + b",1\n", "malformed row")],  # over the csv field limit
+        ids=["empty", "bad-cell", "short-row", "nan-cell", "missing-column", "not-utf8",
+             "huge-field"],
     )
-    def test_malformed_overlay_exits_one(self, text, png_file, tmp_path, capsys):
+    def test_malformed_overlay_exits_one(self, content, message, png_file, tmp_path, capsys):
         trace = tmp_path / "bad.csv"
-        trace.write_text(text)
+        trace.write_bytes(content)
+        svg = tmp_path / "o.svg"
         code = run_cli("plot", "--problem", png_file, "--resolution", 3,
-                       "--svg", tmp_path / "o.svg", "--overlay", trace)
-        err = capsys.readouterr().err
+                       "--svg", svg, "--overlay", trace)
+        captured = capsys.readouterr()
         assert code == 1
-        assert err.startswith("error:") and "Traceback" not in err
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+        assert message in captured.err and captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == ["bad.csv", "png.json"]  # no SVG, no temporary file
 
     def test_wrong_dimension_exits_one(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -501,8 +518,10 @@ class TestGenerateCommand:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--dimension", "0"), ("--objectives", "0"), ("--dimension", "-3"), ("--seed", "-1")],
-        ids=["zero-dimension", "zero-objectives", "negative-dimension", "negative-seed"],
+        [("--dimension", "0"), ("--objectives", "0"), ("--dimension", "-3"), ("--seed", "-1"),
+         ("--dimension", "100000")],
+        ids=["zero-dimension", "zero-objectives", "negative-dimension", "negative-seed",
+             "too-large"],
     )
     def test_bad_size_exits_one(self, flag, value, tmp_path, capsys):
         out = tmp_path / "g.json"

@@ -63,6 +63,16 @@ class TestProjection:
         with pytest.raises(InvalidArgumentError):
             project_to_simplex(np.array([]))
 
+    @pytest.mark.parametrize("y", [[np.inf, 0.0], [np.nan, 0.0], [-np.inf, -np.inf]],
+                             ids=["posinf", "nan", "all-neginf"])
+    def test_no_finite_maximum_rejected(self, y):
+        with pytest.raises(InvalidArgumentError):
+            project_to_simplex(np.array(y))
+
+    def test_neginf_entry_gets_zero_weight(self):
+        p = project_to_simplex(np.array([1.0, -np.inf, 0.5]))
+        np.testing.assert_array_equal(p.weights, [0.75, 0.0, 0.25])
+
     @pytest.mark.parametrize("scale", [1e16, 6.25e148, 1e300])
     def test_entries_dwarfing_one(self, scale):
         # the "- 1" of the threshold test is lost to rounding at this scale
