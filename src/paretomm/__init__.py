@@ -68,12 +68,9 @@ from .baselines import (
 )
 from .oracle import (
     GridSearchResult,
-    HullCheckReport,
     finite_difference_jacobian,
     grid_search_preference_opt,
-    hull_pareto_check,
     lattice_size,
-    random_simplex_points,
     shared_hessian_optimum,
     tangent_directions,
 )

@@ -4,12 +4,13 @@ Finite differences check the implicit-derivative formula, lattice search
 checks preference optimality, and the shared-Hessian closed form checks the
 inner solver; with a quadratic preference that closed form also gives the
 exact preference optimum, for any number of objectives.  None of them uses
-the outer loop, its surrogate or its certificate.  Lattice search and the
-hull check solve x*(beta) with the solver's own Newton ``solve_x_star``, to
-a gradient tolerance of 1e-12 scaled up by the problem's smoothness constant
-and minimizer magnitude; that tolerance sits above the rounding floor.  When
-every objective declares L_H == 0 (a constant Hessian, so f_i(x) = 0.5
-(x - z_i)^T H_i (x - z_i)), lattice search instead solves
+the outer loop, its surrogate or its certificate.  Lattice search solves
+x*(beta) with the solver's own Newton ``solve_x_star``, to a gradient
+tolerance of 1e-12 scaled up by the problem's smoothness constant and
+minimizer magnitude; that tolerance sits above the rounding floor.  When
+every objective declares L_H == 0 (a constant Hessian) and its gradient
+vanishes exactly at its minimizer hint z_i, so f_i(x) = f_i(z_i) + 0.5
+(x - z_i)^T H_i (x - z_i), lattice search instead solves
 (sum_i beta_i H_i) x = sum_i beta_i H_i z_i directly, one batched linear
 solve per block of lattice points, and hands every point whose scalarized
 gradient norm misses that tolerance back to Newton, warm-started at the
@@ -30,7 +31,6 @@ from .manifold import solve_x_star
 from .problem import ObjectiveSet, ProblemInstance, SmoothFunction
 from .simplex import SimplexPoint, min_norm_over_simplex
 
-DEFAULT_SAMPLING_SEED = 0xC0FFEE
 _LATTICE_LIMIT = 10**7
 _BLOCK_ROWS = 4096  # weight vectors per batched solve: peak memory O(block * d^2)
 
@@ -95,20 +95,30 @@ def simplex_lattice(m: int, n: int) -> np.ndarray:
     return next(_lattice_blocks(m, n, lattice_size(m, n)))
 
 
+def _quadratic(f: SmoothFunction) -> Optional[tuple]:
+    """(H, z) with f(x) = f(z) + 0.5 (x - z)^T H (x - z), or None.
+
+    None unless f declares L_H == 0, the contract for a constant Hessian,
+    and has a minimizer hint z at which its gradient vanishes exactly.  The
+    models built from (H, z) cannot see an off-centre hint, so a function
+    with one is evaluated as it is, by Newton and ``f.value``.
+    """
+    z = f.minimizer_hint
+    if f.L_H != 0 or z is None or np.any(f.grad(z) != 0):
+        return None
+    return f.hess(z), z
+
+
 def _stacked_quadratics(F: ObjectiveSet) -> Optional[tuple]:
     """(H, z, rhs): the (n, d, d) Hessians, (n, d) minimizers and rhs_i = H_i z_i.
 
-    None unless every objective declares L_H == 0, the contract for a
-    constant Hessian, and its gradient vanishes exactly at its minimizer
-    hint, so that grad f_i(x) = H_i (x - z_i).  The residual the batched
-    solve is checked with comes from that model, so it cannot see an
-    off-centre hint; such a set stays on Newton.
+    None unless ``_quadratic`` reads every objective, so that
+    grad f_i(x) = H_i (x - z_i).
     """
-    z = F.minimizers
-    for f, zi in zip(F.objectives, z):
-        if f.L_H != 0 or np.any(f.grad(zi) != 0):
-            return None
-    H = np.array([f.hess(zi) for f, zi in zip(F.objectives, z)])
+    quads = [_quadratic(f) for f in F.objectives]
+    if any(q is None for q in quads):
+        return None
+    H, z = np.array([q[0] for q in quads]), F.minimizers
     with np.errstate(all="ignore"):
         return H, z, np.einsum("ijk,ik->ij", H, z)
 
@@ -149,18 +159,17 @@ def _x_star_rows(
 
 
 def _preference_values(f0: SmoothFunction, X: np.ndarray, batched: bool) -> np.ndarray:
-    """f0 at each row of X; one einsum when ``batched`` and f0 declares L_H == 0 with a hint.
+    """f0 at each row of X; one einsum when ``batched`` and ``_quadratic`` reads f0.
 
-    A constant-Hessian f0 is its second-order expansion about the hint, exactly.
     Without ``batched`` every row is ``f0.value``, as in the Newton loop.
     """
-    z0 = f0.minimizer_hint
-    if not batched or f0.L_H != 0 or z0 is None:
+    quad = _quadratic(f0) if batched else None
+    if quad is None:
         return np.array([f0.value(x) for x in X])
+    P, z0 = quad
     D = X - z0
     with np.errstate(all="ignore"):
-        quadratic = 0.5 * np.einsum("bi,bi->b", D, D @ f0.hess(z0).T)
-        return f0.value(z0) + D @ f0.grad(z0) + quadratic
+        return f0.value(z0) + 0.5 * np.einsum("bi,bi->b", D, D @ P.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,88 +242,29 @@ def grid_search_preference_opt(
     )
 
 
-def random_simplex_points(n: int, count: int, seed: int = DEFAULT_SAMPLING_SEED):
-    """Reproducible uniform (Dirichlet) samples for randomized spot checks."""
-    rng = np.random.default_rng(seed)
-    return [SimplexPoint(rng.dirichlet(np.ones(n))) for _ in range(count)]
-
-
-@dataclass(frozen=True)
-class HullCheckReport:
-    solve_pass: int
-    solve_fail: int
-    stationarity_pass: int
-    stationarity_fail: int
-
-    @property
-    def all_passed(self) -> bool:
-        return self.solve_fail == 0 and self.stationarity_fail == 0
-
-
-def _require_shared_hessian(F: ObjectiveSet):
-    """Raise ``InvalidArgumentError`` unless the objectives are quadratics with one Hessian.
-
-    Quadratic means L_H = 0, so each Hessian is the same at every x and is
-    compared with the first one at 0, to 1e-10 relative.
-    """
-    if any(f.L_H != 0 for f in F.objectives):
-        raise InvalidArgumentError("objectives are not all quadratics")
-    probe = np.zeros(F.dim)
-    H0 = F.objectives[0].hess(probe)
-    scale = max(1.0, float(np.abs(H0).max()))
-    for f in F.objectives[1:]:
-        if np.max(np.abs(f.hess(probe) - H0)) > 1e-10 * scale:
-            raise InvalidArgumentError("objectives do not share a Hessian")
-
-
-def hull_pareto_check(
-    F: ObjectiveSet, samples: int, seed: int = DEFAULT_SAMPLING_SEED
-) -> HullCheckReport:
-    """Closed-form check for shared-Hessian quadratics.
-
-    The stationary set is exactly the convex hull of the quadratic centers:
-    solved minimizers must match the weighted center combination, and every
-    hull point must make the smallest scalarized gradient vanish.
-    """
-    _require_shared_hessian(F)
-    rng = np.random.default_rng(seed)
-    centers = F.minimizers
-    solve_pass = solve_fail = stat_pass = stat_fail = 0
-    tol = _newton_tolerance(F)
-    for _ in range(samples):
-        beta = SimplexPoint(rng.dirichlet(np.ones(F.n)))
-        point = solve_x_star(F, beta, tol_grad=tol)
-        target = beta.weights @ centers
-        if np.linalg.norm(point.x - target) <= 1e-8:
-            solve_pass += 1
-        else:
-            solve_fail += 1
-        y = SimplexPoint(rng.dirichlet(np.ones(F.n))).weights @ centers
-        _, gap = min_norm_over_simplex(F.jacobian_T(y))
-        if gap <= 1e-8:
-            stat_pass += 1
-        else:
-            stat_fail += 1
-    return HullCheckReport(solve_pass, solve_fail, stat_pass, stat_fail)
-
-
 def shared_hessian_optimum(problem: ProblemInstance):
     """Exact global minimum of f0(x*(beta)) over the simplex, for any n.
 
-    Needs quadratic objectives with a shared Hessian, so x*(beta) = Z^T beta
-    with Z the stacked centres, and a quadratic preference with minimizer
-    hint z0 and Hessian P = L L^T.  Since the weights sum to one,
+    Needs objectives that ``_quadratic`` reads and whose Hessians agree
+    with the first to 1e-10 relative, so x*(beta) = Z^T beta with Z the
+    stacked centres, and a preference that ``_quadratic`` reads as
+    (P, z0) with P = L L^T.  Since the weights sum to one,
     f0(x*(beta)) = f0(z0) + 0.5 ||L^T (Z^T - z0 1^T) beta||^2, whose minimum
     over the simplex is one ``min_norm_over_simplex`` solve.  Returns
     ``(SimplexPoint, f*)``; raises ``InvalidArgumentError`` on any other
     problem.
     """
-    F, f0 = problem.F, problem.f0
-    _require_shared_hessian(F)
-    z0 = f0.minimizer_hint
-    if z0 is None or f0.L_H != 0:
+    quad = _stacked_quadratics(problem.F)
+    if quad is None:
+        raise InvalidArgumentError("objectives are not all quadratics")
+    H, Z, _ = quad
+    if np.max(np.abs(H - H[0])) > 1e-10 * max(1.0, float(np.abs(H[0]).max())):
+        raise InvalidArgumentError("objectives do not share a Hessian")
+    preference = _quadratic(problem.f0)
+    if preference is None:
         raise InvalidArgumentError("needs a quadratic preference")
-    eigs, V = np.linalg.eigh(f0.hess(z0))
+    P, z0 = preference
+    eigs, V = np.linalg.eigh(P)
     LT = np.sqrt(np.maximum(eigs, 0.0))[:, None] * V.T
-    beta, norm = min_norm_over_simplex(LT @ (F.minimizers - z0).T)
-    return beta, f0.value(z0) + 0.5 * norm**2
+    beta, norm = min_norm_over_simplex(LT @ (Z - z0).T)
+    return beta, problem.f0.value(z0) + 0.5 * norm**2

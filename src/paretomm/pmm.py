@@ -47,6 +47,9 @@ from .simplex import (
 
 # Lowest trial curvature, relative to mu_g: a floor on the halving.
 _MIN_CURVATURE = 1e-12
+# Consecutive steps that leave the residual above eps and f0 within the
+# anchor's rounding slack before a run is stopped as stalled.
+_STALL_STEPS = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,7 +309,7 @@ def _outer_step(problem, surrogate, f0_anchor, previous_curvature, tol_gap, tol_
     rounding slack of both points; at the cap mu_g the step is taken
     untested.  Each trial's x*(beta) solve starts at the anchor's tangent
     prediction x + J (beta - beta_anchor).  Returns ``(point, f0 value,
-    curvature, trials)``.
+    curvature, trials, slack)``, with ``slack`` the anchor's rounding slack.
     """
     F, anchor, cap = problem.F, surrogate.anchor, surrogate.curvature
     curvature = max(0.5 * previous_curvature, _MIN_CURVATURE * cap)
@@ -324,12 +327,12 @@ def _outer_step(problem, surrogate, f0_anchor, previous_curvature, tol_gap, tol_
         trials += 1
         f0_value = problem.f0.value(point.x)
         if curvature >= cap:
-            return point, f0_value, curvature, trials
+            return point, f0_value, curvature, trials, slack
         rise = f0_value - f0_anchor
         bound = Q.value_at(beta) + surrogate.err_term + slack  # cap > 0 here: Q is this trial's model
         bound += _rounding_slack(problem, point, stable_norm(problem.f0.grad(point.x)))
         if rise <= 0.0 and rise <= bound:
-            return point, f0_value, curvature, trials
+            return point, f0_value, curvature, trials, slack
         curvature = min(2.0 * curvature, cap)
 
 
@@ -352,9 +355,12 @@ def pmm_solve(
     curvature.  Stationarity is checked every iteration, so a certifiable
     iterate ends the run as soon as it appears.  Each x*(beta) solve may
     stop at its rounding floor above its target; the run continues from
-    that point and the certificate judges it like any other.  A residual rounding floor above eps, which no point
-    can get under, raises ``NumericalFailureError``; so do the other
-    numerical failures of the sub-solvers.
+    that point and the certificate judges it like any other.  A residual
+    rounding floor above eps, which no point can get under, raises
+    ``NumericalFailureError``; so does a stall, 5 consecutive steps whose
+    new point has a residual above eps while f0 moves by no more than the
+    anchor's rounding slack, and so do the other numerical failures of the
+    sub-solvers.
     """
     F = problem.F
     x0, beta0 = (None, SimplexPoint.uniform(F.n)) if init is None else init
@@ -370,7 +376,7 @@ def pmm_solve(
 
     point = ManifoldPoint.from_x_beta(F, x, beta)
     f0_value = problem.f0.value(point.x)
-    curvature, trials = problem.bundle.mu_g, 0
+    curvature, trials, stalls = problem.bundle.mu_g, 0, 0
     for k in range(config.max_outer + 1):
         surrogate = build_surrogate(problem, point)
         cert = _certificate(surrogate, config.eps0, config.eps, config.alpha)
@@ -402,9 +408,17 @@ def pmm_solve(
         if surrogate.residual_floor > config.eps:
             floor = surrogate.residual_floor
             raise NumericalFailureError(f"eps is below the residual's rounding floor {floor:.3e}")
-        point, f0_value, curvature, trials = _outer_step(
-            problem, surrogate, f0_value, curvature, c1 * config.eps0, c2 * config.eps
+        f0_anchor = f0_value
+        point, f0_value, curvature, trials, slack = _outer_step(
+            problem, surrogate, f0_anchor, curvature, c1 * config.eps0, c2 * config.eps
         )
+        stalled = point.residual > config.eps and abs(f0_value - f0_anchor) <= slack
+        stalls = stalls + 1 if stalled else 0
+        if stalls == _STALL_STEPS:
+            raise NumericalFailureError(
+                f"stalled: residual {point.residual:.3e} stays above eps and f0 has not moved "
+                f"beyond its rounding slack for {_STALL_STEPS} steps"
+            )
         if x_ref is None:
             x_ref = point.x.copy()
         elif float(np.linalg.norm(point.x - x_ref)) > tube:

@@ -12,12 +12,10 @@ from paretomm import (
     SizeLimitError,
     finite_difference_jacobian,
     grid_search_preference_opt,
-    hull_pareto_check,
     lattice_size,
     make_log_cosh_quadratic,
     make_quadratic,
     oracle,
-    random_simplex_points,
     shared_hessian_optimum,
     solve_x_star,
     tangent_directions,
@@ -285,36 +283,6 @@ class TestBatchedLattice:
         assert result.f_star_min == pytest.approx(0.5, abs=1e-9)
 
 
-class TestHullCheck:
-    def test_shared_pair(self, png_instance):
-        report = hull_pareto_check(png_instance.F, samples=50)
-        assert report.all_passed
-        assert report.solve_pass == 50
-        assert report.stationarity_pass == 50
-
-    def test_triangle_identity(self, rng):
-        centers = [np.zeros(2), np.array([2.0, 0.0]), np.array([1.0, 1.5])]
-        F = ObjectiveSet.from_objectives([make_quadratic(np.eye(2), z) for z in centers])
-        report = hull_pareto_check(F, samples=100)
-        assert report.all_passed
-
-    def test_single_objective_trivial(self):
-        F = ObjectiveSet.from_objectives([make_quadratic(np.eye(2), E1)])
-        assert hull_pareto_check(F, samples=10).all_passed
-
-    def test_non_shared_rejected(self, rng):
-        problem = random_quadratic_problem(rng, d=2, n=2, shared=False)
-        with pytest.raises(InvalidArgumentError):
-            hull_pareto_check(problem.F, samples=5)
-
-    def test_non_quadratic_rejected(self):
-        # sech^2 is even, so the two Hessians agree at x = 0 and nowhere else on the e1 axis
-        H = np.array([[1.0, 1.0], [1.0, 2.0]])
-        F = ObjectiveSet.from_objectives([make_log_cosh_quadratic(H, z, 1.0) for z in (E1, -E1)])
-        with pytest.raises(InvalidArgumentError, match="not all quadratics"):
-            hull_pareto_check(F, samples=5)
-
-
 class TestSharedHessianOptimum:
     def test_png_example_optimum_at_the_midpoint(self, png_instance):
         # x*(beta) = (beta_1 - beta_0, 0), nearest e2 at the origin
@@ -327,25 +295,35 @@ class TestSharedHessianOptimum:
         beta, f_star = shared_hessian_optimum(problem)
         x = beta.weights @ problem.F.minimizers
         assert problem.f0.value(x) == pytest.approx(f_star, rel=1e-12)
-        for w in random_simplex_points(6, 200):
-            assert problem.f0.value(w.weights @ problem.F.minimizers) >= f_star - 1e-12
+        for w in rng.dirichlet(np.ones(6), size=200):
+            assert problem.f0.value(w @ problem.F.minimizers) >= f_star - 1e-12
 
     def test_non_shared_rejected(self, rng):
         with pytest.raises(InvalidArgumentError, match="share a Hessian"):
             shared_hessian_optimum(random_quadratic_problem(rng, d=2, n=2, shared=False))
+
+    @pytest.mark.parametrize(
+        "objectives",
+        [
+            # sech^2 is even, so the two Hessians agree at x = 0 and nowhere else on the e1 axis
+            [make_log_cosh_quadratic(np.array([[1.0, 1.0], [1.0, 2.0]]), z, 1.0) for z in (E1, -E1)],
+            # the closed form takes the hint for the centre, which it is not
+            [dataclasses.replace(make_quadratic(np.eye(2), z), minimizer_hint=z + 5e-11)
+             for z in (-E1, E1)],
+        ],
+        ids=["log-cosh", "hint-off-centre"],
+    )
+    def test_non_quadratic_objectives_rejected(self, objectives):
+        F = ObjectiveSet.from_objectives(objectives)
+        problem = ProblemInstance.create(F, make_quadratic(np.eye(2), E2))
+        with pytest.raises(InvalidArgumentError, match="not all quadratics"):
+            shared_hessian_optimum(problem)
 
     def test_non_quadratic_preference_rejected(self, png_instance):
         f0 = make_log_cosh_quadratic(np.eye(2), E2, 1.0)
         problem = ProblemInstance.create(png_instance.F, f0)
         with pytest.raises(InvalidArgumentError, match="quadratic preference"):
             shared_hessian_optimum(problem)
-
-
-def test_random_simplex_points_reproducible():
-    a = random_simplex_points(3, 5)
-    b = random_simplex_points(3, 5)
-    for p, q in zip(a, b):
-        np.testing.assert_array_equal(p.weights, q.weights)
 
 
 def test_oracle_consistent_with_solver():

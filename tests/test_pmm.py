@@ -425,6 +425,14 @@ class TestRoundingFloor:
         residual, gap = closed_form_check(spec, result.point.beta.weights, result.point.x)
         assert residual <= config.eps and gap <= config.eps0
 
+    def test_unreachable_eps_stops_as_stalled(self):
+        # At shift 1e11 the residual's rounding stays above eps = 1e-6 and f0
+        # only moves within its slack, so no step can certify; the run must
+        # stop within 50 steps instead of spending its whole budget
+        spec = _transformed_triangle(shift=1e11)
+        with pytest.raises(NumericalFailureError, match="stalled"):
+            pmm_solve(problem_from_spec(spec), SolverConfig(eps0=1e-3, eps=1e-6, max_outer=50))
+
     def test_scaled_hessians_certify(self):
         config = SolverConfig(eps0=1e-3, eps=1e-6)
         spec = _transformed_triangle(h_scale=1e4)
