@@ -9,9 +9,12 @@ beta), with J the implicit derivative the model was built from (an Euler
 predictor with a Newton corrector; Allgower and Georg, 2003, ch. 2); for
 shared-Hessian quadratics x*(beta) is affine, so the prediction is exact.
 The model's curvature is found by backtracking (Beck and Teboulle,
-2009; Nesterov, 2013): each step starts at half the previous step's
-curvature and doubles it until the new point lowers f0 and lies under the
-model, up to the rounding slack of the two inexact points.  The bundle
+2009; Nesterov, 2013): each step starts at the secant curvature of the
+last two models' linear terms (Barzilai and Borwein, 1988; the spectral
+projected gradient of Birgin, Martinez and Raydan, 2000, kept monotone),
+or at half the previous step's curvature when there is no usable secant,
+and doubles it until the new point lowers f0 and lies under the model, up
+to the rounding slack of the two inexact points.  The bundle
 constant mu_g caps the curvature; at the cap the model is an upper bound by
 construction and the step is taken untested, so the worst-case rate is that
 of the fixed-mu_g method.  A point is certified stationary when its
@@ -45,7 +48,7 @@ from .simplex import (
     minimize_quadratic_over_simplex,
 )
 
-# Lowest trial curvature, relative to mu_g: a floor on the halving.
+# Lowest trial curvature, relative to mu_g: a floor on the start rule.
 _MIN_CURVATURE = 1e-12
 # Consecutive steps that leave the residual above eps and f0 within the
 # anchor's rounding slack before a run is stopped as stalled.
@@ -300,19 +303,38 @@ def _rounding_slack(problem: ProblemInstance, point: ManifoldPoint, grad_f0_norm
     return grad_f0_norm * dist + 0.5 * problem.f0.L * dist**2
 
 
-def _outer_step(problem, surrogate, f0_anchor, previous_curvature, tol_gap, tol_grad):
+def _start_curvature(surrogate, previous, previous_curvature):
+    """First trial curvature of the step from ``surrogate``'s anchor.
+
+    The secant s = <linear - linear_prev, beta - beta_prev> / ||beta -
+    beta_prev||^2 of the two surrogates, clipped to [1e-12 * mu_g, mu_g];
+    half the previous step's curvature (at least 1e-12 * mu_g) when there
+    is no previous surrogate, beta has not moved, or s is not positive and
+    finite.
+    """
+    cap = surrogate.curvature
+    floor = _MIN_CURVATURE * cap
+    halved = max(0.5 * previous_curvature, floor)
+    if previous is None:
+        return halved
+    d_beta = surrogate.anchor.beta.weights - previous.anchor.beta.weights
+    dd = float(d_beta @ d_beta)
+    s = float((surrogate.linear - previous.linear) @ d_beta) / dd if dd > 0.0 else math.nan
+    return min(max(s, floor), cap) if 0.0 < s < math.inf else halved
+
+
+def _outer_step(problem, surrogate, f0_anchor, curvature, tol_gap, tol_grad):
     """One backtracked MM step from the surrogate's anchor.
 
-    Tries the exact model minimizer at half the previous step's curvature
-    (at least 1e-12 * mu_g), doubling it until the new point does not raise
-    f0 and its f0 rise is within the model's relative value plus the
-    rounding slack of both points; at the cap mu_g the step is taken
-    untested.  Each trial's x*(beta) solve starts at the anchor's tangent
-    prediction x + J (beta - beta_anchor).  Returns ``(point, f0 value,
-    curvature, trials, slack)``, with ``slack`` the anchor's rounding slack.
+    Tries the exact model minimizer at ``curvature`` (``_start_curvature``),
+    doubling it until the new point does not raise f0 and its f0 rise is
+    within the model's relative value plus the rounding slack of both
+    points; at the cap mu_g the step is taken untested.  Each trial's
+    x*(beta) solve starts at the anchor's tangent prediction x + J (beta -
+    beta_anchor).  Returns ``(point, f0 value, curvature, trials, slack)``,
+    with ``slack`` the anchor's rounding slack.
     """
     F, anchor, cap = problem.F, surrogate.anchor, surrogate.curvature
-    curvature = max(0.5 * previous_curvature, _MIN_CURVATURE * cap)
     slack = _rounding_slack(problem, anchor, surrogate.grad_f0_norm)
     trials = 0
     while True:
@@ -347,20 +369,21 @@ def pmm_solve(
     ``init`` optionally supplies (x0, beta0), with n weights and a length-d
     x0 (``InvalidArgumentError`` otherwise); the defaults are uniform
     weights and the weight-averaged objective minimizers.  Each step starts
-    at half the previous step's curvature (mu_g / 2 on the first step, at
-    least 1e-12 * mu_g) and doubles it after each failed descent or
-    upper-bound test; at the cap mu_g the step is taken untested, as in the
-    fixed-mu_g method.  The trace records the accepted curvature and the
-    x*(beta) solves of every step; the certificate never reads the
-    curvature.  Stationarity is checked every iteration, so a certifiable
-    iterate ends the run as soon as it appears.  Each x*(beta) solve may
-    stop at its rounding floor above its target; the run continues from
-    that point and the certificate judges it like any other.  A residual
-    rounding floor above eps, which no point can get under, raises
-    ``NumericalFailureError``; so does a stall, 5 consecutive steps whose
-    new point has a residual above eps while f0 moves by no more than the
-    anchor's rounding slack, and so do the other numerical failures of the
-    sub-solvers.
+    at the secant curvature of this and the previous surrogate, clipped to
+    [1e-12 * mu_g, mu_g], or at half the previous step's curvature (mu_g / 2
+    on the first step, at least 1e-12 * mu_g) when the secant is unusable,
+    and doubles it after each failed descent or upper-bound test; at the
+    cap mu_g the step is taken untested, as in the fixed-mu_g method.  The
+    trace records the accepted curvature and the x*(beta) solves of every
+    step; the certificate never reads the curvature.  Stationarity is
+    checked every iteration, so a certifiable iterate ends the run as soon
+    as it appears.  Each x*(beta) solve may stop at its rounding floor
+    above its target; the run continues from that point and the certificate
+    judges it like any other.  A residual rounding floor above eps, which
+    no point can get under, raises ``NumericalFailureError``; so does a
+    stall, 5 consecutive steps whose new point has a residual above eps
+    while f0 moves by no more than the anchor's rounding slack, and so do
+    the other numerical failures of the sub-solvers.
     """
     F = problem.F
     x0, beta0 = (None, SimplexPoint.uniform(F.n)) if init is None else init
@@ -377,6 +400,7 @@ def pmm_solve(
     point = ManifoldPoint.from_x_beta(F, x, beta)
     f0_value = problem.f0.value(point.x)
     curvature, trials, stalls = problem.bundle.mu_g, 0, 0
+    previous = None  # the last step's surrogate, for the secant curvature
     for k in range(config.max_outer + 1):
         surrogate = build_surrogate(problem, point)
         cert = _certificate(surrogate, config.eps0, config.eps, config.alpha)
@@ -409,9 +433,11 @@ def pmm_solve(
             floor = surrogate.residual_floor
             raise NumericalFailureError(f"eps is below the residual's rounding floor {floor:.3e}")
         f0_anchor = f0_value
+        start = _start_curvature(surrogate, previous, curvature)
         point, f0_value, curvature, trials, slack = _outer_step(
-            problem, surrogate, f0_anchor, curvature, c1 * config.eps0, c2 * config.eps
+            problem, surrogate, f0_anchor, start, c1 * config.eps0, c2 * config.eps
         )
+        previous = surrogate
         stalled = point.residual > config.eps and abs(f0_value - f0_anchor) <= slack
         stalls = stalls + 1 if stalled else 0
         if stalls == _STALL_STEPS:

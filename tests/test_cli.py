@@ -244,7 +244,7 @@ class TestSolveCommand:
     def test_budget_exit_two(self, png_file, capsys):
         code = run_cli(
             "solve", "--problem", png_file, "--eps0", "1e-3", "--eps", "1e-6",
-            "--beta0", "0.9,0.1", "--max-outer", "2", "--newton-inner",
+            "--beta0", "0.9,0.1", "--max-outer", "1", "--newton-inner",
         )
         assert code == 2
 

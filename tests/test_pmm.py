@@ -1,5 +1,6 @@
 import dataclasses
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from paretomm import (
     solve_x_star,
     verify_preference_stationarity,
 )
-from paretomm.pmm import _rounding_slack, trace_header
+from paretomm.pmm import _rounding_slack, _start_curvature, trace_header
 from paretomm.problem_io import (
     png_counterexample_spec,
     problem_from_spec,
@@ -256,10 +257,11 @@ class TestPmmSolve:
             pmm_solve(png_instance, SolverConfig(eps0=1e-3, eps=1e-6), init=init)
 
     def test_budget_exceeded_status(self, png_instance):
-        config = SolverConfig(eps0=1e-3, eps=1e-6, max_outer=2, newton_inner=True)
+        # this run certifies at step 2, so one step leaves it uncertified
+        config = SolverConfig(eps0=1e-3, eps=1e-6, max_outer=1, newton_inner=True)
         result = pmm_solve(png_instance, config, init=(None, np.array([0.9, 0.1])))
         assert result.status == "budget-exceeded"
-        assert len(result.trace) == 3
+        assert len(result.trace) == 2
 
     def test_descent_or_certify(self, png_instance):
         # every outer step either improves the oracle pullback value by the
@@ -490,7 +492,7 @@ def closed_form_model_terms(spec, beta, x):
 
 
 class TestBacktrackedCurvature:
-    """Each step halves the previous curvature, then doubles it until the step is accepted."""
+    """Each step starts at the secant curvature (else half the previous one), then doubles it until accepted."""
 
     @pytest.fixture(scope="class")
     def planar_runs(self):
@@ -545,6 +547,54 @@ class TestBacktrackedCurvature:
                 assert f_cur - f_prev <= model + slack(prev, g_prev) + slack(cur, g_cur)
             assert below_cap >= len(records) // 2
 
+    def test_secant_is_the_exact_curvature_on_png_example(self, png_instance):
+        # x*(beta) = Z^T beta, so the pulled-back preference is quadratic with
+        # Hessian Z Z^T: its curvature along (1, -1) is |z_1 - z_2|^2 / 2 = 2
+        config = SolverConfig(eps0=1e-3, eps=1e-6)
+        result = pmm_solve(png_instance, config, init=(None, np.array([0.9, 0.1])))
+        assert result.status == "certified"
+        assert len(result.trace) - 1 == 2
+        assert sum(r.trials for r in result.trace) == 2
+        assert result.trace[2].curvature == pytest.approx(2.0, rel=1e-9)
+
+
+def _surrogate(beta, linear, mu_g=8.0):
+    """The fields ``_start_curvature`` reads of a surrogate."""
+    anchor = SimpleNamespace(beta=SimplexPoint(np.array(beta, float)))
+    return SimpleNamespace(anchor=anchor, linear=np.array(linear, float), curvature=mu_g)
+
+
+class TestStartCurvature:
+    """The secant <d linear, d beta> / ||d beta||^2, clipped to [1e-12 mu_g, mu_g], else half the previous one."""
+
+    @pytest.mark.parametrize(
+        "linear, expected",
+        [
+            ([1.5, -1.5], 2.0),  # d linear = 2 d beta
+            ([26.0, -26.0], 8.0),  # secant 100, clipped to mu_g
+            ([1.0 + 1e-15, -1.0 - 1e-15], 8e-12),  # secant ~4e-15, raised to 1e-12 mu_g
+            ([0.5, -0.5], 2.0),  # the rest are unusable: half of 4
+            ([1.0, -1.0], 2.0),
+            ([np.nan, -1.0], 2.0),
+            ([np.inf, -np.inf], 2.0),
+        ],
+        ids=["secant", "cap", "floor", "negative", "zero", "nan", "inf"],
+    )
+    def test_secant_of_two_surrogates(self, linear, expected):
+        previous = _surrogate([0.5, 0.5], [1.0, -1.0])
+        current = _surrogate([0.75, 0.25], linear)
+        assert _start_curvature(current, previous, 4.0) == pytest.approx(expected)
+
+    def test_unmoved_beta_halves(self):
+        previous = _surrogate([0.5, 0.5], [1.0, -1.0])
+        current = _surrogate([0.5, 0.5], [3.0, -3.0])
+        assert _start_curvature(current, previous, 4.0) == 2.0
+
+    @pytest.mark.parametrize("previous_curvature, expected", [(8.0, 4.0), (1e-12, 8e-12)])
+    def test_first_step_halves_down_to_the_floor(self, previous_curvature, expected):
+        current = _surrogate([0.5, 0.5], [1.0, -1.0])
+        assert _start_curvature(current, None, previous_curvature) == expected
+
 
 class TestTangentPredictor:
     """Each trial's x*(beta) solve starts at x + J (beta_new - beta), J estimated at the anchor."""
@@ -569,7 +619,8 @@ class TestTangentPredictor:
         problem = problem_from_spec(png_counterexample_spec())
         result = pmm_solve(problem, SolverConfig(eps0=1e-3, eps=1e-6), init=(None, np.array([0.9, 0.1])))
         assert result.status == "certified"
-        assert newton_iterations == [0] * 26
+        assert len(newton_iterations) == sum(r.trials for r in result.trace)
+        assert newton_iterations == [0] * len(newton_iterations)
 
     def test_log_cosh_triangle_takes_fewer_newton_steps(self, newton_iterations):
         spec = triangle_spec()
@@ -579,9 +630,9 @@ class TestTangentPredictor:
         ]
         result = pmm_solve(problem_from_spec(spec), SolverConfig(eps0=1e-3, eps=1e-6))
         assert result.status == "certified"
-        assert len(result.trace) - 1 == 16
-        assert sum(r.trials for r in result.trace) == len(newton_iterations) == 19
-        assert sum(newton_iterations) == 35  # 47 from the anchor
+        assert len(result.trace) - 1 == 9
+        assert sum(r.trials for r in result.trace) == len(newton_iterations) == 15
+        assert sum(newton_iterations) == 29  # 41 from the anchor (47 with the halving start)
 
 
 @settings(max_examples=40, deadline=None)
