@@ -8,9 +8,10 @@ the outer loop, its surrogate or its certificate.  Lattice search solves
 x*(beta) with the solver's own Newton ``solve_x_star``, to a gradient
 tolerance of 1e-12 scaled up by the problem's smoothness constant and
 minimizer magnitude; that tolerance sits above the rounding floor.  When
-every objective declares L_H == 0 (a constant Hessian) and its gradient
-vanishes exactly at its minimizer hint z_i, so f_i(x) = f_i(z_i) + 0.5
-(x - z_i)^T H_i (x - z_i), lattice search instead solves
+the objective set stacks every objective as a quadratic centred at its
+minimizer hint z_i (``ObjectiveSet.hessians`` with no log-cosh weight),
+so f_i(x) = f_i(z_i) + 0.5 (x - z_i)^T H_i (x - z_i), lattice search
+instead solves
 (sum_i beta_i H_i) x = sum_i beta_i H_i z_i directly, one batched linear
 solve per block of lattice points, and hands every point whose scalarized
 gradient norm misses that tolerance back to Newton, warm-started at the
@@ -110,17 +111,15 @@ def _quadratic(f: SmoothFunction) -> Optional[tuple]:
 
 
 def _stacked_quadratics(F: ObjectiveSet) -> Optional[tuple]:
-    """(H, z, rhs): the (n, d, d) Hessians, (n, d) minimizers and rhs_i = H_i z_i.
+    """(H, z, rhs): the set's stacked (n, d, d) Hessians, (n, d) minimizers and rhs_i = H_i z_i.
 
-    None unless ``_quadratic`` reads every objective, so that
-    grad f_i(x) = H_i (x - z_i).
+    None unless F stacks its objectives with every log-cosh weight 0 (see
+    ``ObjectiveSet``), so that grad f_i(x) = H_i (x - z_i).
     """
-    quads = [_quadratic(f) for f in F.objectives]
-    if any(q is None for q in quads):
+    if F.hessians is None or F.log_cosh is not None:
         return None
-    H, z = np.array([q[0] for q in quads]), F.minimizers
     with np.errstate(all="ignore"):
-        return H, z, np.einsum("ijk,ik->ij", H, z)
+        return F.hessians, F.minimizers, np.einsum("ijk,ik->ij", F.hessians, F.minimizers)
 
 
 def _x_star_rows(
@@ -245,8 +244,8 @@ def grid_search_preference_opt(
 def shared_hessian_optimum(problem: ProblemInstance):
     """Exact global minimum of f0(x*(beta)) over the simplex, for any n.
 
-    Needs objectives that ``_quadratic`` reads and whose Hessians agree
-    with the first to 1e-10 relative, so x*(beta) = Z^T beta with Z the
+    Needs objectives that ``_stacked_quadratics`` reads and whose Hessians
+    agree with the first to 1e-10 relative, so x*(beta) = Z^T beta with Z the
     stacked centres, and a preference that ``_quadratic`` reads as
     (P, z0) with P = L L^T.  Since the weights sum to one,
     f0(x*(beta)) = f0(z0) + 0.5 ||L^T (Z^T - z0 1^T) beta||^2, whose minimum

@@ -8,7 +8,7 @@ Lipschitz constant L0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -28,6 +28,11 @@ class SmoothFunction:
     constants are trusted (analytic families compute them exactly) and only
     spot-checked by the test suite.  ``minimizer_hint`` is the exact minimizer
     of an objective, and the Newton warm start of a scalarization.
+    ``family`` is ``(H, c)`` when the function is exactly
+    0.5 (x - z)^T H (x - z) + c * sum_i log cosh(x_i - z_i) with z the
+    minimizer hint, as the built-in families record it; ``ObjectiveSet``
+    evaluates such objectives as stacked arrays.  It is not an ``__init__``
+    field, so ``dataclasses.replace`` drops it from the copy.
     """
 
     dim: int
@@ -38,6 +43,7 @@ class SmoothFunction:
     L: Optional[float] = None
     L_H: Optional[float] = None
     minimizer_hint: Optional[np.ndarray] = None
+    family: Optional[tuple] = field(default=None, init=False)
 
 
 def quadratic_from_hessian(H: np.ndarray, z: np.ndarray) -> SmoothFunction:
@@ -48,7 +54,7 @@ def quadratic_from_hessian(H: np.ndarray, z: np.ndarray) -> SmoothFunction:
     ``hess`` use ``H`` itself; mu = lambda_min(H), L = lambda_max(H), L_H = 0.
     """
     H = np.array(H, dtype=float)
-    z = np.asarray(z, dtype=float)
+    z = np.array(z, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise InvalidArgumentError(f"H must be square, got shape {H.shape}")
     if H.shape[0] != z.shape[0]:
@@ -69,7 +75,7 @@ def quadratic_from_hessian(H: np.ndarray, z: np.ndarray) -> SmoothFunction:
     def hess(x):
         return H
 
-    return SmoothFunction(
+    f = SmoothFunction(
         dim=z.shape[0],
         value=value,
         grad=grad,
@@ -79,6 +85,8 @@ def quadratic_from_hessian(H: np.ndarray, z: np.ndarray) -> SmoothFunction:
         L_H=0.0,
         minimizer_hint=z.copy(),
     )
+    object.__setattr__(f, "family", (H, 0.0))
+    return f
 
 
 def make_quadratic(A: np.ndarray, z: np.ndarray) -> SmoothFunction:
@@ -124,7 +132,7 @@ def make_log_cosh_quadratic(H: np.ndarray, z: np.ndarray, c: float) -> SmoothFun
             sech2 = 1.0 / np.cosh(np.asarray(x, dtype=float) - z) ** 2
         return base.hess(x) + c * np.diag(sech2)
 
-    return SmoothFunction(
+    f = SmoothFunction(
         dim=base.dim,
         value=value,
         grad=grad,
@@ -134,6 +142,8 @@ def make_log_cosh_quadratic(H: np.ndarray, z: np.ndarray, c: float) -> SmoothFun
         L_H=c * LOG_COSH_HESS_LIPSCHITZ,
         minimizer_hint=z.copy(),
     )
+    object.__setattr__(f, "family", (base.family[0], float(c)))
+    return f
 
 
 # Non-quadratic families referenced by problem files, called with the
@@ -153,7 +163,15 @@ def norm_1_2(M: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ObjectiveSet:
-    """The n objectives with their shared constant bundle and exact minimizer hints."""
+    """The n objectives with their shared constant bundle and exact minimizer hints.
+
+    When every objective records its ``family``, ``hessians`` stacks the
+    (n, d, d) H_i and ``log_cosh`` the (n,) c_i (None when every c_i is 0),
+    and the values, gradients and Hessians of all objectives are array
+    expressions in x - minimizers.  Otherwise both are None and each
+    objective is called in turn.  The stacked gradients keep the centred
+    form H_i (x - z_i) and round exactly as each objective's own ``grad``.
+    """
 
     objectives: tuple
     mu: float
@@ -161,6 +179,8 @@ class ObjectiveSet:
     L_H: float
     minimizers: np.ndarray  # (n, d)
     r: float
+    hessians: Optional[np.ndarray] = None
+    log_cosh: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
@@ -174,9 +194,39 @@ class ObjectiveSet:
     def kappa(self) -> float:
         return self.L / self.mu
 
+    def _values(self, x: np.ndarray) -> np.ndarray:
+        """(n,) values f_i(x)."""
+        if self.hessians is None:
+            return np.array([f.value(x) for f in self.objectives])
+        D = np.asarray(x, dtype=float) - self.minimizers
+        v = 0.5 * np.matmul(D[:, None, :], np.matmul(self.hessians, D[:, :, None]))[:, 0, 0]
+        if self.log_cosh is not None:
+            v += self.log_cosh * _log_cosh(D).sum(axis=1)
+        return v
+
+    def _gradients(self, x: np.ndarray) -> np.ndarray:
+        """(n, d) rows grad f_i(x); the matmul rounds as each H_i @ (x - z_i) does."""
+        if self.hessians is None:
+            return np.array([f.grad(x) for f in self.objectives])
+        D = np.asarray(x, dtype=float) - self.minimizers
+        G = np.matmul(self.hessians, D[:, :, None])[:, :, 0]
+        if self.log_cosh is not None:
+            G += self.log_cosh[:, None] * np.tanh(D)
+        return G
+
+    def _hessians(self, x: np.ndarray) -> np.ndarray:
+        """(n, d, d) Hessians of f_i at x."""
+        if self.hessians is None:
+            return np.array([f.hess(x) for f in self.objectives])
+        if self.log_cosh is None:
+            return self.hessians
+        with np.errstate(over="ignore"):  # cosh overflows past |t| ~ 710, its square past ~355
+            sech2 = 1.0 / np.cosh(np.asarray(x, dtype=float) - self.minimizers) ** 2
+        return self.hessians + self.log_cosh[:, None, None] * (sech2[:, :, None] * np.eye(self.dim))
+
     def jacobian_T(self, x: np.ndarray) -> np.ndarray:
-        """Transposed objective Jacobian: d x n matrix with columns grad f_i(x)."""
-        return np.column_stack([f.grad(x) for f in self.objectives])
+        """Transposed objective Jacobian: C-contiguous d x n matrix with columns grad f_i(x)."""
+        return np.ascontiguousarray(self._gradients(x).T)
 
     @classmethod
     def from_objectives(cls, objectives: Sequence[SmoothFunction]) -> "ObjectiveSet":
@@ -200,8 +250,22 @@ class ObjectiveSet:
                 raise ConfigurationError(f"objective {i}: minimizer_hint is not its minimizer")
         minimizers = np.array([f.minimizer_hint for f in objectives])
         minimizers.setflags(write=False)
-        r = max(float(np.linalg.norm(a - b)) for a in minimizers for b in minimizers)
-        return cls(objectives=objectives, mu=mu, L=L, L_H=L_H, minimizers=minimizers, r=r)
+        # sqrt of the batched dot products rounds as np.linalg.norm(a - b) does
+        r = 0.0
+        for a in minimizers:
+            D = minimizers - a
+            r = max(r, float(np.sqrt(np.matmul(D[:, None, :], D[:, :, None]).max())))
+        hessians = log_cosh = None
+        if all(f.family is not None for f in objectives):
+            hessians = np.array([f.family[0] for f in objectives])
+            hessians.setflags(write=False)
+            c = np.array([f.family[1] for f in objectives])
+            c.setflags(write=False)
+            log_cosh = c if c.any() else None
+        return cls(
+            objectives=objectives, mu=mu, L=L, L_H=L_H, minimizers=minimizers, r=r,
+            hessians=hessians, log_cosh=log_cosh,
+        )
 
 
 @dataclass(frozen=True)
@@ -256,26 +320,26 @@ class ProblemInstance:
 
 
 def scalarize(F: ObjectiveSet, beta) -> SmoothFunction:
-    """Convex combination sum_i beta_i f_i with the bundle constants of F."""
+    """Convex combination sum_i beta_i f_i with the bundle constants of F.
+
+    ``value``, ``grad`` and ``hess`` weight the set's stacked evaluations
+    of all objectives at once.  ``grad`` adds the weighted gradients in
+    objective order, so it rounds exactly as the running sum
+    sum_i beta_i grad f_i(x); ``value`` and ``hess`` are one contraction
+    each and agree with that sum to rounding.
+    """
     w = np.asarray(getattr(beta, "weights", beta), dtype=float)
     if w.shape != (F.n,):
         raise InvalidArgumentError(f"beta has {w.shape} weights, expected ({F.n},)")
-    objectives = F.objectives
 
     def value(x):
-        return float(sum(wi * f.value(x) for wi, f in zip(w, objectives)))
+        return float(w @ F._values(x))
 
     def grad(x):
-        g = np.zeros(F.dim)
-        for wi, f in zip(w, objectives):
-            g += wi * f.grad(x)
-        return g
+        return np.cumsum(w[:, None] * F._gradients(x), axis=0)[-1]
 
     def hess(x):
-        H = np.zeros((F.dim, F.dim))
-        for wi, f in zip(w, objectives):
-            H += wi * f.hess(x)
-        return H
+        return (w @ F._hessians(x).reshape(F.n, -1)).reshape(F.dim, F.dim)
 
     return SmoothFunction(
         dim=F.dim,

@@ -1,7 +1,10 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paretomm import (
     ConfigurationError,
@@ -9,15 +12,26 @@ from paretomm import (
     ObjectiveSet,
     ProblemInstance,
     SimplexPoint,
+    SmoothFunction,
+    SolverConfig,
     derive_constants,
     make_log_cosh_quadratic,
     make_quadratic,
     norm_1_2,
+    pmm_solve,
     quadratic_from_hessian,
     scalarize,
     solve_x_star,
 )
+from paretomm.problem_io import (
+    identity_pair_spec,
+    png_counterexample_spec,
+    problem_from_spec,
+    triangle_spec,
+)
 from conftest import random_quadratic_problem, random_spd
+
+EPS = np.finfo(float).eps
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -196,6 +210,138 @@ class TestObjectiveSet:
         ]
         diam = max(np.linalg.norm(a - b) for a in xs for b in xs)
         assert diam <= problem.bundle.R_bound + 1e-8
+
+
+def _loop_evaluation(F, w, x):
+    """value, grad and hess of sum_i w_i f_i and the transposed Jacobian, one call per objective."""
+    value = float(sum(wi * f.value(x) for wi, f in zip(w, F.objectives)))
+    g = np.zeros(F.dim)
+    H = np.zeros((F.dim, F.dim))
+    for wi, f in zip(w, F.objectives):
+        g += wi * f.grad(x)
+        H += wi * f.hess(x)
+    return value, g, H, np.column_stack([f.grad(x) for f in F.objectives])
+
+
+def _log_cosh_entry(H, z, c):
+    params = {"H": np.asarray(H, float).tolist(), "z": list(z), "c": c}
+    return {"kind": "builtin", "name": "log_cosh_quadratic", "params": params}
+
+
+def _raise(x):
+    raise AssertionError("an objective of a stacked set was called")
+
+
+class TestStackedEvaluation:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(1, 8),
+        n=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["quadratic", "log-cosh", "mixed"]),
+        shift=st.sampled_from([0.0, 1e5, 1e10]),
+        far=st.booleans(),
+    )
+    def test_matches_the_per_objective_loop(self, d, n, seed, kind, shift, far):
+        rng = np.random.default_rng(seed)
+        objectives = []
+        for _ in range(n):
+            H, z = random_spd(rng, d, eig_range=(0.1, 10.0)), rng.normal(size=d) + shift
+            c = {"quadratic": 0.0, "log-cosh": rng.uniform(0.1, 2.0), "mixed": rng.choice([0.0, 1.0])}[kind]
+            objectives.append(make_log_cosh_quadratic(H, z, c) if c else quadratic_from_hessian(H, z))
+        F = ObjectiveSet.from_objectives(objectives)
+        assert F.hessians is not None
+        assert F.r == max(float(np.linalg.norm(a - b)) for a in F.minimizers for b in F.minimizers)
+        # far: |x_j - z_ij| > 400 in every coordinate, where cosh(x - z)^2 overflows
+        offset = rng.choice([-1.0, 1.0], size=d) * rng.uniform(400.0, 2000.0, size=d)
+        x = F.minimizers.mean(axis=0) + (offset if far else rng.normal(size=d))
+        w = rng.dirichlet(np.ones(n))
+        f = scalarize(F, w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, g, H, JT = f.value(x), f.grad(x), f.hess(x), F.jacobian_T(x)
+            ref_value, ref_g, ref_H, ref_JT = _loop_evaluation(F, w, x)
+        np.testing.assert_array_equal(g, ref_g)
+        np.testing.assert_array_equal(JT, ref_JT)
+        assert JT.flags.c_contiguous
+        assert np.isfinite(H).all()
+        values = np.array([fi.value(x) for fi in objectives])
+        assert abs(value - ref_value) <= 4 * n * EPS * float(w @ np.abs(values))
+        H_scale = sum(wi * np.abs(fi.hess(x)) for wi, fi in zip(w, objectives))
+        assert np.all(np.abs(H - ref_H) <= 4 * n * EPS * H_scale)
+
+    @pytest.mark.parametrize("spec", [triangle_spec, png_counterexample_spec, identity_pair_spec])
+    def test_r_is_the_pairwise_norm_on_the_presets(self, spec):
+        F = problem_from_spec(spec()).F
+        assert F.r == max(float(np.linalg.norm(a - b)) for a in F.minimizers for b in F.minimizers)
+
+    def test_loader_sets_record_their_families(self):
+        quadratic = problem_from_spec(triangle_spec()).F
+        assert quadratic.log_cosh is None
+        for H, f in zip(quadratic.hessians, quadratic.objectives):
+            np.testing.assert_array_equal(H, f.hess(f.minimizer_hint))
+        spec = triangle_spec()
+        entries = spec["objectives"]
+        entries[0] = _log_cosh_entry(entries[0]["H"], entries[0]["z"], 0.5)
+        mixed = problem_from_spec(spec).F
+        np.testing.assert_array_equal(mixed.log_cosh, [0.5, 0.0, 0.0])
+        np.testing.assert_array_equal(mixed.hessians, quadratic.hessians)
+
+    @pytest.mark.parametrize("c", [0.0, 1.0], ids=["quadratic", "log-cosh"])
+    def test_stacked_solve_calls_no_objective(self, c):
+        # a silent fall back to the per-objective loop would call the poisoned objectives
+        spec = triangle_spec()
+        spec["objectives"] = [_log_cosh_entry(e["H"], e["z"], c) for e in spec["objectives"]]
+        problem = problem_from_spec(spec)
+        poisoned = tuple(
+            dataclasses.replace(f, value=_raise, grad=_raise, hess=_raise) for f in problem.F.objectives
+        )
+        F = dataclasses.replace(problem.F, objectives=poisoned)
+        config = SolverConfig(eps0=1e-3, eps=1e-6)
+        result = pmm_solve(dataclasses.replace(problem, F=F), config)
+        assert result.status == "certified"
+        reference = pmm_solve(problem, config)
+        np.testing.assert_array_equal(result.point.x, reference.point.x)
+
+    def test_hand_written_objective_takes_the_loop(self):
+        problem = problem_from_spec(triangle_spec())
+        calls = []
+
+        def counted(fn):
+            def call(x):
+                calls.append(x)
+                return fn(x)
+
+            return call
+
+        f = problem.F.objectives[1]
+        hand = SmoothFunction(
+            dim=f.dim,
+            value=counted(f.value),
+            grad=counted(f.grad),
+            hess=counted(f.hess),
+            mu=f.mu,
+            L=f.L,
+            L_H=f.L_H,
+            minimizer_hint=f.minimizer_hint,
+        )
+        objectives = list(problem.F.objectives)
+        objectives[1] = hand
+        F = ObjectiveSet.from_objectives(objectives)
+        assert F.hessians is None and F.log_cosh is None
+        config = SolverConfig(eps0=1e-3, eps=1e-6)
+        looped = pmm_solve(ProblemInstance.create(F, problem.f0), config)
+        stacked = pmm_solve(problem, config)
+        assert calls
+        assert looped.status == stacked.status == "certified"
+        assert len(looped.trace) == len(stacked.trace)
+        np.testing.assert_array_equal(looped.point.beta.weights, stacked.point.beta.weights)
+        np.testing.assert_array_equal(looped.point.x, stacked.point.x)
+
+    def test_replaced_copy_drops_the_family(self):
+        f = make_log_cosh_quadratic(np.eye(2), E1, 1.0)
+        assert f.family[1] == 1.0
+        assert dataclasses.replace(f, minimizer_hint=E1 + 5e-11).family is None
 
 
 class TestDeriveConstants:
