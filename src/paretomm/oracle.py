@@ -8,14 +8,16 @@ the outer loop, its surrogate or its certificate.  Lattice search solves
 x*(beta) with the solver's own Newton ``solve_x_star``, to a gradient
 tolerance of 1e-12 scaled up by the problem's smoothness constant and
 minimizer magnitude; that tolerance sits above the rounding floor.  When
-the objective set stacks every objective as a quadratic centred at its
-minimizer hint z_i (``ObjectiveSet.hessians`` with no log-cosh weight),
-so f_i(x) = f_i(z_i) + 0.5 (x - z_i)^T H_i (x - z_i), lattice search
-instead solves
+the objective set stacks every objective as a built-in quadratic
+f_i(x) = 0.5 (x - z_i)^T H_i (x - z_i) (``ObjectiveSet.family`` with no
+log-cosh weight), lattice search instead solves
 (sum_i beta_i H_i) x = sum_i beta_i H_i z_i directly, one batched linear
 solve per block of lattice points, and hands every point whose scalarized
 gradient norm misses that tolerance back to Newton, warm-started at the
 previous point.  So the contract is "Newton at that tolerance" either way.
+A built-in quadratic preference (``family_of``) is then evaluated by one
+einsum per block.  Hand-written functions, and copies whose callables or
+minimizer hint were replaced, are always evaluated as they are.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError, SizeLimitError
 from .manifold import solve_x_star
-from .problem import ObjectiveSet, ProblemInstance, SmoothFunction
+from .problem import Family, ObjectiveSet, ProblemInstance, SmoothFunction, family_of
 from .simplex import SimplexPoint, min_norm_over_simplex
 
 _LATTICE_LIMIT = 10**7
@@ -96,35 +98,14 @@ def simplex_lattice(m: int, n: int) -> np.ndarray:
     return next(_lattice_blocks(m, n, lattice_size(m, n)))
 
 
-def _quadratic(f: SmoothFunction) -> Optional[tuple]:
-    """(H, z) with f(x) = f(z) + 0.5 (x - z)^T H (x - z), or None.
-
-    None unless f declares L_H == 0, the contract for a constant Hessian,
-    and has a minimizer hint z at which its gradient vanishes exactly.  The
-    models built from (H, z) cannot see an off-centre hint, so a function
-    with one is evaluated as it is, by Newton and ``f.value``.
-    """
-    z = f.minimizer_hint
-    if f.L_H != 0 or z is None or np.any(f.grad(z) != 0):
-        return None
-    return f.hess(z), z
-
-
-def _stacked_quadratics(F: ObjectiveSet) -> Optional[tuple]:
-    """(H, z, rhs): the set's stacked (n, d, d) Hessians, (n, d) minimizers and rhs_i = H_i z_i.
-
-    None unless F stacks its objectives with every log-cosh weight 0 (see
-    ``ObjectiveSet``), so that grad f_i(x) = H_i (x - z_i).
-    """
-    if F.hessians is None or F.log_cosh is not None:
-        return None
-    with np.errstate(all="ignore"):
-        return F.hessians, F.minimizers, np.einsum("ijk,ik->ij", F.hessians, F.minimizers)
+def _quadratic(family: Optional[Family]) -> Optional[Family]:
+    """``family`` when it is a quadratic one (no log-cosh weight), else None."""
+    return family if family is not None and family.c is None else None
 
 
 def _x_star_rows(
     F: ObjectiveSet,
-    quad: Optional[tuple],
+    quad: Optional[Family],
     W: np.ndarray,
     A: np.ndarray,
     tol: float,
@@ -133,8 +114,8 @@ def _x_star_rows(
     """x*(beta) for each row of the weight matrix W, as an (len(W), d) array.
 
     Row i of W is ``SimplexPoint(A[i]).weights``.  For a quadratic set
-    (``quad`` from ``_stacked_quadratics``) one batched linear solve gives
-    every row.  A row whose scalarized gradient norm is not <= tol (NaN
+    (``quad`` its stacked ``F.family``) one batched linear solve gives every
+    row.  A row whose scalarized gradient norm is not <= tol (NaN
     included), every row of a block whose solve is singular and every row
     of a non-quadratic set (``quad`` None) is re-solved in order by
     ``solve_x_star(F, SimplexPoint(A[i]), tol)``, warm-started at the
@@ -143,8 +124,9 @@ def _x_star_rows(
     X = np.full((len(W), F.dim), np.nan)
     residual = np.full(len(W), np.nan)
     if quad is not None:
-        H, z, rhs = quad
+        H, z = quad.H, quad.z
         with np.errstate(all="ignore"):
+            rhs = np.einsum("ijk,ik->ij", H, z)
             try:
                 X = np.linalg.solve(np.einsum("bi,ijk->bjk", W, H), (W @ rhs)[..., None])[..., 0]
             except np.linalg.LinAlgError:
@@ -158,17 +140,16 @@ def _x_star_rows(
 
 
 def _preference_values(f0: SmoothFunction, X: np.ndarray, batched: bool) -> np.ndarray:
-    """f0 at each row of X; one einsum when ``batched`` and ``_quadratic`` reads f0.
+    """f0 at each row of X; one einsum when ``batched`` and f0 is a quadratic ``Family``.
 
     Without ``batched`` every row is ``f0.value``, as in the Newton loop.
     """
-    quad = _quadratic(f0) if batched else None
+    quad = _quadratic(family_of(f0)) if batched else None
     if quad is None:
         return np.array([f0.value(x) for x in X])
-    P, z0 = quad
-    D = X - z0
+    D = X - quad.z
     with np.errstate(all="ignore"):
-        return f0.value(z0) + 0.5 * np.einsum("bi,bi->b", D, D @ P.T)
+        return 0.5 * np.einsum("bi,bi->b", D, D @ quad.H.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +187,7 @@ def grid_search_preference_opt(
     total = lattice_size(resolution, n)
     if total > _LATTICE_LIMIT:
         raise SizeLimitError(f"lattice has {total} points, above the {_LATTICE_LIMIT} cap")
-    quad = _stacked_quadratics(F)
+    quad = _quadratic(F.family)
     tol = _newton_tolerance(F)
     best = (np.inf, None, None)
     f_min, f_max = np.inf, -np.inf
@@ -244,26 +225,25 @@ def grid_search_preference_opt(
 def shared_hessian_optimum(problem: ProblemInstance):
     """Exact global minimum of f0(x*(beta)) over the simplex, for any n.
 
-    Needs objectives that ``_stacked_quadratics`` reads and whose Hessians
-    agree with the first to 1e-10 relative, so x*(beta) = Z^T beta with Z the
-    stacked centres, and a preference that ``_quadratic`` reads as
-    (P, z0) with P = L L^T.  Since the weights sum to one,
-    f0(x*(beta)) = f0(z0) + 0.5 ||L^T (Z^T - z0 1^T) beta||^2, whose minimum
-    over the simplex is one ``min_norm_over_simplex`` solve.  Returns
-    ``(SimplexPoint, f*)``; raises ``InvalidArgumentError`` on any other
-    problem.
+    Needs a stacked quadratic objective set (``F.family`` with no log-cosh
+    weight) whose Hessians agree with the first to 1e-10 relative, so
+    x*(beta) = Z^T beta with Z the stacked centres, and a quadratic
+    preference family 0.5 (x - z0)^T P (x - z0) with P = L L^T.  Since the
+    weights sum to one, f0(x*(beta)) = 0.5 ||L^T (Z^T - z0 1^T) beta||^2,
+    whose minimum over the simplex is one ``min_norm_over_simplex`` solve.
+    Returns ``(SimplexPoint, f*)``; raises ``InvalidArgumentError`` on any
+    other problem.
     """
-    quad = _stacked_quadratics(problem.F)
+    quad = _quadratic(problem.F.family)
     if quad is None:
         raise InvalidArgumentError("objectives are not all quadratics")
-    H, Z, _ = quad
+    H = quad.H
     if np.max(np.abs(H - H[0])) > 1e-10 * max(1.0, float(np.abs(H[0]).max())):
         raise InvalidArgumentError("objectives do not share a Hessian")
-    preference = _quadratic(problem.f0)
+    preference = _quadratic(family_of(problem.f0))
     if preference is None:
         raise InvalidArgumentError("needs a quadratic preference")
-    P, z0 = preference
-    eigs, V = np.linalg.eigh(P)
+    eigs, V = np.linalg.eigh(preference.H)
     LT = np.sqrt(np.maximum(eigs, 0.0))[:, None] * V.T
-    beta, norm = min_norm_over_simplex(LT @ (Z - z0).T)
-    return beta, problem.f0.value(z0) + 0.5 * norm**2
+    beta, norm = min_norm_over_simplex(LT @ (quad.z - preference.z).T)
+    return beta, 0.5 * norm**2

@@ -381,9 +381,11 @@ def pmm_solve(
     above its target; the run continues from that point and the certificate
     judges it like any other.  A residual rounding floor above eps, which
     no point can get under, raises ``NumericalFailureError``; so does a
-    stall, 5 consecutive steps whose new point has a residual above eps
-    while f0 moves by no more than the anchor's rounding slack, and so do
-    the other numerical failures of the sub-solvers.
+    point whose residual and gap legs pass while that floor alone puts the
+    err bound above (1 - alpha) * eps0; so does a stall, 5 consecutive
+    steps whose new point has a residual above eps while f0 moves by no
+    more than the anchor's rounding slack; and so do the other numerical
+    failures of the sub-solvers.
     """
     F = problem.F
     x0, beta0 = (None, SimplexPoint.uniform(F.n)) if init is None else init
@@ -432,6 +434,15 @@ def pmm_solve(
         if surrogate.residual_floor > config.eps:
             floor = surrogate.residual_floor
             raise NumericalFailureError(f"eps is below the residual's rounding floor {floor:.3e}")
+        if cert.residual <= cert.eps and cert.gap <= cert.gap_budget:
+            err_floor = err_grad_f0(
+                problem, point.x, point.beta, surrogate.grad_f0_norm, surrogate.residual_floor
+            )
+            if err_floor > cert.err_budget:
+                raise NumericalFailureError(
+                    f"the err bound's rounding floor {err_floor:.3e} is above its budget "
+                    f"{cert.err_budget:.3e}"
+                )
         f0_anchor = f0_value
         start = _start_curvature(surrogate, previous, curvature)
         point, f0_value, curvature, trials, slack = _outer_step(

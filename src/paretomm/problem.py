@@ -8,7 +8,7 @@ Lipschitz constant L0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -20,6 +20,45 @@ LOG_COSH_HESS_LIPSCHITZ = 4.0 / (3.0 * np.sqrt(3.0))
 
 
 @dataclass(frozen=True, eq=False)
+class Family:
+    """f(x) = 0.5 (x - z)^T H (x - z) + c * sum_i log cosh(x_i - z_i), minimized at z with f(z) = 0.
+
+    A built-in function holds H (d, d), z (d,) and a 0-d c; an objective
+    set stacks n of them as H (n, d, d), z (n, d) and c (n,).  ``c`` is None
+    when every weight is 0: a quadratic.  ``values``, ``gradients`` and
+    ``hessians`` broadcast over that leading stack axis.  The gradient keeps
+    the centred form H (x - z), whose matrix-vector product rounds the same
+    stacked or not.
+    """
+
+    H: np.ndarray
+    z: np.ndarray
+    c: Optional[np.ndarray] = None
+
+    def values(self, x: np.ndarray):
+        D = np.asarray(x, dtype=float) - self.z
+        v = 0.5 * np.matmul(D[..., None, :], np.matmul(self.H, D[..., None]))[..., 0, 0]
+        if self.c is not None:  # log cosh(t) = |t| + log1p(exp(-2|t|)) - log 2, stable for large |t|
+            a = np.abs(D)
+            v = v + self.c * (a + np.log1p(np.exp(-2.0 * a)) - np.log(2.0)).sum(axis=-1)
+        return v
+
+    def gradients(self, x: np.ndarray) -> np.ndarray:
+        D = np.asarray(x, dtype=float) - self.z
+        G = np.matmul(self.H, D[..., None])[..., 0]
+        if self.c is not None:
+            G = G + self.c[..., None] * np.tanh(D)
+        return G
+
+    def hessians(self, x: np.ndarray) -> np.ndarray:
+        if self.c is None:
+            return self.H
+        with np.errstate(over="ignore"):  # cosh overflows past |t| ~ 710, its square past ~355
+            sech2 = 1.0 / np.cosh(np.asarray(x, dtype=float) - self.z) ** 2
+        return self.H + self.c[..., None, None] * (sech2[..., :, None] * np.eye(self.H.shape[-1]))
+
+
+@dataclass(frozen=True, eq=False)
 class SmoothFunction:
     """Twice-differentiable scalar function on R^d with declared constants.
 
@@ -28,11 +67,10 @@ class SmoothFunction:
     constants are trusted (analytic families compute them exactly) and only
     spot-checked by the test suite.  ``minimizer_hint`` is the exact minimizer
     of an objective, and the Newton warm start of a scalarization.
-    ``family`` is ``(H, c)`` when the function is exactly
-    0.5 (x - z)^T H (x - z) + c * sum_i log cosh(x_i - z_i) with z the
-    minimizer hint, as the built-in families record it; ``ObjectiveSet``
-    evaluates such objectives as stacked arrays.  It is not an ``__init__``
-    field, so ``dataclasses.replace`` drops it from the copy.
+    ``family`` is the ``Family`` whose methods a built-in function's
+    ``value``, ``grad`` and ``hess`` are; ``family_of`` reads it only while
+    they still are and the hint is still its centre z, so a
+    ``dataclasses.replace`` copy that swaps either is evaluated as it is.
     """
 
     dim: int
@@ -43,7 +81,15 @@ class SmoothFunction:
     L: Optional[float] = None
     L_H: Optional[float] = None
     minimizer_hint: Optional[np.ndarray] = None
-    family: Optional[tuple] = field(default=None, init=False)
+    family: Optional[Family] = None
+
+
+def family_of(f: SmoothFunction) -> Optional[Family]:
+    """``f.family`` while f evaluates by it and is hinted at its centre z, else None."""
+    fam = f.family
+    if fam is None or (f.value, f.grad, f.hess) != (fam.values, fam.gradients, fam.hessians):
+        return None
+    return fam if np.array_equal(f.minimizer_hint, fam.z) else None
 
 
 def quadratic_from_hessian(H: np.ndarray, z: np.ndarray) -> SmoothFunction:
@@ -53,40 +99,7 @@ def quadratic_from_hessian(H: np.ndarray, z: np.ndarray) -> SmoothFunction:
     positive definite: lambda_min(H) > 1e-24 * lambda_max(H).  ``grad`` and
     ``hess`` use ``H`` itself; mu = lambda_min(H), L = lambda_max(H), L_H = 0.
     """
-    H = np.array(H, dtype=float)
-    z = np.array(z, dtype=float)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise InvalidArgumentError(f"H must be square, got shape {H.shape}")
-    if H.shape[0] != z.shape[0]:
-        raise InvalidArgumentError("H and z dimensions disagree")
-    if not np.allclose(H, H.T, atol=1e-12 * max(1.0, np.abs(H).max())):
-        raise InvalidArgumentError("H must be symmetric")
-    eigs = np.linalg.eigvalsh(H)
-    if not eigs[0] > 1e-24 * eigs[-1]:
-        raise InvalidArgumentError("H is not positive definite")
-
-    def value(x):
-        d = np.asarray(x, dtype=float) - z
-        return 0.5 * float(d @ (H @ d))
-
-    def grad(x):
-        return H @ (np.asarray(x, dtype=float) - z)
-
-    def hess(x):
-        return H
-
-    f = SmoothFunction(
-        dim=z.shape[0],
-        value=value,
-        grad=grad,
-        hess=hess,
-        mu=float(eigs[0]),
-        L=float(eigs[-1]),
-        L_H=0.0,
-        minimizer_hint=z.copy(),
-    )
-    object.__setattr__(f, "family", (H, 0.0))
-    return f
+    return make_log_cosh_quadratic(H, z, 0.0)
 
 
 def make_quadratic(A: np.ndarray, z: np.ndarray) -> SmoothFunction:
@@ -103,47 +116,39 @@ def make_quadratic(A: np.ndarray, z: np.ndarray) -> SmoothFunction:
     return quadratic_from_hessian(A.T @ A, z)
 
 
-def _log_cosh(t: np.ndarray) -> np.ndarray:
-    # log cosh(t) = |t| + log1p(exp(-2|t|)) - log 2, stable for large |t|
-    a = np.abs(t)
-    return a + np.log1p(np.exp(-2.0 * a)) - np.log(2.0)
-
-
 def make_log_cosh_quadratic(H: np.ndarray, z: np.ndarray, c: float) -> SmoothFunction:
     """Quadratic plus c * sum_i log cosh(x_i - z_i); still minimized at z.
 
+    ``H`` and ``z`` are checked as in ``quadratic_from_hessian``, and c >= 0.
     The perturbation is convex with Hessian diag(sech^2), so
     mu = lambda_min(H), L = lambda_max(H) + c, and the Hessian is Lipschitz
     with constant c * 4/(3*sqrt(3)).
     """
     if c < 0:
         raise InvalidArgumentError("c must be nonnegative")
-    base = quadratic_from_hessian(H, z)
-    z = base.minimizer_hint
-
-    def value(x):
-        return base.value(x) + c * float(np.sum(_log_cosh(np.asarray(x, dtype=float) - z)))
-
-    def grad(x):
-        return base.grad(x) + c * np.tanh(np.asarray(x, dtype=float) - z)
-
-    def hess(x):
-        with np.errstate(over="ignore"):  # cosh overflows past |t| ~ 710, its square past ~355
-            sech2 = 1.0 / np.cosh(np.asarray(x, dtype=float) - z) ** 2
-        return base.hess(x) + c * np.diag(sech2)
-
-    f = SmoothFunction(
-        dim=base.dim,
-        value=value,
-        grad=grad,
-        hess=hess,
-        mu=base.mu,
-        L=base.L + c,
+    H = np.array(H, dtype=float)
+    z = np.array(z, dtype=float)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise InvalidArgumentError(f"H must be square, got shape {H.shape}")
+    if H.shape[0] != z.shape[0]:
+        raise InvalidArgumentError("H and z dimensions disagree")
+    if not np.allclose(H, H.T, atol=1e-12 * max(1.0, np.abs(H).max())):
+        raise InvalidArgumentError("H must be symmetric")
+    eigs = np.linalg.eigvalsh(H)
+    if not eigs[0] > 1e-24 * eigs[-1]:
+        raise InvalidArgumentError("H is not positive definite")
+    family = Family(H, z, np.array(float(c)) if c else None)
+    return SmoothFunction(
+        dim=z.shape[0],
+        value=family.values,
+        grad=family.gradients,
+        hess=family.hessians,
+        mu=float(eigs[0]),
+        L=float(eigs[-1]) + c,
         L_H=c * LOG_COSH_HESS_LIPSCHITZ,
         minimizer_hint=z.copy(),
+        family=family,
     )
-    object.__setattr__(f, "family", (base.family[0], float(c)))
-    return f
 
 
 # Non-quadratic families referenced by problem files, called with the
@@ -165,12 +170,11 @@ def norm_1_2(M: np.ndarray) -> float:
 class ObjectiveSet:
     """The n objectives with their shared constant bundle and exact minimizer hints.
 
-    When every objective records its ``family``, ``hessians`` stacks the
-    (n, d, d) H_i and ``log_cosh`` the (n,) c_i (None when every c_i is 0),
-    and the values, gradients and Hessians of all objectives are array
-    expressions in x - minimizers.  Otherwise both are None and each
-    objective is called in turn.  The stacked gradients keep the centred
-    form H_i (x - z_i) and round exactly as each objective's own ``grad``.
+    When ``family_of`` reads every objective, ``family`` stacks them (see
+    ``Family``, with z the minimizers), and the values, gradients and
+    Hessians of all objectives are array expressions in x - minimizers.
+    Otherwise it is None and each objective is called in turn.  The stacked
+    gradients round exactly as each objective's own ``grad``.
     """
 
     objectives: tuple
@@ -179,8 +183,7 @@ class ObjectiveSet:
     L_H: float
     minimizers: np.ndarray  # (n, d)
     r: float
-    hessians: Optional[np.ndarray] = None
-    log_cosh: Optional[np.ndarray] = None
+    family: Optional[Family] = None
 
     @property
     def n(self) -> int:
@@ -196,33 +199,21 @@ class ObjectiveSet:
 
     def _values(self, x: np.ndarray) -> np.ndarray:
         """(n,) values f_i(x)."""
-        if self.hessians is None:
+        if self.family is None:
             return np.array([f.value(x) for f in self.objectives])
-        D = np.asarray(x, dtype=float) - self.minimizers
-        v = 0.5 * np.matmul(D[:, None, :], np.matmul(self.hessians, D[:, :, None]))[:, 0, 0]
-        if self.log_cosh is not None:
-            v += self.log_cosh * _log_cosh(D).sum(axis=1)
-        return v
+        return self.family.values(x)
 
     def _gradients(self, x: np.ndarray) -> np.ndarray:
-        """(n, d) rows grad f_i(x); the matmul rounds as each H_i @ (x - z_i) does."""
-        if self.hessians is None:
+        """(n, d) rows grad f_i(x)."""
+        if self.family is None:
             return np.array([f.grad(x) for f in self.objectives])
-        D = np.asarray(x, dtype=float) - self.minimizers
-        G = np.matmul(self.hessians, D[:, :, None])[:, :, 0]
-        if self.log_cosh is not None:
-            G += self.log_cosh[:, None] * np.tanh(D)
-        return G
+        return self.family.gradients(x)
 
     def _hessians(self, x: np.ndarray) -> np.ndarray:
         """(n, d, d) Hessians of f_i at x."""
-        if self.hessians is None:
+        if self.family is None:
             return np.array([f.hess(x) for f in self.objectives])
-        if self.log_cosh is None:
-            return self.hessians
-        with np.errstate(over="ignore"):  # cosh overflows past |t| ~ 710, its square past ~355
-            sech2 = 1.0 / np.cosh(np.asarray(x, dtype=float) - self.minimizers) ** 2
-        return self.hessians + self.log_cosh[:, None, None] * (sech2[:, :, None] * np.eye(self.dim))
+        return self.family.hessians(x)
 
     def jacobian_T(self, x: np.ndarray) -> np.ndarray:
         """Transposed objective Jacobian: C-contiguous d x n matrix with columns grad f_i(x)."""
@@ -252,19 +243,20 @@ class ObjectiveSet:
         minimizers.setflags(write=False)
         # sqrt of the batched dot products rounds as np.linalg.norm(a - b) does
         r = 0.0
-        for a in minimizers:
-            D = minimizers - a
-            r = max(r, float(np.sqrt(np.matmul(D[:, None, :], D[:, :, None]).max())))
-        hessians = log_cosh = None
-        if all(f.family is not None for f in objectives):
-            hessians = np.array([f.family[0] for f in objectives])
-            hessians.setflags(write=False)
-            c = np.array([f.family[1] for f in objectives])
+        with np.errstate(over="ignore"):  # centres far apart give r = inf, which the bundle rejects
+            for a in minimizers:
+                D = minimizers - a
+                r = max(r, float(np.sqrt(np.matmul(D[:, None, :], D[:, :, None]).max())))
+        family = None
+        families = [family_of(f) for f in objectives]
+        if all(fam is not None for fam in families):
+            H = np.array([fam.H for fam in families])
+            H.setflags(write=False)
+            c = np.array([0.0 if fam.c is None else fam.c for fam in families])
             c.setflags(write=False)
-            log_cosh = c if c.any() else None
+            family = Family(H, minimizers, c if c.any() else None)
         return cls(
-            objectives=objectives, mu=mu, L=L, L_H=L_H, minimizers=minimizers, r=r,
-            hessians=hessians, log_cosh=log_cosh,
+            objectives=objectives, mu=mu, L=L, L_H=L_H, minimizers=minimizers, r=r, family=family
         )
 
 
@@ -288,15 +280,12 @@ def derive_constants(F: ObjectiveSet, f0: SmoothFunction) -> ConstantBundle:
     """Evaluate the constant formulas; deterministic in the declared inputs."""
     if f0.L is None:
         raise ConfigurationError("preference function is missing its gradient Lipschitz constant")
-    kappa = F.kappa
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            R = np.sqrt(kappa) * F.r
-            M0 = kappa * R
-            M1 = 2.0 * kappa**2 * R * (1.0 + F.L_H * R / F.mu)
-            mu_g = F.n * f0.L * M1
-    except OverflowError as exc:
-        raise InvalidArgumentError(f"constants: the derived bundle overflows ({exc})") from exc
+    kappa = np.float64(F.kappa)  # numpy floats overflow to inf where Python's ** raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = np.sqrt(kappa) * F.r
+        M0 = kappa * R
+        M1 = 2.0 * kappa**2 * R * (1.0 + F.L_H * R / F.mu)
+        mu_g = F.n * f0.L * M1
     if not np.all(np.isfinite([R, M0, M1, mu_g])):
         raise InvalidArgumentError("constants: the derived bundle is not finite")
     return ConstantBundle(R_bound=float(R), M0=float(M0), M1=float(M1), mu_g=float(mu_g))

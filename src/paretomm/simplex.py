@@ -194,14 +194,27 @@ def min_norm_over_simplex(G: np.ndarray):
     ``G`` is d x n.  With y = s * beta >= 0, ||[G; 1^T] y - e_{d+1}||^2 =
     s^2 ||G beta||^2 + (s - 1)^2, whose minimum over s is increasing in
     ||G beta||; so the nonnegative least-squares solution y gives the
-    minimizer beta = y / sum(y) (Lawson and Hanson, ch. 23).  Returns
+    minimizer beta = y / sum(y) (Lawson and Hanson, ch. 23).  When y breaks
+    the lifted problem's KKT condition E^T (E y - e_{d+1}) >= 0 by more
+    than rounding, as ``scipy.optimize.nnls`` can, the bounded-variable
+    solver ``lsq_linear(method="bvls")`` solves it again.  Returns
     ``(SimplexPoint, norm)``.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     if G.shape[1] == 0:
         raise InvalidArgumentError("G must have at least one column")
-    y, _ = _nnls_lift(G, 1.0)
+    y, E = _nnls_lift(G, 1.0)
+    # ndarray.dot, not @: the check runs on every call and dot dispatches faster
+    with np.errstate(all="ignore"):  # huge entries overflow: no finite tolerance, no re-solve
+        kkt = E.dot(y).dot(E).tolist()  # 1 + E^T (E y - e_{d+1}): the last row of E is all ones
+        e = E.ravel()
+        tol = 1e-9 * (1.0 + float(e.dot(e)))
+    if min(kkt) < 1.0 - tol:
+        from scipy.optimize import lsq_linear
+
+        y = lsq_linear(E, np.eye(E.shape[0])[-1], bounds=(0.0, np.inf), method="bvls").x
     if not y.sum() > 0:  # the solve underflows to y = 0 on columns near the float range
         raise NumericalFailureError("min-norm solve lost every weight; G is too large")
     beta = SimplexPoint(y)
-    return beta, float(np.linalg.norm(G @ beta.weights))
+    v = G.dot(beta.weights)
+    return beta, math.sqrt(v.dot(v))  # np.linalg.norm(v) bit for bit, without its overhead

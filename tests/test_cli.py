@@ -102,7 +102,7 @@ class TestSolveCommand:
             ({"constants": {"L_H": -1.0}}, "L_H"),
             ({"constants": {"L0": -1.0}}, "L0"),
             ({"constants": {"L0": NAN}}, "L0"),
-            ({"constants": {"mu": 1e-300}}, "constants"),
+            ({"constants": {"mu": 1e-300}}, "constants: the derived bundle is not finite"),
             ({"dimension": True}, "dimension"),
             ({"objectives": [_quadratic(H_PNG, [NAN, 0.0]), _quadratic(H_PNG, [1.0, 0.0])]},
              "objectives[0].z"),
@@ -197,6 +197,40 @@ class TestSolveCommand:
         out = json.loads(lines[0])
         assert out["status"] == "certified"
         assert abs(out["x"][0] - 100.0) <= 1e-3
+
+    def test_far_apart_centres_print_one_error_line(self, tmp_path):
+        # centres 2e200 apart: r overflows to inf, and the bundle check rejects
+        # it; a real process, since pytest records warnings instead of printing them
+        path = tmp_path / "far.json"
+        objectives = [_quadratic(H_PNG, [-1e200, 0.0]), _quadratic(H_PNG, [1e200, 0.0])]
+        save_problem_spec(str(path), {**png_counterexample_spec(), "objectives": objectives})
+        src = str(Path(paretomm.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "paretomm.cli", "solve", "--problem", str(path),
+             "--eps0", "1e-2", "--eps", "1e-4"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: constants: the derived bundle is not finite\n"
+        assert proc.stdout == ""
+
+    def test_err_floor_above_its_budget_fails(self, tmp_path, capsys):
+        # centres 2e6 apart: the start passes the residual and gap legs, but the
+        # residual's rounding floor (1.8e-9) alone puts err at 0.018, above 0.005
+        spec = {
+            "dimension": 2,
+            "objectives": [_log_cosh(z=[z, 0.0], c=1.0) for z in (1e6, -1e6)],
+            "preference": _quadratic([[1.0, 0.0], [0.0, 1.0]], [0.0, 1.0]),
+        }
+        path = tmp_path / "far.json"
+        save_problem_spec(str(path), spec)
+        code = run_cli("solve", "--problem", path, "--eps0", "1e-2", "--eps", "1e-4",
+                       "--max-outer", "1000")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("failed: the err bound's rounding floor")
+        assert captured.out == ""
 
     def test_directory_as_problem_exits_one(self, tmp_path, capsys):
         code = run_cli("solve", "--problem", tmp_path, "--eps0", "1e-3", "--eps", "1e-6")

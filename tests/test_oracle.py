@@ -21,7 +21,8 @@ from paretomm import (
     tangent_directions,
 )
 from paretomm.oracle import _lattice_blocks, _newton_tolerance, simplex_lattice
-from paretomm.problem_io import problem_from_spec, triangle_spec
+from paretomm.problem import family_of
+from paretomm.problem_io import png_counterexample_spec, problem_from_spec, triangle_spec
 from conftest import random_quadratic_problem, random_spd
 
 E1 = np.array([1.0, 0.0])
@@ -255,6 +256,16 @@ class TestBatchedLattice:
         grid_search_preference_opt(problem_from_spec(spec), 4)
         assert len(newton_calls) == 5
 
+    def test_L0_override_keeps_the_batched_lattice(self, png_instance, newton_calls):
+        # the loader overrides L0 with dataclasses.replace, which keeps f0's family
+        spec = {**png_counterexample_spec(), "constants": {"L0": 2.0}}
+        problem = problem_from_spec(spec)
+        assert problem.f0.L == 2.0 and family_of(problem.f0) is problem.f0.family
+        overridden = grid_search_preference_opt(problem, 50, collect=True)
+        assert newton_calls == []
+        plain = grid_search_preference_opt(png_instance, 50, collect=True)
+        np.testing.assert_array_equal(overridden.rows, plain.rows)
+
     def test_hint_off_centre_takes_newton(self, newton_calls):
         # ObjectiveSet accepts a hint whose gradient is up to 1e-10 L, far above Newton's 1e-12 L;
         # the batched model would take that hint for the centre, so every point goes to Newton
@@ -297,6 +308,13 @@ class TestSharedHessianOptimum:
         assert problem.f0.value(x) == pytest.approx(f_star, rel=1e-12)
         for w in rng.dirichlet(np.ones(6), size=200):
             assert problem.f0.value(w @ problem.F.minimizers) >= f_star - 1e-12
+
+    def test_L0_override_keeps_the_closed_form(self, png_instance):
+        problem = problem_from_spec({**png_counterexample_spec(), "constants": {"L0": 2.0}})
+        beta, f_star = shared_hessian_optimum(problem)
+        expected_beta, expected = shared_hessian_optimum(png_instance)
+        np.testing.assert_array_equal(beta.weights, expected_beta.weights)
+        assert f_star == expected
 
     def test_non_shared_rejected(self, rng):
         with pytest.raises(InvalidArgumentError, match="share a Hessian"):

@@ -29,6 +29,7 @@ from paretomm.problem_io import (
     problem_from_spec,
     triangle_spec,
 )
+from paretomm.problem import family_of
 from conftest import random_quadratic_problem, random_spd
 
 EPS = np.finfo(float).eps
@@ -250,7 +251,7 @@ class TestStackedEvaluation:
             c = {"quadratic": 0.0, "log-cosh": rng.uniform(0.1, 2.0), "mixed": rng.choice([0.0, 1.0])}[kind]
             objectives.append(make_log_cosh_quadratic(H, z, c) if c else quadratic_from_hessian(H, z))
         F = ObjectiveSet.from_objectives(objectives)
-        assert F.hessians is not None
+        assert F.family is not None
         assert F.r == max(float(np.linalg.norm(a - b)) for a in F.minimizers for b in F.minimizers)
         # far: |x_j - z_ij| > 400 in every coordinate, where cosh(x - z)^2 overflows
         offset = rng.choice([-1.0, 1.0], size=d) * rng.uniform(400.0, 2000.0, size=d)
@@ -277,15 +278,16 @@ class TestStackedEvaluation:
 
     def test_loader_sets_record_their_families(self):
         quadratic = problem_from_spec(triangle_spec()).F
-        assert quadratic.log_cosh is None
-        for H, f in zip(quadratic.hessians, quadratic.objectives):
+        assert quadratic.family.c is None
+        assert quadratic.family.z is quadratic.minimizers
+        for H, f in zip(quadratic.family.H, quadratic.objectives):
             np.testing.assert_array_equal(H, f.hess(f.minimizer_hint))
         spec = triangle_spec()
         entries = spec["objectives"]
         entries[0] = _log_cosh_entry(entries[0]["H"], entries[0]["z"], 0.5)
         mixed = problem_from_spec(spec).F
-        np.testing.assert_array_equal(mixed.log_cosh, [0.5, 0.0, 0.0])
-        np.testing.assert_array_equal(mixed.hessians, quadratic.hessians)
+        np.testing.assert_array_equal(mixed.family.c, [0.5, 0.0, 0.0])
+        np.testing.assert_array_equal(mixed.family.H, quadratic.family.H)
 
     @pytest.mark.parametrize("c", [0.0, 1.0], ids=["quadratic", "log-cosh"])
     def test_stacked_solve_calls_no_objective(self, c):
@@ -328,7 +330,7 @@ class TestStackedEvaluation:
         objectives = list(problem.F.objectives)
         objectives[1] = hand
         F = ObjectiveSet.from_objectives(objectives)
-        assert F.hessians is None and F.log_cosh is None
+        assert F.family is None
         config = SolverConfig(eps0=1e-3, eps=1e-6)
         looped = pmm_solve(ProblemInstance.create(F, problem.f0), config)
         stacked = pmm_solve(problem, config)
@@ -338,10 +340,18 @@ class TestStackedEvaluation:
         np.testing.assert_array_equal(looped.point.beta.weights, stacked.point.beta.weights)
         np.testing.assert_array_equal(looped.point.x, stacked.point.x)
 
-    def test_replaced_copy_drops_the_family(self):
+    def test_copy_keeps_its_family_only_while_it_is_the_same_function(self):
         f = make_log_cosh_quadratic(np.eye(2), E1, 1.0)
-        assert f.family[1] == 1.0
-        assert dataclasses.replace(f, minimizer_hint=E1 + 5e-11).family is None
+        assert family_of(f) is f.family and f.family.c == 1.0
+        other = make_log_cosh_quadratic(np.eye(2), -E1, 1.0)
+        moved = dataclasses.replace(f, minimizer_hint=E1 + 5e-11)
+        revalued = dataclasses.replace(f, value=lambda x: 2.0 * f.value(x))
+        assert family_of(moved) is family_of(revalued) is None
+        assert ObjectiveSet.from_objectives([moved, other]).family is None
+        assert ObjectiveSet.from_objectives([revalued, other]).family is None
+        # a constants override (the loader's dataclasses.replace) keeps the stack
+        F = ObjectiveSet.from_objectives([dataclasses.replace(f, L=5.0), other])
+        np.testing.assert_array_equal(F.family.c, [1.0, 1.0])
 
 
 class TestDeriveConstants:
