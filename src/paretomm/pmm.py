@@ -245,7 +245,8 @@ class TraceRecord:
 
     ``curvature`` and ``trials`` describe the step that produced it: the
     accepted curvature and the x*(beta) solves it took, rejected trials
-    included (mu_g and 0 on the starting row).  Neither is in the CSV.
+    included; row 0, the solved start, has mu_g and 1 solve.  Neither is
+    in the CSV.
     """
 
     k: int
@@ -368,24 +369,25 @@ def pmm_solve(
 
     ``init`` optionally supplies (x0, beta0), with n weights and a length-d
     x0 (``InvalidArgumentError`` otherwise); the defaults are uniform
-    weights and the weight-averaged objective minimizers.  Each step starts
-    at the secant curvature of this and the previous surrogate, clipped to
+    weights and the weight-averaged objective minimizers.  Row 0 of the
+    trace is x*(beta0), solved by Newton from x0 to c2 * eps like every
+    later point (c2 from ``compute_c1_c2`` at x0).  Each step starts at the
+    secant curvature of this and the previous surrogate, clipped to
     [1e-12 * mu_g, mu_g], or at half the previous step's curvature (mu_g / 2
     on the first step, at least 1e-12 * mu_g) when the secant is unusable,
     and doubles it after each failed descent or upper-bound test; at the
     cap mu_g the step is taken untested, as in the fixed-mu_g method.  The
-    trace records the accepted curvature and the x*(beta) solves of every
-    step; the certificate never reads the curvature.  Stationarity is
-    checked every iteration, so a certifiable iterate ends the run as soon
-    as it appears.  Each x*(beta) solve may stop at its rounding floor
-    above its target; the run continues from that point and the certificate
-    judges it like any other.  A residual rounding floor above eps, which
-    no point can get under, raises ``NumericalFailureError``; so does a
-    point whose residual and gap legs pass while that floor alone puts the
-    err bound above (1 - alpha) * eps0; so does a stall, 5 consecutive
-    steps whose new point has a residual above eps while f0 moves by no
-    more than the anchor's rounding slack; and so do the other numerical
-    failures of the sub-solvers.
+    certificate never reads the curvature.  Stationarity is checked every
+    iteration, so a certifiable iterate ends the run as soon as it appears.
+    Each x*(beta) solve may stop at its rounding floor above its target;
+    the run continues from that point and the certificate judges it like
+    any other.  A residual rounding floor above eps, which no point can get
+    under, raises ``NumericalFailureError``; so does a point whose residual
+    and gap legs pass while that floor alone puts the err bound above
+    (1 - alpha) * eps0; so does a stall, 5 consecutive steps whose new point
+    has a residual above eps while f0 moves by no more than the anchor's
+    rounding slack; and so do the other numerical failures of the
+    sub-solvers.
     """
     F = problem.F
     x0, beta0 = (None, SimplexPoint.uniform(F.n)) if init is None else init
@@ -397,11 +399,10 @@ def pmm_solve(
         raise InvalidArgumentError(f"x0 has shape {x.shape}, expected ({F.dim},)")
     trace = IterateTrace()
     tube = problem.bundle.R_bound + 2.0 * config.eps / F.mu + 1e-9
-    x_ref = None  # first solved iterate, anchor of the runtime tube check
 
-    point = ManifoldPoint.from_x_beta(F, x, beta)
+    point = solve_x_star(F, beta, tol_grad=compute_c1_c2(problem, x)[1] * config.eps, x0=x)
     f0_value = problem.f0.value(point.x)
-    curvature, trials, stalls = problem.bundle.mu_g, 0, 0
+    curvature, trials, stalls = problem.bundle.mu_g, 1, 0
     previous = None  # the last step's surrogate, for the secant curvature
     for k in range(config.max_outer + 1):
         surrogate = build_surrogate(problem, point)
@@ -456,9 +457,7 @@ def pmm_solve(
                 f"stalled: residual {point.residual:.3e} stays above eps and f0 has not moved "
                 f"beyond its rounding slack for {_STALL_STEPS} steps"
             )
-        if x_ref is None:
-            x_ref = point.x.copy()
-        elif float(np.linalg.norm(point.x - x_ref)) > tube:
+        if float(np.linalg.norm(point.x - trace[0].x)) > tube:  # tube around the solved start
             raise NumericalFailureError(
                 "iterate left the Pareto neighborhood; declared constants look wrong"
             )

@@ -50,6 +50,11 @@ def _log_cosh(**params):
             "params": {"H": [[1.0, 0.0], [0.0, 1.0]], "z": [0.0, 1.0], **params}}
 
 
+def _without(key):
+    """A spec change that deletes ``key``."""
+    return lambda spec: {k: v for k, v in spec.items() if k != key}
+
+
 NAN, INF = float("nan"), float("inf")
 H_PNG = [[1.0, 1.0], [1.0, 2.0]]
 
@@ -124,16 +129,41 @@ class TestSolveCommand:
             ({"objectives": [_quadratic(H_PNG, [-1.0, 0.0]),
                              _quadratic([[1.0, 2.0], [2.0, 1.0]], [1.0, 0.0])]},
              "objectives[1]: H is not positive definite"),
+            (lambda spec: [spec], "problem file: top level must be an object"),
+            (_without("dimension"), "missing field 'dimension'"),
+            ({"objectives": []}, "objectives: expected a nonempty list"),
+            (_without("preference"), "missing field 'preference'"),
+            ({"objectives": [[1.0], _quadratic(H_PNG, [1.0, 0.0])]},
+             "objectives[0]: expected an object"),
+            ({"preference": {**_quadratic(H_PNG, [0.0, 1.0]), "kind": "cubic"}},
+             "preference.kind: expected 'quadratic' or 'builtin'"),
+            ({"preference": {**_log_cosh(), "name": "cubic"}},
+             "preference.name: unknown builtin 'cubic'"),
+            ({"preference": {**_log_cosh(), "params": [1.0]}},
+             "preference.params: expected an object"),
+            ({"constants": [1.0]}, "constants: expected an object"),
+            ({"constants": {"mu": 2.0, "L": 1.0}}, "constants: require 0 < mu <= L"),
+            ({"preference": _quadratic([[1.0]], [0.0, 1.0])},
+             "preference.H: expected shape (2, 2)"),
+            ({"preference": _quadratic([[1.0, "one"], [0.0, 1.0]], [0.0, 1.0])},
+             "preference.H: expected numbers"),
+            ({"objectives": [_quadratic(H_PNG, [-1.0, 0.0]),
+                             _quadratic([[1.0, 0.5], [0.0, 1.0]], [1.0, 0.0])]},
+             "objectives[1]: H must be symmetric"),
         ],
         ids=["negative-L_H", "negative-L0", "nan-L0", "overflowing-mu", "bool-dimension",
              "nan-objective-z", "inf-objective-H", "inf-preference-z", "nan-builtin-c",
              "inf-builtin-z", "missing-builtin-H", "missing-builtin-z", "vector-builtin-c",
              "column-builtin-z", "negative-builtin-c", "negative-objective-builtin-c",
-             "indefinite-objective-H"],
+             "indefinite-objective-H", "list-top-level", "missing-dimension", "empty-objectives",
+             "missing-preference", "list-objective", "unknown-kind", "unknown-builtin",
+             "list-params", "list-constants", "mu-above-L", "misshapen-H", "string-H",
+             "asymmetric-objective-H"],
     )
     def test_unsound_spec_exits_one(self, change, field, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        save_problem_spec(str(path), {**png_counterexample_spec(), **change})
+        spec = png_counterexample_spec()
+        save_problem_spec(str(path), change(spec) if callable(change) else {**spec, **change})
         code = run_cli("solve", "--problem", path, "--eps0", "1e-3", "--eps", "1e-6")
         err = capsys.readouterr().err
         assert code == 1
@@ -186,9 +216,8 @@ class TestSolveCommand:
         }
         path = tmp_path / "far.json"
         save_problem_spec(str(path), spec)
-        with warnings.catch_warnings():
-            warnings.simplefilter("always")  # a warning prints on stderr, as outside pytest
-            code = run_cli("solve", "--problem", path, "--eps0", "0.1", "--eps", "0.01")
+        # pytest turns a RuntimeWarning into an error (pyproject), so an unguarded overflow fails here
+        code = run_cli("solve", "--problem", path, "--eps0", "0.1", "--eps", "0.01")
         captured = capsys.readouterr()
         assert code == 0
         assert captured.err == ""
@@ -445,9 +474,13 @@ class TestPlotCommand:
         assert root.findall(".//s:ellipse", ns)
 
     def test_overlay_markers(self, png_file, tmp_path):
+        # from (0.9, 0.1) the run takes steps, so the overlay draws its path
         trace = tmp_path / "trace.csv"
         run_cli("solve", "--problem", png_file, "--eps0", "1e-3", "--eps", "1e-6",
-                "--trace", trace)
+                "--beta0", "0.9,0.1", "--trace", trace)
+        with open(trace) as fh:
+            rows = len(list(csv.reader(fh))) - 1
+        assert rows >= 2
         svg_path = tmp_path / "overlay.svg"
         code = run_cli(
             "plot", "--problem", png_file, "--resolution", 20, "--svg", svg_path,
@@ -455,8 +488,10 @@ class TestPlotCommand:
         )
         assert code == 0
         ns = {"s": "http://www.w3.org/2000/svg"}
-        root = ET.parse(svg_path).getroot()
-        assert root.findall(".//s:circle", ns)
+        marks = ET.parse(svg_path).getroot().find(".//s:g[@id='overlays']", ns)
+        assert len(marks.findall("s:circle", ns)) == 1
+        (path,) = marks.findall("s:polyline", ns)
+        assert len(path.get("points").split()) == rows
 
     def test_log_cosh_contour_uses_hessian_at_its_centre(self, tmp_path):
         # H = I with c = 1 has Hessian 2 I at its minimizer z, so its level

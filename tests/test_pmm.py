@@ -330,9 +330,27 @@ class TestPmmSolve:
                 b.residual, b.f0_value, b.gap, b.err, b.certified, b.c1, b.c2
             )
 
+    def test_first_row_is_the_solved_start(self):
+        config = SolverConfig(eps0=1e-3, eps=1e-6)
+        result = pmm_solve(problem_from_spec(triangle_spec()), config)
+        # the raw start beta0 . minimizers has residual 0.48 here
+        assert result.trace[0].residual <= config.eps
+
+    @pytest.mark.parametrize("start", [1e4, 1e8])
+    def test_far_x0_only_starts_the_first_solve(self, start):
+        # At x0 = (1e8, 1e8) the raw point's residual rounding floor is 2.8e-6,
+        # above eps; x0 is only where Newton starts, so the run takes the
+        # default start's steps.
+        problem = problem_from_spec(triangle_spec())
+        config = SolverConfig(eps0=1e-3, eps=1e-6)
+        base = pmm_solve(problem, config)
+        result = pmm_solve(problem, config, init=(np.full(2, start), SimplexPoint.uniform(3)))
+        assert result.status == "certified"
+        assert len(result.trace) == len(base.trace)
+
     def test_iterate_outside_declared_tube_fails(self, png_instance):
-        # a Pareto-set radius far below the true one (about 1) puts the second
-        # solved iterate outside the tube around the first
+        # a Pareto-set radius far below the true one (about 1) puts the first
+        # step's point outside the tube around the solved start
         bundle = dataclasses.replace(png_instance.bundle, R_bound=1e-6)
         problem = dataclasses.replace(png_instance, bundle=bundle)
         config = SolverConfig(eps0=1e-3, eps=1e-6)
@@ -517,7 +535,7 @@ class TestBacktrackedCurvature:
         for problem, result in runs:
             mu_g = problem.bundle.mu_g
             assert result.trace[0].curvature == mu_g
-            assert result.trace[0].trials == 0
+            assert result.trace[0].trials == 1
             for r in result.trace[1:]:
                 assert 1e-12 * mu_g <= r.curvature <= mu_g
                 assert r.trials >= 1
@@ -554,7 +572,7 @@ class TestBacktrackedCurvature:
         result = pmm_solve(png_instance, config, init=(None, np.array([0.9, 0.1])))
         assert result.status == "certified"
         assert len(result.trace) - 1 == 2
-        assert sum(r.trials for r in result.trace) == 2
+        assert sum(r.trials for r in result.trace) == 3  # the start's solve and one per step
         assert result.trace[2].curvature == pytest.approx(2.0, rel=1e-9)
 
 
@@ -630,9 +648,9 @@ class TestTangentPredictor:
         ]
         result = pmm_solve(problem_from_spec(spec), SolverConfig(eps0=1e-3, eps=1e-6))
         assert result.status == "certified"
-        assert len(result.trace) - 1 == 9
-        assert sum(r.trials for r in result.trace) == len(newton_iterations) == 15
-        assert sum(newton_iterations) == 29  # 41 from the anchor (47 with the halving start)
+        assert len(result.trace) - 1 == 8
+        assert sum(r.trials for r in result.trace) == len(newton_iterations) == 14
+        assert sum(newton_iterations) == 26  # 38 from the anchor
 
 
 @settings(max_examples=40, deadline=None)
