@@ -1,25 +1,25 @@
 """Majorization-minimization over the Pareto manifold.
 
-Each outer iteration builds an isotropic quadratic model of the
-pulled-back preference around the current pair (x, beta), minimizes it over
-the simplex exactly by one Euclidean projection, then re-solves the
-scalarized problem at the new weights to a gradient norm proportional to
-eps.  Newton starts that solve at the tangent prediction x + J (beta_new -
-beta), with J the implicit derivative the model was built from (an Euler
-predictor with a Newton corrector; Allgower and Georg, 2003, ch. 2); for
-shared-Hessian quadratics x*(beta) is affine, so the prediction is exact.
-The model's curvature is found by backtracking (Beck and Teboulle,
-2009; Nesterov, 2013): each step starts at the secant curvature of the
-last two models' linear terms (Barzilai and Borwein, 1988; the spectral
-projected gradient of Birgin, Martinez and Raydan, 2000, kept monotone),
-or at half the previous step's curvature when there is no usable secant,
-and doubles it until the new point lowers f0 and lies under the model, up
-to the rounding slack of the two inexact points.  The bundle
-constant mu_g caps the curvature; at the cap the model is an upper bound by
-construction and the step is taken untested, so the worst-case rate is that
-of the fixed-mu_g method.  A point is certified stationary when its
-residual, its estimated-gradient gap, and the gradient-estimation error
-bound are all within their budgets; none of them reads the curvature.
+Each outer iteration builds a quadratic model of the pulled-back
+preference around the current pair (x, beta) in the Gauss-Newton metric
+B0 = J^T hess f0(x) J, with J the implicit derivative of the minimizer map,
+damped by sigma I (Levenberg-Marquardt; projected Newton as in Bertsekas,
+1982, and the proximal Newton-type methods of Lee, Sun and Saunders, 2014).
+It minimizes the model over the simplex exactly, by a primal active-set
+method, then re-solves the scalarized problem at the new weights to a
+gradient norm proportional to eps.  Newton starts that solve at the tangent
+prediction x + J (beta_new - beta) (an Euler predictor with a Newton
+corrector; Allgower and Georg, 2003, ch. 2); for shared-Hessian quadratics
+x*(beta) is affine, so the prediction is exact.  sigma is found by
+backtracking (Beck and Teboulle, 2009; Nesterov, 2013): each step starts
+at 1e-2 * tr(B0) and doubles sigma until the new point lowers f0 and lies
+under the model, up to the rounding slack of the two inexact points.  The
+bundle constant mu_g caps sigma; at the cap the model is the isotropic
+upper bound with curvature mu_g, and the step is taken untested, so the
+worst-case rate is that of the fixed-mu_g method.  A point is certified
+stationary when its residual, its estimated-gradient gap, and the
+gradient-estimation error bound are all within their budgets; none of them
+reads the model.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .simplex import (
     minimize_quadratic_over_simplex,
 )
 
-# Lowest trial curvature, relative to mu_g: a floor on the start rule.
+# Lowest damping sigma, relative to mu_g: a floor on the start rule.
 _MIN_CURVATURE = 1e-12
 # Consecutive steps that leave the residual above eps and f0 within the
 # anchor's rounding slack before a run is stopped as stalled.
@@ -61,7 +61,7 @@ class SurrogateState:
 
     ``linear`` is the estimated gradient of the pulled-back preference at the
     anchor; ``curvature`` is the bundle constant mu_g, the cap on the
-    backtracked curvature of each outer step; ``err_term`` bounds the gap
+    backtracked damping of each outer step; ``err_term`` bounds the gap
     between the estimated and true gradients, computed from the anchor's
     residual plus its rounding floor.  ``grad_f0_norm`` and
     ``jacobian_T`` are ||grad f0(x)|| and the objective Jacobian at the
@@ -70,7 +70,8 @@ class SurrogateState:
     minimizer), so only offsets from the anchor are exposed.
     ``residual_floor`` is the rounding error the anchor's residual may carry.
     ``x_star_jacobian`` is the d x n implicit derivative J = dx*/dbeta
-    estimated at the anchor; each trial's x*(beta) solve starts at the
+    estimated at the anchor; it gives each step's Gauss-Newton metric
+    J^T hess f0(x) J, and each trial's x*(beta) solve starts at the
     tangent prediction x + J (beta_new - beta).
     """
 
@@ -244,9 +245,10 @@ class TraceRecord:
     """One outer iterate.
 
     ``curvature`` and ``trials`` describe the step that produced it: the
-    accepted curvature and the x*(beta) solves it took, rejected trials
-    included; row 0, the solved start, has mu_g and 1 solve.  Neither is
-    in the CSV.
+    accepted damping sigma of the model B0 + sigma I (mu_g for the
+    isotropic step at the cap) and the x*(beta) solves it took, rejected
+    trials included; row 0, the solved start, has mu_g and 1 solve.
+    Neither is in the CSV.
     """
 
     k: int
@@ -304,59 +306,66 @@ def _rounding_slack(problem: ProblemInstance, point: ManifoldPoint, grad_f0_norm
     return grad_f0_norm * dist + 0.5 * problem.f0.L * dist**2
 
 
-def _start_curvature(surrogate, previous, previous_curvature):
-    """First trial curvature of the step from ``surrogate``'s anchor.
+def _start_damping(B0, cap):
+    """First trial sigma of a step: 1e-2 * tr(B0), clipped to [1e-12 * cap, cap].
 
-    The secant s = <linear - linear_prev, beta - beta_prev> / ||beta -
-    beta_prev||^2 of the two surrogates, clipped to [1e-12 * mu_g, mu_g];
-    half the previous step's curvature (at least 1e-12 * mu_g) when there
-    is no previous surrogate, beta has not moved, or s is not positive and
-    finite.
+    The cap instead when B0 + 1e-12 * cap * I is not positive definite (f0
+    is not convex along J at the anchor) or not finite: no damped model
+    below the cap is then convex.
     """
-    cap = surrogate.curvature
     floor = _MIN_CURVATURE * cap
-    halved = max(0.5 * previous_curvature, floor)
-    if previous is None:
-        return halved
-    d_beta = surrogate.anchor.beta.weights - previous.anchor.beta.weights
-    dd = float(d_beta @ d_beta)
-    s = float((surrogate.linear - previous.linear) @ d_beta) / dd if dd > 0.0 else math.nan
-    return min(max(s, floor), cap) if 0.0 < s < math.inf else halved
+    try:
+        factor = np.linalg.cholesky(B0 + floor * np.eye(B0.shape[0]))
+    except np.linalg.LinAlgError:
+        return cap
+    if not np.isfinite(factor).all():
+        return cap
+    return min(max(1e-2 * float(np.trace(B0)), floor), cap)
 
 
-def _outer_step(problem, surrogate, f0_anchor, curvature, tol_gap, tol_grad):
-    """One backtracked MM step from the surrogate's anchor.
+def _outer_step(problem, surrogate, f0_anchor, tol_gap, tol_grad):
+    """One backtracked Gauss-Newton MM step from the surrogate's anchor.
 
-    Tries the exact model minimizer at ``curvature`` (``_start_curvature``),
-    doubling it until the new point does not raise f0 and its f0 rise is
-    within the model's relative value plus the rounding slack of both
-    points; at the cap mu_g the step is taken untested.  Each trial's
-    x*(beta) solve starts at the anchor's tangent prediction x + J (beta -
-    beta_anchor).  Returns ``(point, f0 value, curvature, trials, slack)``,
-    with ``slack`` the anchor's rounding slack.
+    With d = beta' - beta, each trial minimizes the model
+    m_sigma(beta') = linear^T d + 0.5 d^T (B0 + sigma I) d exactly over the
+    simplex, where B0 = J^T hess f0(x) J is the Gauss-Newton metric at the
+    anchor, built once per step from the implicit derivative J.  sigma starts
+    at 1e-2 * tr(B0), clipped to [1e-12 * mu_g, mu_g], and doubles until the
+    new point does not raise f0 and its f0 rise is within m_sigma plus the
+    err bound and the rounding slack of both points.  At the cap mu_g the
+    model is the isotropic upper bound linear^T d + 0.5 mu_g ||d||^2 and the
+    step is taken untested; ``_start_damping`` starts there when B0 +
+    1e-12 mu_g I is not positive definite.
+    Each trial's x*(beta) solve starts at the anchor's tangent prediction
+    x + J (beta - beta_anchor).  Returns ``(point, f0 value, sigma, trials,
+    slack)``, with ``slack`` the anchor's rounding slack.
     """
     F, anchor, cap = problem.F, surrogate.anchor, surrogate.curvature
+    J = surrogate.x_star_jacobian
+    B0 = J.T @ (problem.f0.hess(anchor.x) @ J)
+    sigma = _start_damping(B0, cap)
     slack = _rounding_slack(problem, anchor, surrogate.grad_f0_norm)
     trials = 0
     while True:
         beta = anchor.beta
         if cap > 0.0:  # mu_g = 0 when the minimizers coincide
-            Q = SimplexQuadratic(anchor=beta, linear=surrogate.linear, curvature=curvature)
+            metric = B0 if sigma < cap else None
+            Q = SimplexQuadratic(anchor=beta, linear=surrogate.linear, curvature=sigma, metric=metric)
             beta, _ = minimize_quadratic_over_simplex(Q, tol_gap=tol_gap)
         # The solved point's residual is the scalarized gradient norm at
         # (x, beta), so it anchors the next surrogate as it is.
-        x0 = anchor.x + surrogate.x_star_jacobian @ (beta.weights - anchor.beta.weights)
+        x0 = anchor.x + J @ (beta.weights - anchor.beta.weights)
         point = solve_x_star(F, beta, tol_grad=tol_grad, x0=x0)
         trials += 1
         f0_value = problem.f0.value(point.x)
-        if curvature >= cap:
-            return point, f0_value, curvature, trials, slack
+        if sigma >= cap:
+            return point, f0_value, sigma, trials, slack
         rise = f0_value - f0_anchor
         bound = Q.value_at(beta) + surrogate.err_term + slack  # cap > 0 here: Q is this trial's model
         bound += _rounding_slack(problem, point, stable_norm(problem.f0.grad(point.x)))
         if rise <= 0.0 and rise <= bound:
-            return point, f0_value, curvature, trials, slack
-        curvature = min(2.0 * curvature, cap)
+            return point, f0_value, sigma, trials, slack
+        sigma = min(2.0 * sigma, cap)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow ends in NumericalFailureError or a failed check
@@ -371,13 +380,12 @@ def pmm_solve(
     x0 (``InvalidArgumentError`` otherwise); the defaults are uniform
     weights and the weight-averaged objective minimizers.  Row 0 of the
     trace is x*(beta0), solved by Newton from x0 to c2 * eps like every
-    later point (c2 from ``compute_c1_c2`` at x0).  Each step starts at the
-    secant curvature of this and the previous surrogate, clipped to
-    [1e-12 * mu_g, mu_g], or at half the previous step's curvature (mu_g / 2
-    on the first step, at least 1e-12 * mu_g) when the secant is unusable,
-    and doubles it after each failed descent or upper-bound test; at the
-    cap mu_g the step is taken untested, as in the fixed-mu_g method.  The
-    certificate never reads the curvature.  Stationarity is checked every
+    later point (c2 from ``compute_c1_c2`` at x0).  Each step minimizes the
+    Gauss-Newton model in the metric B0 + sigma I (see ``_outer_step``),
+    with sigma starting at 1e-2 * tr(B0), clipped to [1e-12 * mu_g, mu_g],
+    and doubling after each failed descent or upper-bound test; at the cap
+    mu_g the isotropic step is taken untested, as in the fixed-mu_g method.
+    The certificate never reads the model.  Stationarity is checked every
     iteration, so a certifiable iterate ends the run as soon as it appears.
     Each x*(beta) solve may stop at its rounding floor above its target;
     the run continues from that point and the certificate judges it like
@@ -403,7 +411,6 @@ def pmm_solve(
     point = solve_x_star(F, beta, tol_grad=compute_c1_c2(problem, x)[1] * config.eps, x0=x)
     f0_value = problem.f0.value(point.x)
     curvature, trials, stalls = problem.bundle.mu_g, 1, 0
-    previous = None  # the last step's surrogate, for the secant curvature
     for k in range(config.max_outer + 1):
         surrogate = build_surrogate(problem, point)
         cert = _certificate(surrogate, config.eps0, config.eps, config.alpha)
@@ -445,11 +452,9 @@ def pmm_solve(
                     f"{cert.err_budget:.3e}"
                 )
         f0_anchor = f0_value
-        start = _start_curvature(surrogate, previous, curvature)
         point, f0_value, curvature, trials, slack = _outer_step(
-            problem, surrogate, f0_anchor, start, c1 * config.eps0, c2 * config.eps
+            problem, surrogate, f0_anchor, c1 * config.eps0, c2 * config.eps
         )
-        previous = surrogate
         stalled = point.residual > config.eps and abs(f0_value - f0_anchor) <= slack
         stalls = stalls + 1 if stalled else 0
         if stalls == _STALL_STEPS:

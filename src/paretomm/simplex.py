@@ -3,9 +3,10 @@
 The simplex is treated as a metric space under the l1 norm.  Stationarity of
 a smooth function at beta is measured by the l1-normalized gap
 max(0, sup_{beta'} -v^T (beta' - beta) / ||beta' - beta||_1), which reduces
-to a maximum over the vertices.  Each isotropic quadratic surrogate is
+to a maximum over the vertices.  An isotropic quadratic surrogate is
 minimized exactly by one Euclidean projection of its unconstrained step
-(Duchi et al., ICML 2008); nothing is iterated to a tolerance.  The
+(Duchi et al., ICML 2008), and one with a positive semidefinite metric by
+a finite primal active-set method; nothing is iterated to a tolerance.  The
 minimum-norm point of a polytope is one nonnegative least-squares solve.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -133,14 +135,17 @@ def l2_tangent_gap(v: np.ndarray, beta: SimplexPoint) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SimplexQuadratic:
-    """Isotropic quadratic in relative form around its anchor.
+    """Quadratic in relative form around its anchor, with an optional metric.
 
-    value(beta') = linear^T (beta' - anchor) + 0.5 * curvature * ||beta' - anchor||_2^2
+    value(beta') = linear^T d + 0.5 * d^T (metric + curvature * I) d, d = beta' - anchor;
+    without a metric the model is isotropic.  ``metric`` is an n x n
+    symmetric positive semidefinite matrix.
     """
 
     anchor: SimplexPoint
     linear: np.ndarray
     curvature: float
+    metric: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.curvature <= 0:
@@ -152,24 +157,81 @@ class SimplexQuadratic:
 
     def value_at(self, beta: SimplexPoint) -> float:
         d = beta.weights - self.anchor.weights
-        return float(self.linear @ d) + 0.5 * self.curvature * float(d @ d)
+        value = float(self.linear @ d) + 0.5 * self.curvature * float(d @ d)
+        return value if self.metric is None else value + 0.5 * float(d @ self.metric @ d)
 
     def grad_at(self, beta: SimplexPoint) -> np.ndarray:
-        return self.linear + self.curvature * (beta.weights - self.anchor.weights)
+        d = beta.weights - self.anchor.weights
+        grad = self.linear + self.curvature * d
+        return grad if self.metric is None else grad + self.metric @ d
+
+
+def _active_set_minimizer(Q: SimplexQuadratic) -> np.ndarray:
+    """Weights minimizing a metric model over the simplex by a primal active-set method.
+
+    Nocedal and Wright (2006), section 16.5, started at the anchor with the
+    anchor's zero weights as the working set W.  Each iteration solves the
+    model restricted to {sum d = 0, d_W = 0} by one solve against the free
+    block of A = metric + curvature * I: p = lam * A^-1 1 - A^-1 g with the
+    multiplier lam making sum p = 0.  A blocked step adds its blocking
+    weight to W; a full step ends the search unless some weight in W has a
+    negative multiplier g_i - lam, which is then freed.  A freed weight whose
+    next step does not raise it had a multiplier negative by rounding alone,
+    and the point is returned as it is.  Finite, with no tolerance;
+    ``NumericalFailureError`` if rounding makes it cycle.
+    """
+    a = Q.anchor.weights
+    n = a.size
+    A = Q.metric + Q.curvature * np.eye(n)
+    b = a.copy()
+    free = b > 0.0
+    freed = -1
+    for _ in range(4 * n + 4):
+        idx = np.flatnonzero(free)
+        g = Q.linear + A @ (b - a)
+        block = A if idx.size == n else A[np.ix_(idx, idx)]
+        u, v = np.linalg.solve(block, np.stack((np.ones(idx.size), g[idx]), axis=1)).T
+        lam = v.sum() / u.sum()
+        p = lam * u - v
+        if freed >= 0 and not p[np.searchsorted(idx, freed)] > 0.0:
+            return b
+        bf = b[idx]
+        falling = p < 0.0
+        ratios = bf[falling] / -p[falling]
+        if ratios.size and ratios.min() < 1.0:
+            j = int(np.argmin(ratios))
+            b[idx] = np.maximum(bf + ratios[j] * p, 0.0)
+            b[idx[falling][j]] = 0.0
+            free[idx[falling][j]] = False
+            freed = -1
+            continue
+        b[idx] = bf + p
+        if free.all():
+            return b
+        held = np.flatnonzero(~free)
+        multipliers = (Q.linear + A @ (b - a))[held] - lam
+        if multipliers.min() >= 0.0:
+            return b
+        freed = int(held[np.argmin(multipliers)])
+        free[freed] = True
+    raise NumericalFailureError("the simplex QP's active set cycled")
 
 
 def minimize_quadratic_over_simplex(Q: SimplexQuadratic, tol_gap: float):
-    """Exact minimizer: one projection of the unconstrained step from the anchor.
+    """Exact minimizer of the model over the simplex.
 
-    The quadratic is isotropic, so its minimizer over the simplex is
-    project(anchor - linear / curvature).  Its l2 tangent-cone gap is zero
-    in exact arithmetic, so it meets any positive ``tol_gap`` and is
-    returned with gap 0.0 (the l2 gap dominates the l1 gap).  Returns
-    ``(point, achieved_gap)``.
+    An isotropic model is minimized by one projection of the unconstrained
+    step, project(anchor - linear / curvature); a metric model by the
+    active-set method of ``_active_set_minimizer``, numpy alone.  The exact
+    minimizer's l2 tangent-cone gap is zero, so it meets any positive
+    ``tol_gap`` and is returned with gap 0.0 (the l2 gap dominates the l1
+    gap).  Returns ``(point, achieved_gap)``.
     """
     if tol_gap <= 0:
         raise InvalidArgumentError("tol_gap must be positive")
-    return project_to_simplex(Q.anchor.weights - Q.linear / Q.curvature), 0.0
+    if Q.metric is None:
+        return project_to_simplex(Q.anchor.weights - Q.linear / Q.curvature), 0.0
+    return SimplexPoint(_active_set_minimizer(Q)), 0.0
 
 
 def _nnls_lift(top: np.ndarray, last):

@@ -141,6 +141,23 @@ class TestGridSearch:
             residual = np.linalg.norm(w @ problem.F.jacobian_T(x).T)
             assert residual <= 1e-12 * problem.F.L * max(1.0, np.abs(problem.F.minimizers).max())
 
+    def test_overflowing_log_cosh_hessian_stays_quiet(self):
+        # centres +-1e6 apart put cosh(x - z) past its overflow near 710: the
+        # Hessian's sech^2 term is 0 there, with no RuntimeWarning (which the
+        # test configuration turns into an error)
+        def log_cosh(z):
+            return {"kind": "builtin", "name": "log_cosh_quadratic",
+                    "params": {"H": [[1.0, 0.0], [0.0, 1.0]], "z": z, "c": 1.0}}
+
+        problem = problem_from_spec({
+            "dimension": 2,
+            "objectives": [log_cosh([1e6, 0.0]), log_cosh([-1e6, 0.0])],
+            "preference": {"kind": "quadratic", "H": [[1.0, 0.0], [0.0, 1.0]], "z": [0.0, 1.0]},
+        })
+        result = grid_search_preference_opt(problem, 4)
+        np.testing.assert_array_equal(result.best_beta.weights, [0.5, 0.5])
+        assert result.f_star_min == 0.5  # x*(1/2, 1/2) = 0 by symmetry
+
     def test_size_guards(self, rng):
         problem = random_quadratic_problem(rng, d=2, n=3)
         with pytest.raises(SizeLimitError):

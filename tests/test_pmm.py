@@ -1,6 +1,5 @@
 import dataclasses
 import io
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from paretomm import (
     ObjectiveSet,
     ProblemInstance,
     SimplexPoint,
+    SmoothFunction,
     SolverConfig,
     StationarityCertificate,
     build_surrogate,
@@ -29,7 +29,7 @@ from paretomm import (
     solve_x_star,
     verify_preference_stationarity,
 )
-from paretomm.pmm import _rounding_slack, _start_curvature, trace_header
+from paretomm.pmm import _rounding_slack, _start_damping, trace_header
 from paretomm.problem_io import (
     png_counterexample_spec,
     problem_from_spec,
@@ -494,10 +494,11 @@ class TestRoundingFloor:
 
 
 def closed_form_model_terms(spec, beta, x):
-    """f0(x), ||grad f0(x)|| and the estimated pulled-back gradient at (x, beta), by numpy alone.
+    """f0(x), ||grad f0(x)||, the estimated pulled-back gradient and the Gauss-Newton metric at (x, beta).
 
-    The estimate evaluates the implicit-derivative formula at x itself:
-    column i of J is -H_beta^{-1} H_i (x - z_i), and the gradient is J^T grad f0(x).
+    By numpy alone, evaluating the implicit-derivative formula at x itself:
+    column i of J is -H_beta^{-1} H_i (x - z_i), the gradient is
+    J^T grad f0(x), and the metric is J^T H0 J.
     """
     Hs = [np.array(e["H"], float) for e in spec["objectives"]]
     zs = [np.array(e["z"], float) for e in spec["objectives"]]
@@ -505,12 +506,12 @@ def closed_form_model_terms(spec, beta, x):
     H_beta = sum(b * H for b, H in zip(beta, Hs))
     grads = np.column_stack([H @ (x - z) for H, z in zip(Hs, zs)])
     g0 = H0 @ (x - z0)
-    linear = -np.linalg.solve(H_beta, grads).T @ g0
-    return 0.5 * float((x - z0) @ H0 @ (x - z0)), float(np.linalg.norm(g0)), linear
+    J = -np.linalg.solve(H_beta, grads)
+    return 0.5 * float((x - z0) @ H0 @ (x - z0)), float(np.linalg.norm(g0)), J.T @ g0, J.T @ H0 @ J
 
 
 class TestBacktrackedCurvature:
-    """Each step starts at the secant curvature (else half the previous one), then doubles it until accepted."""
+    """Each step's damping sigma starts at 1e-2 tr(B0), B0 the Gauss-Newton metric, and doubles until accepted."""
 
     @pytest.fixture(scope="class")
     def planar_runs(self):
@@ -554,64 +555,68 @@ class TestBacktrackedCurvature:
             records = result.trace
             below_cap = 0
             for prev, cur in zip(records, records[1:]):
-                f_prev, g_prev, linear = closed_form_model_terms(spec, prev.beta, prev.x)
-                f_cur, g_cur, _ = closed_form_model_terms(spec, cur.beta, cur.x)
+                f_prev, g_prev, linear, B0 = closed_form_model_terms(spec, prev.beta, prev.x)
+                f_cur, g_cur, _, _ = closed_form_model_terms(spec, cur.beta, cur.x)
                 if cur.curvature >= problem.bundle.mu_g:
                     continue
                 below_cap += 1
                 d = cur.beta - prev.beta
-                model = float(linear @ d) + 0.5 * cur.curvature * float(d @ d) + prev.err
+                model = float(linear @ d) + 0.5 * float(d @ (B0 + cur.curvature * np.eye(d.size)) @ d)
+                model += prev.err
                 assert f_cur <= f_prev
                 assert f_cur - f_prev <= model + slack(prev, g_prev) + slack(cur, g_cur)
             assert below_cap >= len(records) // 2
 
-    def test_secant_is_the_exact_curvature_on_png_example(self, png_instance):
+    def test_concave_preference_takes_the_isotropic_step(self, identity_pair):
+        # B0 = -J^T J is negative semidefinite, so no damped model B0 + sigma I
+        # below the cap is convex: every step is the untested mu_g step
+        f0 = SmoothFunction(dim=2, value=lambda x: -0.5 * float(x @ x), grad=lambda x: -x,
+                            hess=lambda x: -np.eye(2), L=1.0)
+        problem = ProblemInstance.create(identity_pair.F, f0)
+        result = pmm_solve(problem, SolverConfig(eps0=1e-2, eps=1e-4), init=(None, np.array([0.6, 0.4])))
+        assert result.status == "certified"
+        np.testing.assert_array_equal(result.point.beta.weights, [1.0, 0.0])
+        assert len(result.trace) > 2
+        assert all(r.curvature == problem.bundle.mu_g and r.trials == 1 for r in result.trace)
+
+    def test_gauss_newton_metric_is_exact_on_png_example(self, png_instance):
         # x*(beta) = Z^T beta, so the pulled-back preference is quadratic with
-        # Hessian Z Z^T: its curvature along (1, -1) is |z_1 - z_2|^2 / 2 = 2
+        # Hessian Z Z^T, which B0 = J^T J equals on the tangent plane sum d = 0
+        # (column i of J is z_i - x).  Each step is accepted at its start
+        # sigma = 1e-2 tr(B0) = 1e-2 sum_i |z_i - x|^2; along d = t (-1, 1) the
+        # model is (g_2 - g_1) t + 0.5 t^2 (|z_2 - z_1|^2 + 2 sigma).
         config = SolverConfig(eps0=1e-3, eps=1e-6)
         result = pmm_solve(png_instance, config, init=(None, np.array([0.9, 0.1])))
         assert result.status == "certified"
         assert len(result.trace) - 1 == 2
         assert sum(r.trials for r in result.trace) == 3  # the start's solve and one per step
-        assert result.trace[2].curvature == pytest.approx(2.0, rel=1e-9)
+        Z, z0 = png_instance.F.minimizers, np.array(png_counterexample_spec()["preference"]["z"])
+        for prev, cur in zip(result.trace, result.trace[1:]):
+            sigma = 1e-2 * float(((Z - prev.x) ** 2).sum())
+            assert cur.curvature == pytest.approx(sigma, rel=1e-9)
+            g = (Z - prev.x) @ (prev.x - z0)
+            t = -(g[1] - g[0]) / (float((Z[1] - Z[0]) @ (Z[1] - Z[0])) + 2.0 * sigma)
+            np.testing.assert_allclose(cur.beta, prev.beta + t * np.array([-1.0, 1.0]), rtol=0.0, atol=1e-12)
 
 
-def _surrogate(beta, linear, mu_g=8.0):
-    """The fields ``_start_curvature`` reads of a surrogate."""
-    anchor = SimpleNamespace(beta=SimplexPoint(np.array(beta, float)))
-    return SimpleNamespace(anchor=anchor, linear=np.array(linear, float), curvature=mu_g)
-
-
-class TestStartCurvature:
-    """The secant <d linear, d beta> / ||d beta||^2, clipped to [1e-12 mu_g, mu_g], else half the previous one."""
+class TestStartDamping:
+    """1e-2 tr(B0), clipped to [1e-12 cap, cap]; the cap when B0 + 1e-12 cap I is not positive definite or finite."""
 
     @pytest.mark.parametrize(
-        "linear, expected",
+        "B0, expected",
         [
-            ([1.5, -1.5], 2.0),  # d linear = 2 d beta
-            ([26.0, -26.0], 8.0),  # secant 100, clipped to mu_g
-            ([1.0 + 1e-15, -1.0 - 1e-15], 8e-12),  # secant ~4e-15, raised to 1e-12 mu_g
-            ([0.5, -0.5], 2.0),  # the rest are unusable: half of 4
-            ([1.0, -1.0], 2.0),
-            ([np.nan, -1.0], 2.0),
-            ([np.inf, -np.inf], 2.0),
+            ([[100.0, -50.0], [-50.0, 100.0]], 2.0),
+            ([[500.0, 0.0], [0.0, 500.0]], 8.0),  # 10, clipped to the cap
+            ([[0.0, 0.0], [0.0, 0.0]], 8e-12),  # singular: raised to the floor
+            ([[1.0, 2.0], [2.0, 1.0]], 8.0),  # indefinite
+            ([[-1e-11, 0.0], [0.0, 1.0]], 8.0),  # negative beyond the floor 8e-12
+            ([[np.nan, 0.0], [0.0, 1.0]], 8.0),
+            ([[1.0, np.inf], [np.inf, 1.0]], 8.0),
         ],
-        ids=["secant", "cap", "floor", "negative", "zero", "nan", "inf"],
+        ids=["trace", "cap", "floor", "indefinite", "below-floor", "nan", "inf"],
     )
-    def test_secant_of_two_surrogates(self, linear, expected):
-        previous = _surrogate([0.5, 0.5], [1.0, -1.0])
-        current = _surrogate([0.75, 0.25], linear)
-        assert _start_curvature(current, previous, 4.0) == pytest.approx(expected)
-
-    def test_unmoved_beta_halves(self):
-        previous = _surrogate([0.5, 0.5], [1.0, -1.0])
-        current = _surrogate([0.5, 0.5], [3.0, -3.0])
-        assert _start_curvature(current, previous, 4.0) == 2.0
-
-    @pytest.mark.parametrize("previous_curvature, expected", [(8.0, 4.0), (1e-12, 8e-12)])
-    def test_first_step_halves_down_to_the_floor(self, previous_curvature, expected):
-        current = _surrogate([0.5, 0.5], [1.0, -1.0])
-        assert _start_curvature(current, None, previous_curvature) == expected
+    def test_start(self, B0, expected):
+        assert _start_damping(np.array(B0), 8.0) == pytest.approx(expected, rel=1e-12)
 
 
 class TestTangentPredictor:
@@ -648,9 +653,9 @@ class TestTangentPredictor:
         ]
         result = pmm_solve(problem_from_spec(spec), SolverConfig(eps0=1e-3, eps=1e-6))
         assert result.status == "certified"
-        assert len(result.trace) - 1 == 8
-        assert sum(r.trials for r in result.trace) == len(newton_iterations) == 14
-        assert sum(newton_iterations) == 26  # 38 from the anchor
+        assert len(result.trace) - 1 == 2
+        assert sum(r.trials for r in result.trace) == len(newton_iterations) == 3
+        assert sum(newton_iterations) == 8  # 9 from the anchor
 
 
 @settings(max_examples=40, deadline=None)
@@ -676,6 +681,68 @@ def test_certified_shared_hessian_point_is_near_the_global_optimum(d, n, eps0, s
     if n <= 4:
         grid = grid_search_preference_opt(problem, 30)
         assert grid.f_star_min >= f_star - 1e-12 * (1.0 + abs(f_star))
+
+
+def log_cosh_oracle(spec, beta):
+    """x*(beta) of a spec with log-cosh objectives, and the exact implicit Jacobian there, by numpy alone.
+
+    Damped Newton on sum_i beta_i f_i from the spec's (H, z, c) terms, to the
+    rounding floor; then column i of J is -hess f_beta(x*)^{-1} grad f_i(x*).
+    """
+    terms = [(np.array(p["H"], float), np.array(p["z"], float), p["c"])
+             for p in (e["params"] for e in spec["objectives"])]
+
+    def value(x):
+        return sum(b * (0.5 * (x - z) @ H @ (x - z) + c * np.log(np.cosh(x - z)).sum())
+                   for b, (H, z, c) in zip(beta, terms))
+
+    def grads(x):
+        return np.array([H @ (x - z) + c * np.tanh(x - z) for H, z, c in terms])
+
+    def hess(x):
+        return sum(b * (H + c * np.diag(1.0 / np.cosh(x - z) ** 2)) for b, (H, z, c) in zip(beta, terms))
+
+    x = beta @ np.array([z for _, z, _ in terms])
+    for _ in range(60):
+        g = beta @ grads(x)
+        p = np.linalg.solve(hess(x), g)
+        t, fx = 1.0, value(x)
+        slack = 1e-14 * (1.0 + abs(fx))  # the decrease test drowns near the floor
+        while t > 1e-12 and value(x - t * p) > fx - 1e-4 * t * float(g @ p) + slack:
+            t *= 0.5
+        x = x - t * p
+    assert np.linalg.norm(beta @ grads(x)) <= 1e-11
+    return x, -np.linalg.solve(hess(x), grads(x).T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(2, 6),
+    n=st.integers(2, 4),
+    c=st.sampled_from([0.1, 1.0, 10.0]),
+    eps0=st.sampled_from([1e-1, 1e-2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certified_log_cosh_point_passes_an_independent_check(d, n, c, eps0, seed):
+    # The pulled-back gradient at the exact x*(beta) must have l1 gap within
+    # eps0 (the gap and err legs together bound it), and x must lie within
+    # eps / mu of x*(beta) (strong convexity and the residual leg).
+    spec = random_problem_spec(np.random.default_rng(seed), d, n)
+    spec["objectives"] = [
+        {"kind": "builtin", "name": "log_cosh_quadratic", "params": {"H": e["H"], "z": e["z"], "c": c}}
+        for e in spec["objectives"]
+    ]
+    config = SolverConfig(eps0=eps0, eps=eps0**2, max_outer=1000)
+    result = pmm_solve(problem_from_spec(spec), config)
+    assert result.status == "certified"
+    beta = result.point.beta.weights
+    x_star, J = log_cosh_oracle(spec, beta)
+    H0, z0 = np.array(spec["preference"]["H"], float), np.array(spec["preference"]["z"], float)
+    v = J.T @ (H0 @ (x_star - z0))
+    gap = max((v[j] - v[i]) / 2.0 for j in range(n) if beta[j] > 0 for i in range(n))
+    assert gap <= eps0
+    mu = min(np.linalg.eigvalsh(np.array(e["params"]["H"], float))[0] for e in spec["objectives"])
+    assert np.linalg.norm(result.point.x - x_star) <= config.eps / mu
 
 
 DOCUMENTED_ERRORS = (InvalidArgumentError, ConfigurationError, NumericalFailureError, InfeasibleError)

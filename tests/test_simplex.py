@@ -1,3 +1,7 @@
+import itertools
+import sys
+from unittest import mock
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -214,6 +218,70 @@ class TestQuadraticSolver:
             hat = random_simplex(rng, n)
             eps = l2_tangent_gap(Q.grad_at(hat), hat)
             assert np.linalg.norm(hat.weights - star.weights) <= eps / Q.curvature + 1e-9
+
+
+def _brute_force_minimum(anchor, linear, A):
+    """Least model value over the simplex: every support's KKT system, solved and kept if feasible."""
+    n = anchor.size
+    best = np.inf
+    for size in range(1, n + 1):
+        for support in itertools.combinations(range(n), size):
+            S = list(support)
+            K = np.zeros((size + 1, size + 1))
+            K[:size, :size] = A[np.ix_(S, S)]
+            K[:size, size] = K[size, :size] = 1.0
+            rhs = np.append(A[S] @ anchor - linear[S], 1.0)
+            beta = np.zeros(n)
+            beta[S] = np.linalg.solve(K, rhs)[:size]
+            if beta.min() >= -1e-12:
+                d = beta - anchor
+                best = min(best, float(linear @ d) + 0.5 * float(d @ A @ d))
+    return best
+
+
+class TestMetricQuadratic:
+    """The Gauss-Newton model linear^T d + 0.5 d^T (metric + curvature I) d, minimized by active sets."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        rank=st.integers(0, 6),
+        curvature=st.sampled_from([1e-6, 1e-2, 1.0, 100.0]),
+        scale=st.sampled_from([1e-3, 1.0, 100.0]),
+        zeros=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_support_enumeration(self, n, rank, curvature, scale, zeros, seed):
+        # a metric of rank below n is singular; a large linear term puts the
+        # optimum on a vertex or an edge, and zero anchor weights start the
+        # working set nonempty
+        rng = np.random.default_rng(seed)
+        R = rng.normal(size=(min(rank, n), n))
+        metric = R.T @ R
+        w = rng.dirichlet(np.ones(n))
+        w[rng.permutation(n)[: min(zeros, n - 1)]] = 0.0
+        Q = SimplexQuadratic(SimplexPoint(w), rng.normal(size=n) * scale, curvature, metric)
+        blocked = {name: None for name in [*sys.modules, "scipy"] if name.split(".")[0] == "scipy"}
+        with mock.patch.dict(sys.modules, blocked):  # any scipy import raises
+            beta, gap = minimize_quadratic_over_simplex(Q, tol_gap=1e-12)
+        assert gap == 0.0
+        A = metric + curvature * np.eye(n)
+        best = _brute_force_minimum(Q.anchor.weights, Q.linear, A)
+        tol = 1e-9 * (1.0 + scale + float(np.abs(A).max()))
+        assert abs(Q.value_at(beta) - best) <= tol
+
+    def test_exact_on_a_two_weight_line(self):
+        # along d = t (1, -1) the model is 0.5 t^2 (4 + 2 * 0.5) - 2 t, minimized at t = 0.4,
+        # where the gradient vanishes
+        Q = SimplexQuadratic(
+            anchor=SimplexPoint(np.array([0.5, 0.5])),
+            linear=np.array([-1.0, 1.0]),
+            curvature=0.5,
+            metric=np.array([[1.0, -1.0], [-1.0, 1.0]]),
+        )
+        beta, _ = minimize_quadratic_over_simplex(Q, tol_gap=1e-12)
+        np.testing.assert_allclose(beta.weights, [0.9, 0.1], rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(Q.grad_at(beta), [0.0, 0.0], atol=1e-15)
 
 
 class TestMinNormOverSimplex:
