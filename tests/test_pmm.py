@@ -598,6 +598,23 @@ class TestBacktrackedCurvature:
             t = -(g[1] - g[0]) / (float((Z[1] - Z[0]) @ (Z[1] - Z[0])) + 2.0 * sigma)
             np.testing.assert_allclose(cur.beta, prev.beta + t * np.array([-1.0, 1.0]), rtol=0.0, atol=1e-12)
 
+    def test_secant_is_the_exact_curvature_on_png_example(self, png_instance):
+        # x*(beta) = Z^T beta, so the pulled-back preference is quadratic with
+        # Hessian Z Z^T: its curvature along (1, -1) is |z_1 - z_2|^2 / 2 = 2.
+        # The secant of linear between consecutive iterates reads it, and so
+        # does B0 at each anchor
+        config = SolverConfig(eps0=1e-3, eps=1e-6)
+        result = pmm_solve(png_instance, config, init=(None, np.array([0.9, 0.1])))
+        assert result.status == "certified"
+        assert len(result.trace) - 1 == 2
+        spec = png_counterexample_spec()
+        for prev, cur in zip(result.trace, result.trace[1:]):
+            _, _, linear_prev, B0 = closed_form_model_terms(spec, prev.beta, prev.x)
+            _, _, linear_cur, _ = closed_form_model_terms(spec, cur.beta, cur.x)
+            d = cur.beta - prev.beta
+            assert float((linear_cur - linear_prev) @ d) / float(d @ d) == pytest.approx(2.0, rel=1e-9)
+            assert float(d @ B0 @ d) / float(d @ d) == pytest.approx(2.0, rel=1e-9)
+
 
 class TestStartDamping:
     """1e-2 tr(B0), clipped to [1e-12 cap, cap]; the cap when B0 + 1e-12 cap I is not positive definite or finite."""
