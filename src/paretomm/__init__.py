@@ -52,7 +52,6 @@ from .pmm import (
     build_surrogate,
     compute_c1_c2,
     pmm_solve,
-    verify_preference_stationarity,
 )
 from .baselines import (
     ImpossibilityInstance,
@@ -61,7 +60,6 @@ from .baselines import (
     build_impossibility_instance,
     is_pareto_generic,
     is_preference_generic,
-    pareto_stationarity_gap,
     png_descent,
     png_vector,
     sample_preference_generic,

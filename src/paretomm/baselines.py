@@ -76,12 +76,6 @@ def png_vector(F: ObjectiveSet, f0: SmoothFunction, x: np.ndarray, c: float) -> 
     return _png_vector_from_grads(F.jacobian_T(x).T, f0.grad(x), c)
 
 
-def pareto_stationarity_gap(F: ObjectiveSet, x: np.ndarray):
-    """min over convex weights of ||grad f_beta(x)||, with the minimizing weights."""
-    beta, val = min_norm_over_simplex(F.jacobian_T(np.asarray(x, dtype=float)))
-    return beta, val
-
-
 def _angle_to_descent(v: np.ndarray, g0: np.ndarray) -> float:
     """Angle between v and -grad f0; pi when either vector vanishes."""
     nv = math.sqrt(v @ v)  # bit for bit np.linalg.norm of a 1-D vector

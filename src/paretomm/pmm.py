@@ -168,6 +168,8 @@ class StationarityCertificate:
 
 
 def _certificate(surrogate, eps0, eps, alpha) -> StationarityCertificate:
+    """The certificate at the surrogate's anchor: residual plus its rounding floor
+    within eps, l1 gap of ``linear`` within alpha * eps0, err bound within (1 - alpha) * eps0."""
     return StationarityCertificate(
         residual=surrogate.anchor.residual + surrogate.residual_floor,
         gap=l1_stationarity_gap(surrogate.linear, surrogate.anchor.beta),
@@ -176,28 +178,6 @@ def _certificate(surrogate, eps0, eps, alpha) -> StationarityCertificate:
         gap_budget=alpha * eps0,
         err_budget=(1.0 - alpha) * eps0,
     )
-
-
-def verify_preference_stationarity(
-    problem: ProblemInstance,
-    point: ManifoldPoint,
-    eps0: float,
-    eps: float,
-    alpha: float = 0.5,
-):
-    """Check the three-part certificate at (x, beta).
-
-    (i) the scalarized gradient norm at x plus its rounding floor is at
-    most eps, (ii) the l1-normalized gap of the estimated pulled-back
-    gradient at beta is at most alpha * eps0, and (iii) the
-    gradient-estimation error bound is at most (1 - alpha) * eps0.
-    Returns ``(bool, certificate)``.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise ConfigurationError("requires alpha in (0, 1)")
-    surrogate = build_surrogate(problem, point)
-    cert = _certificate(surrogate, eps0, eps, alpha)
-    return cert.passed, cert
 
 
 def compute_c1_c2(

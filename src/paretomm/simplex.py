@@ -6,8 +6,10 @@ max(0, sup_{beta'} -v^T (beta' - beta) / ||beta' - beta||_1), which reduces
 to a maximum over the vertices.  An isotropic quadratic surrogate is
 minimized exactly by one Euclidean projection of its unconstrained step
 (Duchi et al., ICML 2008), and one with a positive semidefinite metric by
-a finite primal active-set method; nothing is iterated to a tolerance.  The
-minimum-norm point of a polytope is one nonnegative least-squares solve.
+a finite primal active-set method, which restarts once at the projection
+of an isotropic step when a step is first blocked; nothing is iterated to
+a tolerance.  The minimum-norm point of a polytope is one nonnegative
+least-squares solve.
 """
 
 from __future__ import annotations
@@ -60,16 +62,14 @@ class SimplexPoint:
         return SimplexPoint(w)
 
 
-def project_to_simplex(y: np.ndarray) -> SimplexPoint:
-    """Euclidean projection onto the simplex by sort and threshold.
+def _threshold(y: np.ndarray) -> np.ndarray:
+    """Euclidean projection of a vector onto the simplex, as an array.
 
-    y is first shifted by its maximum, which leaves the projection unchanged
-    and keeps the leading threshold test exact (0 - (0 - 1) = 1 > 0) when
-    the entries dwarf 1.  A -inf entry gets weight 0; NaN or +inf is rejected.
+    Sort and threshold (Duchi et al., ICML 2008).  y is first shifted by its
+    maximum, which leaves the projection unchanged and keeps the leading
+    threshold test exact (0 - (0 - 1) = 1 > 0) when the entries dwarf 1.  A
+    -inf entry gets weight 0; NaN or +inf is rejected.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise InvalidArgumentError("y must be a nonempty vector")
     top = np.max(y)  # NaN if any entry is NaN
     if not math.isfinite(top):
         raise InvalidArgumentError("y must have a finite largest entry (no NaN or +inf)")
@@ -82,7 +82,15 @@ def project_to_simplex(y: np.ndarray) -> SimplexPoint:
     cond = u - (cumsum - 1.0) / ks > 0
     rho = int(np.nonzero(cond)[0][-1])
     tau = (cumsum[rho] - 1.0) / (rho + 1.0)
-    return SimplexPoint(np.maximum(y - tau, 0.0))
+    return np.maximum(y - tau, 0.0)
+
+
+def project_to_simplex(y: np.ndarray) -> SimplexPoint:
+    """Euclidean projection onto the simplex by sort and threshold (``_threshold``)."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1 or y.size == 0:
+        raise InvalidArgumentError("y must be a nonempty vector")
+    return SimplexPoint(_threshold(y))
 
 
 def l1_stationarity_gap(v: np.ndarray, beta: SimplexPoint) -> float:
@@ -169,47 +177,64 @@ class SimplexQuadratic:
 def _active_set_minimizer(Q: SimplexQuadratic) -> np.ndarray:
     """Weights minimizing a metric model over the simplex by a primal active-set method.
 
-    Nocedal and Wright (2006), section 16.5, started at the anchor with the
-    anchor's zero weights as the working set W.  Each iteration solves the
-    model restricted to {sum d = 0, d_W = 0} by one solve against the free
-    block of A = metric + curvature * I: p = lam * A^-1 1 - A^-1 g with the
-    multiplier lam making sum p = 0.  A blocked step adds its blocking
-    weight to W; a full step ends the search unless some weight in W has a
-    negative multiplier g_i - lam, which is then freed.  A freed weight whose
-    next step does not raise it had a multiplier negative by rounding alone,
-    and the point is returned as it is.  Finite, with no tolerance;
-    ``NumericalFailureError`` if rounding makes it cycle.
+    Nocedal and Wright (2006), section 16.5, started at the anchor a with
+    its zero weights as the working set W.  Each iteration minimizes the
+    model on the face {sum b = 1, b_W = 0} by one solve against the free
+    block of A = metric + curvature * I: A_FF y = lam 1 + (A a - g)_F, so
+    y = lam A_FF^-1 1 + A_FF^-1 (A a - g)_F with the multiplier lam making
+    sum y = 1, and both right-hand sides are fixed for the call.  A step
+    to y that another weight blocks adds that weight to W; an unblocked
+    step ends the search unless some weight in W has a negative multiplier
+    (grad_i - lam), which is then freed.  A freed weight whose next face
+    minimizer does not raise it had a multiplier negative by rounding alone,
+    and the point is returned as it is.
+
+    Blocked steps zero one weight per solve, so the first blocked step
+    instead restarts the search once, at the projection of the isotropic
+    step a - g / (tr(A) / n), with that point's zero weights as W (the
+    active-set guess of More and Toraldo, 1991); the freed weight's marker
+    belongs to the old face and is cleared.  With one restart the method
+    stays finite, with no tolerance; ``NumericalFailureError`` if rounding
+    makes it cycle.
     """
-    a = Q.anchor.weights
+    a, g = Q.anchor.weights, Q.linear
     n = a.size
     A = Q.metric + Q.curvature * np.eye(n)
+    rhs = np.stack((np.ones(n), A @ a - g), axis=1)
     b = a.copy()
     free = b > 0.0
     freed = -1
+    restarted = False
     for _ in range(4 * n + 4):
         idx = np.flatnonzero(free)
-        g = Q.linear + A @ (b - a)
-        block = A if idx.size == n else A[np.ix_(idx, idx)]
-        u, v = np.linalg.solve(block, np.stack((np.ones(idx.size), g[idx]), axis=1)).T
-        lam = v.sum() / u.sum()
-        p = lam * u - v
-        if freed >= 0 and not p[np.searchsorted(idx, freed)] > 0.0:
+        if idx.size == n:
+            u, w = np.linalg.solve(A, rhs).T
+        else:
+            u, w = np.linalg.solve(A[idx][:, idx], rhs[idx]).T
+        lam = (1.0 - w.sum()) / u.sum()
+        y = lam * u + w
+        if freed >= 0 and not y[np.searchsorted(idx, freed)] > 0.0:
             return b
-        bf = b[idx]
-        falling = p < 0.0
-        ratios = bf[falling] / -p[falling]
-        if ratios.size and ratios.min() < 1.0:
-            j = int(np.argmin(ratios))
-            b[idx] = np.maximum(bf + ratios[j] * p, 0.0)
-            b[idx[falling][j]] = 0.0
-            free[idx[falling][j]] = False
+        falling = y < 0.0
+        if falling.any():
+            if not restarted:
+                restarted = True
+                b = _threshold(a - g / (np.trace(A) / n))
+                free = b > 0.0
+            else:
+                bf = b[idx]
+                ratios = bf[falling] / (bf[falling] - y[falling])
+                j = int(np.argmin(ratios))
+                b[idx] = np.maximum(bf + ratios[j] * (y - bf), 0.0)
+                b[idx[falling][j]] = 0.0
+                free[idx[falling][j]] = False
             freed = -1
             continue
-        b[idx] = bf + p
+        b[idx] = y
         if free.all():
             return b
         held = np.flatnonzero(~free)
-        multipliers = (Q.linear + A @ (b - a))[held] - lam
+        multipliers = A[held] @ b - rhs[held, 1] - lam
         if multipliers.min() >= 0.0:
             return b
         freed = int(held[np.argmin(multipliers)])
@@ -222,8 +247,10 @@ def minimize_quadratic_over_simplex(Q: SimplexQuadratic, tol_gap: float):
 
     An isotropic model is minimized by one projection of the unconstrained
     step, project(anchor - linear / curvature); a metric model by the
-    active-set method of ``_active_set_minimizer``, numpy alone.  The exact
-    minimizer's l2 tangent-cone gap is zero, so it meets any positive
+    active-set method of ``_active_set_minimizer``, numpy alone, which
+    restarts once, at its first blocked step, from the projection of the
+    isotropic step anchor - linear / (curvature + tr(metric) / n).  The
+    exact minimizer's l2 tangent-cone gap is zero, so it meets any positive
     ``tol_gap`` and is returned with gap 0.0 (the l2 gap dominates the l1
     gap).  Returns ``(point, achieved_gap)``.
     """

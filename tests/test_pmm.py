@@ -27,9 +27,8 @@ from paretomm import (
     pmm_solve,
     shared_hessian_optimum,
     solve_x_star,
-    verify_preference_stationarity,
 )
-from paretomm.pmm import _rounding_slack, _start_damping, trace_header
+from paretomm.pmm import _certificate, _rounding_slack, _start_damping, trace_header
 from paretomm.problem_io import (
     png_counterexample_spec,
     problem_from_spec,
@@ -113,16 +112,16 @@ class TestBuildSurrogate:
 class TestVerify:
     def test_exact_optimum_passes(self, identity_pair):
         pt = oracle_point(identity_pair, SimplexPoint(np.array([0.5, 0.5])))
-        ok, cert = verify_preference_stationarity(identity_pair, pt, 1e-3, 1e-6)
-        assert ok
+        cert = _certificate(build_surrogate(identity_pair, pt), 1e-3, 1e-6, 0.5)
+        assert cert.passed
         assert cert.gap <= 1e-11
         assert cert.err <= 1e-11
 
     def test_residual_gate(self, identity_pair):
         beta = SimplexPoint(np.array([0.5, 0.5]))
         pt = ManifoldPoint.from_x_beta(identity_pair.F, np.array([0.5, 0.5]), beta)
-        ok, cert = verify_preference_stationarity(identity_pair, pt, 1e-3, 1e-6)
-        assert not ok
+        cert = _certificate(build_surrogate(identity_pair, pt), 1e-3, 1e-6, 0.5)
+        assert not cert.passed
         assert cert.residual > 1e-6
 
     def test_png_vertex_not_stationary(self, png_instance):
@@ -131,8 +130,8 @@ class TestVerify:
         beta = SimplexPoint(np.array([0.0, 1.0]))
         pt = ManifoldPoint.from_x_beta(png_instance.F, E1, beta)
         assert pt.residual <= 1e-12
-        ok, cert = verify_preference_stationarity(png_instance, pt, 1e-3, 1e-6)
-        assert not ok
+        cert = _certificate(build_surrogate(png_instance, pt), 1e-3, 1e-6, 0.5)
+        assert not cert.passed
         assert cert.gap == pytest.approx(1.0, rel=1e-9)
 
     @pytest.mark.parametrize("field", ["residual", "gap", "err", "eps", "gap_budget", "err_budget"])
@@ -471,8 +470,8 @@ class TestRoundingFloor:
         beta = SimplexPoint(np.array([0.5, 0.5]))
         point = ManifoldPoint.from_x_beta(problem.F, np.zeros(2), beta)
         assert point.residual == 0.0
-        passed, cert = verify_preference_stationarity(problem, point, eps0=1e-2, eps=1e-4)
-        assert not passed and cert.residual > 1e100
+        cert = _certificate(build_surrogate(problem, point), 1e-2, 1e-4, 0.5)
+        assert not cert.passed and cert.residual > 1e100
         with pytest.raises(NumericalFailureError, match="rounding floor"):
             pmm_solve(problem, SolverConfig(eps0=1e-2, eps=1e-4))
 
@@ -488,9 +487,9 @@ class TestRoundingFloor:
         point = ManifoldPoint.from_x_beta(problem.F, np.array([1e-11, 0.0]), beta)
         assert point.residual == 0.0
         assert err_grad_f0(problem, point.x, beta, residual=point.residual) == 0.0
-        passed, cert = verify_preference_stationarity(problem, point, eps0=1e-3, eps=1e-6)
+        cert = _certificate(build_surrogate(problem, point), 1e-3, 1e-6, 0.5)
         assert cert.residual <= cert.eps and cert.gap <= cert.gap_budget
-        assert not passed and cert.err > cert.err_budget
+        assert not cert.passed and cert.err > cert.err_budget
 
 
 def closed_form_model_terms(spec, beta, x):

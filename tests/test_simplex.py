@@ -270,6 +270,35 @@ class TestMetricQuadratic:
         tol = 1e-9 * (1.0 + scale + float(np.abs(A).max()))
         assert abs(Q.value_at(beta) - best) <= tol
 
+    def test_restart_cuts_the_solves_from_a_uniform_anchor(self, monkeypatch):
+        # from the uniform anchor the optimum zeroes 8 of 12 weights; walking
+        # there one blocking weight at a time takes 9 KKT solves, restarting at
+        # the projected isotropic step takes 2
+        rng = np.random.default_rng(10)
+        R = rng.normal(size=(4, 12))
+        Q = SimplexQuadratic(SimplexPoint.uniform(12), rng.normal(size=12), 0.1, R.T @ R)
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape) or solve(a, b))
+        beta, _ = minimize_quadratic_over_simplex(Q, tol_gap=1e-12)
+        assert 2 <= len(calls) <= 3
+        assert int((beta.weights == 0.0).sum()) >= 7
+        best = _brute_force_minimum(Q.anchor.weights, Q.linear, Q.metric + Q.curvature * np.eye(12))
+        assert abs(Q.value_at(beta) - best) <= 1e-12
+
+    def test_restart_after_a_freed_weight(self):
+        # the first solve frees weight 0 and the second is blocked: the restart
+        # moves to another face, where the freed weight's marker no longer
+        # applies; keeping it there returns the restart point, 0.37 above the minimum
+        rng = np.random.default_rng(50)
+        R = rng.normal(size=(8, 8))
+        w = rng.dirichlet(np.ones(8))
+        w[rng.permutation(8)[:5]] = 0.0
+        Q = SimplexQuadratic(SimplexPoint(w), rng.normal(size=8), 1e-2, R.T @ R)
+        beta, _ = minimize_quadratic_over_simplex(Q, tol_gap=1e-12)
+        best = _brute_force_minimum(Q.anchor.weights, Q.linear, Q.metric + Q.curvature * np.eye(8))
+        assert abs(Q.value_at(beta) - best) <= 1e-12
+
     def test_exact_on_a_two_weight_line(self):
         # along d = t (1, -1) the model is 0.5 t^2 (4 + 2 * 0.5) - 2 t, minimized at t = 0.4,
         # where the gradient vanishes
