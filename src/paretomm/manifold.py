@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalFailureError
-from .problem import ObjectiveSet, ProblemInstance, SmoothFunction, scalarize
+from .problem import ObjectiveSet, ProblemInstance, SmoothFunction, scalarize, weighted_sum
 from .simplex import SimplexPoint
 
 _MACHINE_EPSILON = float(np.finfo(float).eps)
@@ -57,9 +57,14 @@ class ManifoldPoint:
 
 @dataclass(frozen=True, eq=False)
 class Jacobian:
-    """d x n derivative of the weight-to-minimizer map, exact or estimated."""
+    """d x n derivative of the weight-to-minimizer map, exact or estimated.
+
+    ``adjoint`` is hess f_beta(x)^{-1} v for the vector v passed as
+    ``grad_x_star_estimate``'s ``adjoint_of``, else None.
+    """
 
     matrix: np.ndarray
+    adjoint: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,17 +172,24 @@ def grad_x_star_estimate(
     x: np.ndarray,
     beta: SimplexPoint,
     jacobian_T: Optional[np.ndarray] = None,
+    hessians: Optional[np.ndarray] = None,
+    adjoint_of: Optional[np.ndarray] = None,
 ) -> Jacobian:
     """The same formula evaluated at an arbitrary x, used as a proxy off-manifold.
 
-    ``jacobian_T`` is ``F.jacobian_T(x)`` when the caller already has it.
+    ``jacobian_T`` is ``F.jacobian_T(x)`` and ``hessians`` the (n, d, d)
+    stack ``F._hessians(x)`` when the caller already has them.  A vector
+    ``adjoint_of`` rides along as one more right-hand-side column of the
+    same solve, and the result's ``adjoint`` is hess f_beta(x)^{-1} of it.
     """
     x = np.asarray(x, dtype=float)
     if jacobian_T is None:
         jacobian_T = F.jacobian_T(x)
-    H = scalarize(F, beta).hess(x)
-    M = -spd_solve(H, jacobian_T, F.mu)
-    return Jacobian(matrix=M)
+    H = scalarize(F, beta).hess(x) if hessians is None else weighted_sum(beta.weights, hessians)
+    if adjoint_of is None:
+        return Jacobian(matrix=-spd_solve(H, jacobian_T, F.mu))
+    X = spd_solve(H, np.concatenate((jacobian_T, adjoint_of[:, None]), axis=1), F.mu)
+    return Jacobian(matrix=-X[:, :-1], adjoint=X[:, -1])
 
 
 def err_grad_f0(

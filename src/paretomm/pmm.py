@@ -1,12 +1,16 @@
 """Majorization-minimization over the Pareto manifold.
 
 Each outer iteration builds a quadratic model of the pulled-back
-preference around the current pair (x, beta) in the Gauss-Newton metric
-B0 = J^T hess f0(x) J, with J the implicit derivative of the minimizer map,
-damped by sigma I (Levenberg-Marquardt; projected Newton as in Bertsekas,
-1982, and the proximal Newton-type methods of Lee, Sun and Saunders, 2014).
-It minimizes the model over the simplex exactly, by a primal active-set
-method, then re-solves the scalarized problem at the new weights to a
+preference around the current pair (x, beta), damped by sigma I
+(Levenberg-Marquardt; projected Newton as in Bertsekas, 1982, and the
+proximal Newton-type methods of Lee, Sun and Saunders, 2014).  Its metric
+is, on the first trial, the exact Hessian of beta -> f0(x*(beta)) on the
+simplex's tangent plane, P (B0 + S) P with P = I - 1 1^T / n: the
+Gauss-Newton metric B0 = J^T hess f0(x) J, with J the implicit derivative
+of the minimizer map, plus the curvature S of x*(beta) itself.  When that
+Hessian is not positive definite, and on every later trial, it is B0.
+The model is minimized over the simplex exactly, by a primal active-set
+method, then the scalarized problem is re-solved at the new weights to a
 gradient norm proportional to eps.  Newton starts that solve at the tangent
 prediction x + J (beta_new - beta) (an Euler predictor with a Newton
 corrector; Allgower and Georg, 2003, ch. 2); for shared-Hessian quadratics
@@ -72,7 +76,10 @@ class SurrogateState:
     ``x_star_jacobian`` is the d x n implicit derivative J = dx*/dbeta
     estimated at the anchor; it gives each step's Gauss-Newton metric
     J^T hess f0(x) J, and each trial's x*(beta) solve starts at the
-    tangent prediction x + J (beta_new - beta).
+    tangent prediction x + J (beta_new - beta).  ``hessians`` is the
+    (n, d, d) stack of objective Hessians at the anchor and ``adjoint`` is
+    p = hess f_beta(x)^{-1} grad f0(x), from the same solve as J: with J
+    they give the curvature of x*(beta) that ``_exact_metric`` adds.
     """
 
     anchor: ManifoldPoint
@@ -83,6 +90,8 @@ class SurrogateState:
     jacobian_T: np.ndarray
     residual_floor: float
     x_star_jacobian: np.ndarray
+    hessians: np.ndarray
+    adjoint: np.ndarray
 
     def relative_value(self, beta: SimplexPoint) -> float:
         """Model value at beta (curvature mu_g, an upper bound) minus the unknown anchor constant."""
@@ -96,7 +105,8 @@ def build_surrogate(problem: ProblemInstance, point: ManifoldPoint) -> Surrogate
     JT = F.jacobian_T(point.x)
     g0 = problem.f0.grad(point.x)
     g0n = stable_norm(g0)
-    J = grad_x_star_estimate(F, point.x, point.beta, jacobian_T=JT)
+    Hs = F._hessians(point.x)
+    J = grad_x_star_estimate(F, point.x, point.beta, jacobian_T=JT, hessians=Hs, adjoint_of=g0)
     floor = residual_floor(F, JT, point.beta)
     return SurrogateState(
         anchor=point,
@@ -107,6 +117,8 @@ def build_surrogate(problem: ProblemInstance, point: ManifoldPoint) -> Surrogate
         jacobian_T=JT,
         residual_floor=floor,
         x_star_jacobian=J.matrix,
+        hessians=Hs,
+        adjoint=J.adjoint,
     )
 
 
@@ -225,9 +237,12 @@ class TraceRecord:
     """One outer iterate.
 
     ``curvature`` and ``trials`` describe the step that produced it: the
-    accepted damping sigma of the model B0 + sigma I (mu_g for the
-    isotropic step at the cap) and the x*(beta) solves it took, rejected
-    trials included; row 0, the solved start, has mu_g and 1 solve.
+    accepted damping sigma (mu_g for the isotropic step at the cap) and the
+    x*(beta) solves it took, rejected trials included; row 0, the solved
+    start, has mu_g and 1 solve.  A step accepted at its first trial was
+    tested against the exact-Hessian model P (B0 + S) P + sigma I when that
+    Hessian is positive definite, and any other against B0 + sigma I; so
+    sigma is 1e-2 tr(B0) (clipped) times 2^(trials - 1) below the cap.
     Neither is in the CSV.
     """
 
@@ -286,31 +301,70 @@ def _rounding_slack(problem: ProblemInstance, point: ManifoldPoint, grad_f0_norm
     return grad_f0_norm * dist + 0.5 * problem.f0.L * dist**2
 
 
-def _start_damping(B0, cap):
+def _positive_definite(M, floor) -> bool:
+    """Whether M + floor * I, or every matrix of a stack M, has a finite Cholesky factor."""
+    try:
+        factor = np.linalg.cholesky(M + floor * np.eye(M.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(factor).all())
+
+
+def _start_damping(B0, cap, convex=None):
     """First trial sigma of a step: 1e-2 * tr(B0), clipped to [1e-12 * cap, cap].
 
     The cap instead when B0 + 1e-12 * cap * I is not positive definite (f0
     is not convex along J at the anchor) or not finite: no damped model
-    below the cap is then convex.
+    below the cap is then convex.  ``convex`` is the outcome of that test
+    when the caller has made it.
     """
     floor = _MIN_CURVATURE * cap
-    try:
-        factor = np.linalg.cholesky(B0 + floor * np.eye(B0.shape[0]))
-    except np.linalg.LinAlgError:
-        return cap
-    if not np.isfinite(factor).all():
+    if not (_positive_definite(B0, floor) if convex is None else convex):
         return cap
     return min(max(1e-2 * float(np.trace(B0)), floor), cap)
 
 
+def _exact_metric(F, surrogate, B0):
+    """Hessian of the pulled-back preference beta -> f0(x*(beta)) on the simplex's tangent plane.
+
+    That is P (B0 + S) P, with P = I - 1 1^T / n and S the term
+    sum_m d_m f0 hess x*_m that the Gauss-Newton metric B0 leaves out.
+    Differentiating sum_i beta_i grad f_i(x*) = 0 twice gives
+    S_kj = -p^T (H_k J e_j + H_j J e_k) - sum_l tau_l p_l (J e_k)_l (J e_j)_l,
+    with H_k the objective Hessians, p = hess f_beta(x)^{-1} grad f0(x)
+    (``surrogate.hessians`` and ``surrogate.adjoint``) and tau the diagonal
+    third derivative of the scalarization: 0 for quadratics and
+    -2 sum_i beta_i c_i sech^2(x - z_i) tanh(x - z_i) for the log-cosh
+    family.  A set without a family whose L_H > 0 has no known third
+    derivative, and gets B0 itself.
+    """
+    fam = F.family
+    if fam is None and F.L_H > 0.0:
+        return B0
+    J, p = surrogate.x_star_jacobian, surrogate.adjoint
+    # ndarray.dot, not @: these products are tiny and dot dispatches faster
+    A = surrogate.hessians.dot(p).dot(J)  # A_kj = p^T H_k J e_j
+    M = B0 - A - A.T
+    if fam is not None and fam.c is not None:
+        t = np.tanh(surrogate.anchor.x - fam.z)  # sech^2 = 1 - tanh^2, which cannot overflow
+        tau = -2.0 * ((surrogate.anchor.beta.weights * fam.c) @ ((1.0 - t * t) * t))
+        M -= (J.T * (tau * p)).dot(J)
+    P = np.eye(F.n) - 1.0 / F.n
+    return P.dot(M).dot(P)
+
+
 def _outer_step(problem, surrogate, f0_anchor, tol_gap, tol_grad):
-    """One backtracked Gauss-Newton MM step from the surrogate's anchor.
+    """One backtracked projected-Newton MM step from the surrogate's anchor.
 
     With d = beta' - beta, each trial minimizes the model
-    m_sigma(beta') = linear^T d + 0.5 d^T (B0 + sigma I) d exactly over the
-    simplex, where B0 = J^T hess f0(x) J is the Gauss-Newton metric at the
-    anchor, built once per step from the implicit derivative J.  sigma starts
-    at 1e-2 * tr(B0), clipped to [1e-12 * mu_g, mu_g], and doubles until the
+    m_sigma(beta') = linear^T d + 0.5 d^T (G + sigma I) d exactly over the
+    simplex.  B0 = J^T hess f0(x) J is the Gauss-Newton metric at the
+    anchor, built once per step from the implicit derivative J.  The first
+    trial takes G = P (B0 + S) P, the exact Hessian on the tangent plane
+    (``_exact_metric``), when it and B0 are positive definite above
+    1e-12 mu_g (one batched Cholesky) and n <= d + 1; every other trial
+    takes G = B0.  sigma starts at 1e-2 * tr(B0), clipped to
+    [1e-12 * mu_g, mu_g], and doubles, with G switching to B0, until the
     new point does not raise f0 and its f0 rise is within m_sigma plus the
     err bound and the rounding slack of both points.  At the cap mu_g the
     model is the isotropic upper bound linear^T d + 0.5 mu_g ||d||^2 and the
@@ -323,14 +377,21 @@ def _outer_step(problem, surrogate, f0_anchor, tol_gap, tol_grad):
     F, anchor, cap = problem.F, surrogate.anchor, surrogate.curvature
     J = surrogate.x_star_jacobian
     B0 = J.T @ (problem.f0.hess(anchor.x) @ J)
-    sigma = _start_damping(B0, cap)
+    # Along ker J, which meets the tangent plane when n - 1 > d, x*(beta) is
+    # flat to second order: the exact Hessian is then singular there at best.
+    exact = _exact_metric(F, surrogate, B0) if F.n <= F.dim + 1 else None
+    if exact is not None and _positive_definite(np.array((B0, exact)), _MIN_CURVATURE * cap):
+        sigma, metric = _start_damping(B0, cap, convex=True), exact  # one Cholesky for both
+    else:
+        sigma, metric = _start_damping(B0, cap), B0
     slack = _rounding_slack(problem, anchor, surrogate.grad_f0_norm)
     trials = 0
     while True:
         beta = anchor.beta
         if cap > 0.0:  # mu_g = 0 when the minimizers coincide
-            metric = B0 if sigma < cap else None
-            Q = SimplexQuadratic(anchor=beta, linear=surrogate.linear, curvature=sigma, metric=metric)
+            Q = SimplexQuadratic(
+                anchor=beta, linear=surrogate.linear, curvature=sigma, metric=metric if sigma < cap else None
+            )
             beta, _ = minimize_quadratic_over_simplex(Q, tol_gap=tol_gap)
         # The solved point's residual is the scalarized gradient norm at
         # (x, beta), so it anchors the next surrogate as it is.
@@ -345,7 +406,7 @@ def _outer_step(problem, surrogate, f0_anchor, tol_gap, tol_grad):
         bound += _rounding_slack(problem, point, stable_norm(problem.f0.grad(point.x)))
         if rise <= 0.0 and rise <= bound:
             return point, f0_value, sigma, trials, slack
-        sigma = min(2.0 * sigma, cap)
+        sigma, metric = min(2.0 * sigma, cap), B0
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow ends in NumericalFailureError or a failed check
@@ -360,11 +421,14 @@ def pmm_solve(
     x0 (``InvalidArgumentError`` otherwise); the defaults are uniform
     weights and the weight-averaged objective minimizers.  Row 0 of the
     trace is x*(beta0), solved by Newton from x0 to c2 * eps like every
-    later point (c2 from ``compute_c1_c2`` at x0).  Each step minimizes the
-    Gauss-Newton model in the metric B0 + sigma I (see ``_outer_step``),
-    with sigma starting at 1e-2 * tr(B0), clipped to [1e-12 * mu_g, mu_g],
-    and doubling after each failed descent or upper-bound test; at the cap
-    mu_g the isotropic step is taken untested, as in the fixed-mu_g method.
+    later point (c2 from ``compute_c1_c2`` at x0).  Each step minimizes a
+    quadratic model in the metric G + sigma I (see ``_outer_step``): G is
+    the exact Hessian of the pulled-back preference on the tangent plane
+    for the first trial when it is positive definite, and the Gauss-Newton
+    metric B0 otherwise.  sigma starts at 1e-2 * tr(B0), clipped to
+    [1e-12 * mu_g, mu_g], and doubles, with G switching to B0, after each
+    failed descent or upper-bound test; at the cap mu_g the isotropic step
+    is taken untested, as in the fixed-mu_g method.
     The certificate never reads the model.  Stationarity is checked every
     iteration, so a certifiable iterate ends the run as soon as it appears.
     Each x*(beta) solve may stop at its rounding floor above its target;

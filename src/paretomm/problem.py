@@ -308,6 +308,11 @@ class ProblemInstance:
         return cls(F=F, f0=f0, bundle=derive_constants(F, f0))
 
 
+def weighted_sum(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_i w_i stack[i], as one contraction over the leading axis (for a Hessian stack, (n, d, d))."""
+    return (w @ stack.reshape(w.size, -1)).reshape(stack.shape[1:])
+
+
 def scalarize(F: ObjectiveSet, beta) -> SmoothFunction:
     """Convex combination sum_i beta_i f_i with the bundle constants of F.
 
@@ -328,7 +333,7 @@ def scalarize(F: ObjectiveSet, beta) -> SmoothFunction:
         return np.cumsum(w[:, None] * F._gradients(x), axis=0)[-1]
 
     def hess(x):
-        return (w @ F._hessians(x).reshape(F.n, -1)).reshape(F.dim, F.dim)
+        return weighted_sum(w, F._hessians(x))
 
     return SmoothFunction(
         dim=F.dim,

@@ -5,7 +5,7 @@ a smooth function at beta is measured by the l1-normalized gap
 max(0, sup_{beta'} -v^T (beta' - beta) / ||beta' - beta||_1), which reduces
 to a maximum over the vertices.  An isotropic quadratic surrogate is
 minimized exactly by one Euclidean projection of its unconstrained step
-(Duchi et al., ICML 2008), and one with a positive semidefinite metric by
+(Duchi et al., ICML 2008), and a strictly convex one with a metric by
 a finite primal active-set method, which restarts once at the projection
 of an isotropic step when a step is first blocked; nothing is iterated to
 a tolerance.  The minimum-norm point of a polytope is one nonnegative
@@ -147,7 +147,7 @@ class SimplexQuadratic:
 
     value(beta') = linear^T d + 0.5 * d^T (metric + curvature * I) d, d = beta' - anchor;
     without a metric the model is isotropic.  ``metric`` is an n x n
-    symmetric positive semidefinite matrix.
+    symmetric matrix with metric + curvature * I positive definite.
     """
 
     anchor: SimplexPoint

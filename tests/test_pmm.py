@@ -28,7 +28,7 @@ from paretomm import (
     shared_hessian_optimum,
     solve_x_star,
 )
-from paretomm.pmm import _certificate, _rounding_slack, _start_damping, trace_header
+from paretomm.pmm import _certificate, _exact_metric, _rounding_slack, _start_damping, trace_header
 from paretomm.problem_io import (
     png_counterexample_spec,
     problem_from_spec,
@@ -445,12 +445,31 @@ class TestRoundingFloor:
         assert residual <= config.eps and gap <= config.eps0
 
     def test_unreachable_eps_stops_as_stalled(self):
-        # At shift 1e11 the residual's rounding stays above eps = 1e-6 and f0
-        # only moves within its slack, so no step can certify; the run must
-        # stop within 50 steps instead of spending its whole budget
+        # At shift 1e11 the residual's rounding stays above eps = 1e-8 (it ends
+        # near 1.3e-6) and f0 only moves within its slack, so no step can
+        # certify; the run must stop within 50 steps instead of spending its
+        # whole budget
         spec = _transformed_triangle(shift=1e11)
         with pytest.raises(NumericalFailureError, match="stalled"):
-            pmm_solve(problem_from_spec(spec), SolverConfig(eps0=1e-3, eps=1e-6, max_outer=50))
+            pmm_solve(problem_from_spec(spec), SolverConfig(eps0=1e-3, eps=1e-8, max_outer=50))
+
+    def test_far_shifted_residual_is_exact_within_eps(self):
+        # At shift 1e11 eps = 1e-6 is reachable: the certified point's residual
+        # ||sum_i beta_i H_i (x - z_i)||, computed exactly in rationals at the
+        # floats the run used, is within eps (7.9e-7)
+        from fractions import Fraction
+
+        config = SolverConfig(eps0=1e-3, eps=1e-6, max_outer=50)
+        spec = _transformed_triangle(shift=1e11)
+        result = pmm_solve(problem_from_spec(spec), config)
+        assert result.status == "certified"
+        x = [Fraction(v) for v in result.point.x.tolist()]
+        g = [Fraction(0), Fraction(0)]
+        for b, entry in zip(result.point.beta.weights.tolist(), spec["objectives"]):
+            D = [xa - Fraction(za) for xa, za in zip(x, entry["z"])]
+            for a, row in enumerate(entry["H"]):
+                g[a] += Fraction(b) * sum(Fraction(h) * t for h, t in zip(row, D))
+        assert g[0] ** 2 + g[1] ** 2 <= Fraction(config.eps) ** 2
 
     def test_scaled_hessians_certify(self):
         config = SolverConfig(eps0=1e-3, eps=1e-6)
@@ -566,6 +585,13 @@ class TestBacktrackedCurvature:
                 assert f_cur - f_prev <= model + slack(prev, g_prev) + slack(cur, g_cur)
             assert below_cap >= len(records) // 2
 
+    def test_triangle_steps_and_solves(self, planar_runs):
+        # As with the Gauss-Newton model alone, the first step rejects its
+        # first trial and the other two accept theirs
+        _, result = planar_runs[0]
+        assert len(result.trace) - 1 == 3
+        assert sum(r.trials for r in result.trace) == 5
+
     def test_concave_preference_takes_the_isotropic_step(self, identity_pair):
         # B0 = -J^T J is negative semidefinite, so no damped model B0 + sigma I
         # below the cap is convex: every step is the untested mu_g step
@@ -635,6 +661,87 @@ class TestStartDamping:
         assert _start_damping(np.array(B0), 8.0) == pytest.approx(expected, rel=1e-12)
 
 
+def _metric_terms(problem, beta):
+    """B0 and the exact metric at x*(beta), solved to the rounding floor."""
+    point = solve_x_star(problem.F, SimplexPoint(beta), tol_grad=1e-12 * problem.F.L)
+    surrogate = build_surrogate(problem, point)
+    J = surrogate.x_star_jacobian
+    B0 = J.T @ problem.f0.hess(point.x) @ J
+    return B0, _exact_metric(problem.F, surrogate, B0)
+
+
+class TestExactMetric:
+    """P (B0 + S) P is the Hessian of beta -> f0(x*(beta)) on the tangent plane sum d = 0."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        n=st.integers(2, 4),
+        c=st.sampled_from([0.0, 0.3, 1.0, 3.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_central_differences(self, d, n, c, seed):
+        # Quadratics with distinct Hessians (c = 0) or log-cosh objectives; the
+        # mixed central difference at steps h and 2h, extrapolated to h = 0,
+        # along an orthonormal basis E of the tangent plane
+        rng = np.random.default_rng(seed)
+        spec = random_problem_spec(rng, d, n)
+        if c:
+            spec["objectives"] = [
+                {"kind": "builtin", "name": "log_cosh_quadratic", "params": {"H": e["H"], "z": e["z"], "c": c}}
+                for e in spec["objectives"]
+            ]
+        problem = problem_from_spec(spec)
+        beta = 0.2 / n + 0.8 * rng.dirichlet(np.ones(n))
+        _, M = _metric_terms(problem, beta)
+
+        def phi(b):
+            x = solve_x_star(problem.F, SimplexPoint(b), tol_grad=1e-12 * problem.F.L).x
+            return problem.f0.value(x)
+
+        E = np.linalg.qr(np.eye(n) - 1.0 / n)[0][:, : n - 1]
+
+        def second_differences(h):
+            out = np.empty((n - 1, n - 1))
+            for i in range(n - 1):
+                for j in range(i, n - 1):
+                    u, v = h * E[:, i], h * E[:, j]
+                    out[i, j] = out[j, i] = (
+                        phi(beta + u + v) - phi(beta + u - v) - phi(beta - u + v) + phi(beta - u - v)
+                    ) / (4.0 * h * h)
+            return out
+
+        fd = (4.0 * second_differences(1e-3) - second_differences(2e-3)) / 3.0
+        exact = E.T @ M @ E
+        assert np.abs(fd - exact).max() <= 1e-5 * np.abs(exact).max()
+
+    def test_rows_sum_to_zero(self, rng):
+        problems = [
+            problem_from_spec(triangle_spec()),  # quadratic family
+            random_logcosh_problem(rng, d=3, n=3, c=1.0),  # log-cosh family
+        ]
+        F = problems[0].F  # a hand-written quadratic: no family, L_H = 0
+        hand = dataclasses.replace(F.objectives[0], value=lambda x, f=F.objectives[0].value: f(x))
+        loop = ObjectiveSet.from_objectives([hand, *F.objectives[1:]])
+        assert loop.family is None and loop.L_H == 0.0
+        problems.append(ProblemInstance.create(loop, problems[0].f0))
+        for problem in problems:
+            B0, M = _metric_terms(problem, np.full(problem.F.n, 1.0 / problem.F.n))
+            np.testing.assert_allclose(M, M.T, rtol=0.0, atol=1e-12 * np.abs(M).max())
+            np.testing.assert_allclose(M.sum(axis=1), 0.0, rtol=0.0, atol=1e-12 * np.abs(M).max())
+            assert not np.allclose(M, B0)
+
+    def test_set_without_a_family_keeps_gauss_newton(self, rng):
+        # L_H > 0 and no family: the third derivative of the scalarization is unknown
+        problem = random_logcosh_problem(rng, d=3, n=3, c=1.0)
+        f = problem.F.objectives[0]
+        hand = dataclasses.replace(f, value=lambda x: f.value(x))
+        F = ObjectiveSet.from_objectives([hand, *problem.F.objectives[1:]])
+        assert F.family is None and F.L_H > 0.0
+        B0, M = _metric_terms(ProblemInstance.create(F, problem.f0), np.full(3, 1.0 / 3.0))
+        assert M is B0
+
+
 class TestTangentPredictor:
     """Each trial's x*(beta) solve starts at x + J (beta_new - beta), J estimated at the anchor."""
 
@@ -670,8 +777,13 @@ class TestTangentPredictor:
         result = pmm_solve(problem_from_spec(spec), SolverConfig(eps0=1e-3, eps=1e-6))
         assert result.status == "certified"
         assert len(result.trace) - 1 == 2
-        assert sum(r.trials for r in result.trace) == len(newton_iterations) == 3
-        assert sum(newton_iterations) == 8  # 9 from the anchor
+        # The first step's exact-Hessian trial lowers f0 by 0.0202 where its
+        # model predicts 0.0234: so far out (the first weight moves by 0.12)
+        # that model is no upper bound, so the trial is rejected and the
+        # Gauss-Newton model at twice the damping is accepted.
+        assert [r.trials for r in result.trace] == [1, 2, 1]
+        assert len(newton_iterations) == 4
+        assert sum(newton_iterations) == 11  # 12 from the anchor
 
 
 @settings(max_examples=40, deadline=None)
