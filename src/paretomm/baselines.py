@@ -27,6 +27,7 @@ from .problem import (
 from .simplex import _nnls_lift, min_norm_over_simplex
 
 COLLINEARITY_TOL = 1e-6  # radians; the stopping test has no canonical tolerance
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,25 @@ def _angle_to_descent(v: np.ndarray, g0: np.ndarray) -> float:
     return float(np.arccos(min(max(cosang, -1.0), 1.0)))
 
 
+def _min_norm_lower_bound(G: np.ndarray, u: np.ndarray) -> float:
+    """A lower bound on ``min_norm_over_simplex(G.T)[1]`` from a unit vector u.
+
+    ``G`` is n x d, one gradient g_i a row.  For beta on the simplex,
+    ||sum_i beta_i g_i|| >= <sum_i beta_i g_i, u> >= min_i <g_i, u> = l
+    (min-norm duality; Gilbert 1966, Wolfe 1976), with equality when u is
+    the direction of the min-norm point.  Returned less a margin of
+    4 (n + d + 4) eps ||G||_F (||G||_F bounds every ||g_i||), which covers
+    the rounding of l, of u's unit norm, and of the weights and the norm
+    that the min-norm solve computes: so it is at most the computed value,
+    not only the exact one.  The margin is inf, and the
+    bound -inf, when ||G||_F^2 overflows.
+    """
+    n, d = G.shape
+    e = G.ravel()
+    # lists and ndarray.dot, not ndarray.min and norm: G is tiny and this runs on most iterates
+    return min(G.dot(u).tolist()) - 4.0 * (n + d + 4) * _EPS * math.sqrt(e.dot(e))
+
+
 @dataclass(frozen=True, eq=False)
 class PngResult:
     trajectory: np.ndarray  # (T, d)
@@ -105,19 +125,35 @@ class _PngState:
     ``m`` only where the angle, the stall or the step length already qualify.
     ``v`` is None and ``angle`` is pi where the halfspaces are infeasible;
     an error from a solve surfaces at that first read.
+
+    ``u`` is the unit direction of the last min-norm point of the run: this
+    state's own once ``m`` is read, else the one it was built with.
+    ``m_exceeds`` solves for m only when the duality bound of ``u``
+    (``_min_norm_lower_bound``) does not exceed the level.  The bound is at
+    most the computed m, so the outcome is the one the solve would give.
     """
 
-    def __init__(self, F, f0, x, c):
+    def __init__(self, F, f0, x, c, u=None):
         self.x = np.asarray(x, dtype=float)
         self._G = F.jacobian_T(self.x).T
         self._g0 = f0.grad(self.x)
         self._c = c
+        self.u = u
         if not (np.isfinite(self._G).all() and np.isfinite(self._g0).all()):
             raise NumericalFailureError(f"non-finite gradient at x={self.x.tolist()}")
 
     @cached_property
     def m(self) -> float:
-        return min_norm_over_simplex(self._G.T)[1]
+        beta, m = min_norm_over_simplex(self._G.T)
+        if m > 0.0:
+            self.u = self._G.T.dot(beta.weights) / m
+        return m
+
+    def m_exceeds(self, level: float) -> bool:
+        """Whether m > level, without the min-norm solve when the duality bound of ``u`` decides it."""
+        if "m" not in self.__dict__ and self.u is not None and _min_norm_lower_bound(self._G, self.u) > level:
+            return True
+        return self.m > level
 
     @cached_property
     def v(self):
@@ -164,8 +200,8 @@ def _zero_angle_along(F, f0, x, direction, config, span):
     return _PngState(F, f0, x + 0.5 * (a + b) * direction, config.c)
 
 
-def _polish_to_stationary(F, f0, seed, config):
-    """Trace the collinearity set from a near-band seed down to the band.
+def _polish_to_stationary(F, f0, state, config):
+    """Trace the collinearity set from the descent's state near the band down to it.
 
     The fixed-step iteration provably cannot land in the joint target set
     (the two-active steps conserve the quantity whose zero level is the
@@ -178,7 +214,6 @@ def _polish_to_stationary(F, f0, seed, config):
     returned point passes the exact stopping test.
     """
     c = config.c
-    state = _PngState(F, f0, np.asarray(seed, dtype=float).copy(), c)
     h = max(1e-7, 1e-7 * float(np.linalg.norm(state.x)))
 
     # phase A: descend the angle onto the collinearity set
@@ -249,6 +284,9 @@ def png_descent(
     set the raw step blows up like c / distance, so displacements are
     capped there; when the capped dynamics stall, the stationary point is
     located by the curve-tracing polish and verified against the same test.
+    The stopping, stall and cap tests compare m with a level through
+    ``_PngState.m_exceeds``, which skips most min-norm solves far from the
+    band and leaves every iterate as solving for m would.
     A non-finite x0 raises ``InvalidArgumentError``; a gradient that
     overflows along the way raises ``NumericalFailureError``.
     """
@@ -260,14 +298,15 @@ def png_descent(
     anchor_x, anchor_it = state.x.copy(), 0
     next_polish_at = 0
     for it in range(config.max_iters):
-        # each test reads state.m last: most iterates never need the min-norm solve
-        if state.angle <= COLLINEARITY_TOL and state.m <= config.eps_stop:
+        # each test reads m last, and through its duality bound: most
+        # iterates never need the min-norm solve
+        if state.angle <= COLLINEARITY_TOL and not state.m_exceeds(config.eps_stop):
             return PngResult(np.array(traj), state.x, "stationary", it)
         if float(np.linalg.norm(state.x - anchor_x)) > 5.0 * band:
             anchor_x, anchor_it = state.x.copy(), it
         stalled = it - anchor_it >= 100
-        if stalled and it >= next_polish_at and state.angle <= 1.0 and state.m <= 2.0 * band:
-            polished = _polish_to_stationary(F, f0, state.x, config)
+        if stalled and it >= next_polish_at and state.angle <= 1.0 and not state.m_exceeds(2.0 * band):
+            polished = _polish_to_stationary(F, f0, state, config)
             if polished is not None:
                 traj.append(polished)
                 return PngResult(np.array(traj), polished, "stationary", it)
@@ -280,11 +319,11 @@ def png_descent(
         move = config.step * state.v
         length = math.sqrt(move @ move)
         # the cap (m + band) / L is at least band / L, so a shorter step is never capped
-        if length > band / F.L:
+        if length > band / F.L and not state.m_exceeds(4.0 * band):
             cap = (state.m + band) / F.L
-            if state.m <= 4.0 * band and length > cap:
+            if length > cap:
                 move *= cap / length
-        state = _PngState(F, f0, state.x - move, config.c)
+        state = _PngState(F, f0, state.x - move, config.c, state.u)
         traj.append(state.x.copy())
     return PngResult(np.array(traj), state.x, "budget-exceeded", config.max_iters)
 

@@ -284,9 +284,10 @@ def min_norm_over_simplex(G: np.ndarray):
     s^2 ||G beta||^2 + (s - 1)^2, whose minimum over s is increasing in
     ||G beta||; so the nonnegative least-squares solution y gives the
     minimizer beta = y / sum(y) (Lawson and Hanson, ch. 23).  When y breaks
-    the lifted problem's KKT condition E^T (E y - e_{d+1}) >= 0 by more
-    than rounding, as ``scipy.optimize.nnls`` can, the bounded-variable
-    solver ``lsq_linear(method="bvls")`` solves it again.  Returns
+    the lifted problem's KKT conditions, w = E^T (E y - e_{d+1}) >= 0 with
+    w_i = 0 where y_i > 0, by more than rounding, as ``scipy.optimize.nnls``
+    can, the bounded-variable solver ``lsq_linear(method="bvls")`` solves
+    it again.  Returns
     ``(SimplexPoint, norm)``.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
@@ -298,7 +299,8 @@ def min_norm_over_simplex(G: np.ndarray):
         kkt = E.dot(y).dot(E).tolist()  # 1 + E^T (E y - e_{d+1}): the last row of E is all ones
         e = E.ravel()
         tol = 1e-9 * (1.0 + float(e.dot(e)))
-    if min(kkt) < 1.0 - tol:
+    on_support = max((k for k, yi in zip(kkt, y.tolist()) if yi > 0.0), default=1.0)
+    if min(kkt) < 1.0 - tol or on_support > 1.0 + tol:
         from scipy.optimize import lsq_linear
 
         y = lsq_linear(E, np.eye(E.shape[0])[-1], bounds=(0.0, np.inf), method="bvls").x

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paretomm import (
     InfeasibleError,
@@ -151,6 +155,63 @@ class TestPngState:
         # the loop reads m only near the band or where the step may be capped
         assert 0 < 2 * calls["min_norm"] < calls["png_vector"]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        d=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-6.0, 6.0),
+        spread=st.floats(1e-3, 1.0),
+    )
+    def test_min_norm_bound_is_at_most_the_computed_value(self, n, d, seed, log_scale, spread):
+        # gradients around a shared offset, so that the min-norm value is
+        # often far from 0; u drawn at random, at the min-norm direction u*
+        # and a rounding-sized tilt off it, where the bound is tightest
+        rng = np.random.default_rng(seed)
+        G = (rng.normal(size=d) * rng.uniform(0.0, 3.0) + spread * rng.normal(size=(n, d))) * 10.0**log_scale
+        beta, m = min_norm_over_simplex(G.T)
+        u = rng.normal(size=d)
+        assert baselines._min_norm_lower_bound(G, u / np.linalg.norm(u)) <= m
+        frobenius = math.sqrt(float((G * G).sum()))
+        if m <= 1e-3 * frobenius:
+            return  # u* is then mostly the solve's rounding
+        u_star = G.T @ beta.weights / m
+        tilted = u_star + 1e-15 * rng.normal(size=d)
+        for u in (u_star, tilted / np.linalg.norm(tilted)):
+            assert baselines._min_norm_lower_bound(G, u) <= m
+        if abs(log_scale) <= 1.0:
+            # equal to m up to the min-norm solve's own accuracy: it accepts
+            # the NNLS weights within a KKT tolerance, not at their optimum
+            assert m - baselines._min_norm_lower_bound(G, u_star) <= 1e-10 * frobenius
+
+    def test_skipping_by_the_bound_leaves_the_descent_unchanged(self, png_instance, monkeypatch):
+        calls = [0]
+        solve = baselines.min_norm_over_simplex
+
+        def counted(G):
+            calls[0] += 1
+            return solve(G)
+
+        monkeypatch.setattr(baselines, "min_norm_over_simplex", counted)
+        bound = baselines._min_norm_lower_bound
+        x0 = np.array([0.2, 0.9])
+        for eps_stop, iterations in ((1e-1, 701), (1e-2, 882), (1e-3, 882), (3e-4, 3882)):
+            config = PngConfig(c=0.01, step=0.05, eps_stop=eps_stop, max_iters=100_000)
+            runs, counts = [], []
+            for skip in (True, False):
+                monkeypatch.setattr(baselines, "_min_norm_lower_bound", bound if skip else lambda G, u: -math.inf)
+                calls[0] = 0
+                runs.append(png_descent(png_instance.F, png_instance.f0, x0, config))
+                counts.append(calls[0])
+            on, off = runs
+            assert on.status == off.status == "stationary"
+            assert on.iterations == off.iterations == iterations
+            assert on.trajectory.tobytes() == off.trajectory.tobytes()
+            assert on.point.tobytes() == off.point.tobytes()
+            assert counts[0] < counts[1]
+            if eps_stop == 1e-3:  # the benchmark's configuration: 155 solves against 442
+                assert counts[0] <= 160 and counts[1] >= 400
+
 
 class TestPngDescent:
     def test_counterexample_avoids_optimum(self, png_instance):
@@ -197,6 +258,19 @@ class TestPngDescent:
         res = png_descent(png_instance.F, png_instance.f0, np.array([0.2, 0.9]), config)
         assert res.status == "stationary"
         assert res.iterations == 3882
+        state = _PngState(png_instance.F, png_instance.f0, res.point, config.c)
+        assert state.angle <= COLLINEARITY_TOL and state.m <= config.eps_stop
+
+    def test_benchmark_configuration_is_stationary_after_882_iterations(self, png_instance):
+        # the PNG run of the benchmark's validate workload.  It is fragile to
+        # rounding: building the gradient matrix C-contiguous instead of as a
+        # transposed view moves one coordinate by 3.5e-18 at iterate 110, the
+        # first polish then fails, and the run takes 3882 iterations, about
+        # five times as long
+        config = PngConfig(c=0.01, step=0.05, eps_stop=1e-3, max_iters=100_000)
+        res = png_descent(png_instance.F, png_instance.f0, np.array([0.2, 0.9]), config)
+        assert res.status == "stationary"
+        assert res.iterations == 882
         state = _PngState(png_instance.F, png_instance.f0, res.point, config.c)
         assert state.angle <= COLLINEARITY_TOL and state.m <= config.eps_stop
 

@@ -561,29 +561,61 @@ class TestBacktrackedCurvature:
             assert any(r.curvature < mu_g for r in result.trace)
 
     def test_steps_below_the_cap_descend_under_the_model(self, planar_runs):
+        # A step accepted at its first trial took it in the exact tangent-plane
+        # Hessian P (B0 + S) P when that and B0 pass the Cholesky test at
+        # 1e-12 mu_g (n <= d + 1 on both presets); every other step was
+        # accepted under B0.
         for spec, result in planar_runs:
             problem = problem_from_spec(spec)
             mu = min(np.linalg.eigvalsh(np.array(e["H"], float))[0] for e in spec["objectives"])
             L0 = np.linalg.eigvalsh(np.array(spec["preference"]["H"], float))[-1]
+            floor = 1e-12 * problem.bundle.mu_g
+            Hs = [np.array(e["H"], float) for e in spec["objectives"]]
+            zs = [np.array(e["z"], float) for e in spec["objectives"]]
+            H0, z0 = np.array(spec["preference"]["H"], float), np.array(spec["preference"]["z"], float)
+            P = np.eye(len(Hs)) - 1.0 / len(Hs)
 
             def slack(r, g0n):
                 dist = r.residual / mu
                 return g0n * dist + 0.5 * L0 * dist**2
 
+            def convex(M):
+                try:
+                    np.linalg.cholesky(M + floor * np.eye(len(M)))
+                except np.linalg.LinAlgError:
+                    return False
+                return True
+
+            def metric(r, B0):
+                """The metric of a first trial at anchor r: P (B0 + S) P when it and B0 are convex, else B0.
+
+                For quadratics S_kj = -p^T (H_k J e_j + H_j J e_k), with
+                p = H_beta^-1 grad f0(x) and J the Jacobian of x*(beta).
+                """
+                H_beta = sum(b * H for b, H in zip(r.beta, Hs))
+                J = -np.linalg.solve(H_beta, np.column_stack([H @ (r.x - z) for H, z in zip(Hs, zs)]))
+                p = np.linalg.solve(H_beta, H0 @ (r.x - z0))
+                A = np.array([p @ H for H in Hs]) @ J
+                exact = P @ (B0 - A - A.T) @ P
+                return exact if convex(B0) and convex(exact) else B0
+
             records = result.trace
-            below_cap = 0
+            below_cap = exact_steps = 0
             for prev, cur in zip(records, records[1:]):
                 f_prev, g_prev, linear, B0 = closed_form_model_terms(spec, prev.beta, prev.x)
                 f_cur, g_cur, _, _ = closed_form_model_terms(spec, cur.beta, cur.x)
                 if cur.curvature >= problem.bundle.mu_g:
                     continue
                 below_cap += 1
+                G = metric(prev, B0) if cur.trials == 1 else B0
+                exact_steps += G is not B0
                 d = cur.beta - prev.beta
-                model = float(linear @ d) + 0.5 * float(d @ (B0 + cur.curvature * np.eye(d.size)) @ d)
+                model = float(linear @ d) + 0.5 * float(d @ (G + cur.curvature * np.eye(d.size)) @ d)
                 model += prev.err
                 assert f_cur <= f_prev
                 assert f_cur - f_prev <= model + slack(prev, g_prev) + slack(cur, g_cur)
             assert below_cap >= len(records) // 2
+            assert exact_steps >= 1
 
     def test_triangle_steps_and_solves(self, planar_runs):
         # As with the Gauss-Newton model alone, the first step rejects its

@@ -368,6 +368,9 @@ class TestSolverKKTProperties:
     # scipy 1.17.1's nnls returns a lifted solution that breaks its own KKT
     # conditions here, beta = (0.235, 0, 0.765) at norm 3.340 against 3.1199 at e0
     @example(np.array([[0.0, 0.5, -1.5599511170415852]] + 4 * [[-1.5599511170415852] * 3]))
+    # here its solution meets w = E^T (E y - e_{d+1}) >= 0 but has w_3 = 0.089
+    # on the support: beta = (0, 0.675, 0.325) at norm 5.601 against 5.529
+    @example(np.array([[0.0, 0.0, -2.764365495516218]] + 4 * [[-2.764365495516218] * 3]))
     def test_min_norm_point(self, G):
         beta, _ = min_norm_over_simplex(G)
         w = beta.weights
