@@ -287,9 +287,13 @@ def png_descent(
     The stopping, stall and cap tests compare m with a level through
     ``_PngState.m_exceeds``, which skips most min-norm solves far from the
     band and leaves every iterate as solving for m would.
-    A non-finite x0 raises ``InvalidArgumentError``; a gradient that
-    overflows along the way raises ``NumericalFailureError``.
+    An x0 that is not a finite vector of shape (d,) raises
+    ``InvalidArgumentError``; a gradient that overflows along the way raises
+    ``NumericalFailureError``.
     """
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (F.dim,):
+        raise InvalidArgumentError(f"x0 has shape {x0.shape}, expected ({F.dim},)")
     if not np.isfinite(x0).all():
         raise InvalidArgumentError("x0 must be finite")
     state = _PngState(F, f0, x0, config.c)

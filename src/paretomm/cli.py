@@ -3,8 +3,9 @@
 Subcommands: ``solve`` (majorize-minimize run with trace CSV), ``png``
 (navigation-baseline descent with trajectory CSV), ``oracle`` (lattice
 search CSV), ``plot`` (SVG of a planar stationary set), and ``generate``
-(problem-file writer).  Exit codes: 0 success/certified, 2 budget exceeded
-or infeasible subproblem, 1 malformed input or numerical failure.  ``main``
+(problem-file writer).  Every CSV layout is decided here; problem files are
+``problem_io``'s.  Exit codes: 0 success/certified, 2 budget exceeded or
+infeasible subproblem, 1 malformed input or numerical failure.  ``main``
 alone opens the output, then loads the problem file (so a bad path fails
 before any input error), prints the summary (once the file is committed)
 and reports failures, each as exactly one ``error:``, ``failed:`` or
@@ -42,6 +43,13 @@ EXIT_BUDGET = 2
 _GENERATE_LIMIT = 10**7  # matrix entries `generate` may draw: one Hessian per objective and f0
 
 
+def write_csv(stream, header, rows):
+    """CSV of ``header`` and ``rows``; ``.17g`` cells print ints as digits and round-trip floats."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([f"{v:.17g}" for v in row] for row in rows)
+
+
 def _parse_vector(text: str) -> np.ndarray:
     try:
         return np.array([float(t) for t in text.split(",") if t.strip() != ""])
@@ -59,7 +67,12 @@ def _cmd_solve(args, problem, out):
     init = None if args.beta0 is None else (None, _parse_vector(args.beta0))
     result = pmm_solve(problem, config, init=init)
     if out is not None:
-        result.trace.write_csv(out)
+        n, d = problem.F.n, problem.F.dim
+        header = ["k", *(f"beta_{i}" for i in range(n)), *(f"x_{i}" for i in range(d))]
+        header += ["residual", "f0", "gap", "err", "certified"]
+        rows = ([r.k, *r.beta, *r.x, r.residual, r.f0_value, r.gap, r.err, int(r.certified)]
+                for r in result.trace)
+        write_csv(out, header, rows)
     summary = {
         "x": result.point.x.tolist(),
         "beta": result.point.beta.weights.tolist(),
@@ -83,7 +96,7 @@ def _cmd_png(args, problem, out):
     result = png_descent(problem.F, problem.f0, x0, config)
     if out is not None:
         header = ["it"] + [f"x_{i}" for i in range(problem.F.dim)]
-        problem_io.write_csv(out, header, ([it, *x] for it, x in enumerate(result.trajectory)))
+        write_csv(out, header, ([it, *x] for it, x in enumerate(result.trajectory)))
     summary = {"x": result.point.tolist(), "status": result.status, "iterations": result.iterations}
     return (EXIT_OK if result.status == "stationary" else EXIT_BUDGET), summary
 
@@ -92,7 +105,7 @@ def _cmd_oracle(args, problem, out):
     result = grid_search_preference_opt(problem, args.resolution, collect=True)
     n = problem.F.n
     header = [f"beta_{i}" for i in range(n)] + ["f0"]
-    problem_io.write_csv(out, header, ([*row[:n], row[-1]] for row in result.rows))
+    write_csv(out, header, ([*row[:n], row[-1]] for row in result.rows))
     return EXIT_OK, {
         "best_beta": result.best_beta.weights.tolist(),
         "f_star_min": result.f_star_min,

@@ -34,7 +34,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import problem_io
 from .errors import ConfigurationError, InvalidArgumentError, NumericalFailureError
 from .manifold import (
     ManifoldPoint,
@@ -266,23 +265,6 @@ class IterateTrace(list):
     def f0_values(self) -> np.ndarray:
         return np.array([r.f0_value for r in self])
 
-    def write_csv(self, stream):
-        first = self[0]
-        rows = (
-            [r.k, *r.beta, *r.x, r.residual, r.f0_value, r.gap, r.err, int(r.certified)]
-            for r in self
-        )
-        problem_io.write_csv(stream, trace_header(first.beta.size, first.x.size), rows)
-
-
-def trace_header(n: int, d: int) -> list:
-    return (
-        ["k"]
-        + [f"beta_{i}" for i in range(n)]
-        + [f"x_{i}" for i in range(d)]
-        + ["residual", "f0", "gap", "err", "certified"]
-    )
-
 
 @dataclass(frozen=True, eq=False)
 class PmmResult:
@@ -417,8 +399,8 @@ def pmm_solve(
 ) -> PmmResult:
     """Run the outer majorize-minimize loop until certification or budget.
 
-    ``init`` optionally supplies (x0, beta0), with n weights and a length-d
-    x0 (``InvalidArgumentError`` otherwise); the defaults are uniform
+    ``init`` optionally supplies (x0, beta0), with n weights and a finite
+    length-d x0 (``InvalidArgumentError`` otherwise); the defaults are uniform
     weights and the weight-averaged objective minimizers.  Row 0 of the
     trace is x*(beta0), solved by Newton from x0 to c2 * eps like every
     later point (c2 from ``compute_c1_c2`` at x0).  Each step minimizes a
@@ -449,6 +431,8 @@ def pmm_solve(
     x = np.asarray(x0, dtype=float) if x0 is not None else beta.weights @ F.minimizers
     if x.shape != (F.dim,):
         raise InvalidArgumentError(f"x0 has shape {x.shape}, expected ({F.dim},)")
+    if x0 is not None and not np.isfinite(x).all():
+        raise InvalidArgumentError("x0 must be finite")
     trace = IterateTrace()
     tube = problem.bundle.R_bound + 2.0 * config.eps / F.mu + 1e-9
 

@@ -151,13 +151,6 @@ def make_log_cosh_quadratic(H: np.ndarray, z: np.ndarray, c: float) -> SmoothFun
     )
 
 
-# Non-quadratic families referenced by problem files, called with the
-# loader-checked H and z and a dict of the other (finite scalar) parameters.
-BUILTIN_FUNCTIONS = {
-    "log_cosh_quadratic": lambda H, z, p: make_log_cosh_quadratic(H, z, p.get("c", 1.0)),
-}
-
-
 def norm_1_2(M: np.ndarray) -> float:
     """l1 -> l2 operator norm of a d x n matrix: the largest column l2 norm."""
     M = np.atleast_2d(np.asarray(M, dtype=float))

@@ -7,16 +7,16 @@ A problem file is a JSON document::
      "preference": {"kind": "quadratic", "H": [[...]], "z": [...]},
      "constants": {"mu": .., "L": .., "L_H": .., "L0": ..}}   # optional
 
-Non-quadratic built-ins are referenced as ``{"kind": "builtin", "name": ...,
-"params": {"H": .., "z": .., ...}}``; every other parameter is a finite
-number.  A quadratic entry is 0.5 (x-z)^T H (x-z).  The optional
-constants block overrides the values computed for analytic families.
+The one non-quadratic family is ``{"kind": "builtin", "name":
+"log_cosh_quadratic", "params": {"H": .., "z": .., "c": ..}}``: the quadratic
+plus c * sum_i log cosh(x_i - z_i), c >= 0 finite (default 1).  A quadratic
+entry is 0.5 (x-z)^T H (x-z).  The optional constants block overrides the
+values computed for analytic families.  Any other key is an error.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import dataclasses
 import errno
 import json
@@ -27,10 +27,10 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .problem import (
-    BUILTIN_FUNCTIONS,
     ObjectiveSet,
     ProblemInstance,
     SmoothFunction,
+    make_log_cosh_quadratic,
     quadratic_from_hessian,
 )
 
@@ -63,13 +63,6 @@ def atomic_open(path: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def write_csv(stream, header, rows):
-    """CSV of ``header`` and ``rows``; ``.17g`` cells print ints as digits and round-trip floats."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([f"{v:.17g}" for v in row] for row in rows)
 
 
 def _finite_array(value, where: str) -> np.ndarray:
@@ -111,32 +104,40 @@ def _named(where: str, build, *args) -> SmoothFunction:
         raise InvalidArgumentError(f"{where}: {exc}") from exc
 
 
+def _known_fields(fields: dict, allowed: tuple, where: str):
+    """Reject the first key of ``fields`` outside ``allowed``, naming it."""
+    for key in fields:
+        if key not in allowed:
+            raise InvalidArgumentError(f"{where}: unknown field '{key}'")
+
+
 def _function_from_entry(entry: dict, dim: int, where: str) -> SmoothFunction:
     if not isinstance(entry, dict):
         raise InvalidArgumentError(f"{where}: expected an object")
     kind = entry.get("kind")
     if kind == "quadratic":
+        _known_fields(entry, ("kind", "H", "z"), where)
         return _named(where, quadratic_from_hessian, *_quadratic_data(entry, dim, where))
-    if kind == "builtin":
-        name = entry.get("name")
-        if name not in BUILTIN_FUNCTIONS:
-            raise InvalidArgumentError(f"{where}.name: unknown builtin '{name}'")
-        params = entry.get("params", {})
-        if not isinstance(params, dict):
-            raise InvalidArgumentError(f"{where}.params: expected an object")
-        H, z = _quadratic_data(params, dim, f"{where}.params")
-        scalars = {
-            key: _finite_number(value, f"{where}.params.{key}")
-            for key, value in params.items()
-            if key not in ("H", "z")
-        }
-        return _named(f"{where}.params", BUILTIN_FUNCTIONS[name], H, z, scalars)
-    raise InvalidArgumentError(f"{where}.kind: expected 'quadratic' or 'builtin', got {kind!r}")
+    if kind != "builtin":
+        raise InvalidArgumentError(f"{where}.kind: expected 'quadratic' or 'builtin', got {kind!r}")
+    _known_fields(entry, ("kind", "name", "params"), where)
+    name = entry.get("name")
+    if name != "log_cosh_quadratic":
+        raise InvalidArgumentError(f"{where}.name: unknown builtin '{name}'")
+    params = entry.get("params", {})
+    where = f"{where}.params"
+    if not isinstance(params, dict):
+        raise InvalidArgumentError(f"{where}: expected an object")
+    _known_fields(params, ("H", "z", "c"), where)
+    H, z = _quadratic_data(params, dim, where)
+    c = _finite_number(params["c"], f"{where}.c") if "c" in params else 1.0
+    return _named(where, make_log_cosh_quadratic, H, z, c)
 
 
 def problem_from_spec(spec: dict) -> ProblemInstance:
     if not isinstance(spec, dict):
         raise InvalidArgumentError("problem file: top level must be an object")
+    _known_fields(spec, ("dimension", "objectives", "preference", "constants"), "problem file")
     if "dimension" not in spec:
         raise InvalidArgumentError("problem file: missing field 'dimension'")
     dim = spec["dimension"]
@@ -156,6 +157,7 @@ def problem_from_spec(spec: dict) -> ProblemInstance:
     if constants is not None:
         if not isinstance(constants, dict):
             raise InvalidArgumentError("constants: expected an object")
+        _known_fields(constants, ("mu", "L", "L_H", "L0"), "constants")
         values = {
             key: _finite_number(constants[key], f"constants.{key}")
             for key in ("mu", "L", "L_H", "L0")

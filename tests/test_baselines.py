@@ -274,6 +274,13 @@ class TestPngDescent:
         state = _PngState(png_instance.F, png_instance.f0, res.point, config.c)
         assert state.angle <= COLLINEARITY_TOL and state.m <= config.eps_stop
 
+    @pytest.mark.parametrize("x0", [[0.2], [0.2, 0.9, 0.0], [[0.2, 0.9]]],
+                             ids=["short", "long", "row"])
+    def test_x0_shape_checked(self, png_instance, x0):
+        config = PngConfig(c=0.01, step=0.05, eps_stop=1e-3, max_iters=100)
+        with pytest.raises(InvalidArgumentError, match=r"x0 has shape .*, expected \(2,\)"):
+            png_descent(png_instance.F, png_instance.f0, np.array(x0), config)
+
     def test_budget_status(self, png_instance):
         config = PngConfig(c=0.01, step=0.05, eps_stop=1e-3, max_iters=3)
         res = png_descent(png_instance.F, png_instance.f0, np.array([0.2, 0.9]), config)

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import paretomm
 from paretomm import cli
-from paretomm import SimplexPoint, solve_x_star
-from paretomm.cli import main
+from paretomm import SimplexPoint, SolverConfig, pmm_solve, solve_x_star
+from paretomm.cli import main, write_csv
 from paretomm.oracle import _newton_tolerance, lattice_size, simplex_lattice
 from paretomm.problem_io import (
     PRESETS,
@@ -26,7 +26,6 @@ from paretomm.problem_io import (
     png_counterexample_spec,
     random_problem_spec,
     save_problem_spec,
-    write_csv,
 )
 
 
@@ -150,6 +149,17 @@ class TestSolveCommand:
             ({"objectives": [_quadratic(H_PNG, [-1.0, 0.0]),
                              _quadratic([[1.0, 0.5], [0.0, 1.0]], [1.0, 0.0])]},
              "objectives[1]: H must be symmetric"),
+            ({"objectives": [_log_cosh(C=5.0), _quadratic(H_PNG, [1.0, 0.0])]},
+             "objectives[0].params: unknown field 'C'"),
+            ({"preference": _log_cosh(cc=7.0)}, "preference.params: unknown field 'cc'"),
+            ({"preference": {**_log_cosh(), "c": 2.0}}, "preference: unknown field 'c'"),
+            ({"objectives": [{**_quadratic(H_PNG, [-1.0, 0.0]), "c": 3.0},
+                             _quadratic(H_PNG, [1.0, 0.0])]},
+             "objectives[0]: unknown field 'c'"),
+            ({"constants": {"l0": 100.0}}, "constants: unknown field 'l0'"),
+            ({"comment": "png example"}, "problem file: unknown field 'comment'"),
+            ({"preference": {**_log_cosh(), "name": ["log_cosh_quadratic"]}},
+             "preference.name: unknown builtin"),
         ],
         ids=["negative-L_H", "negative-L0", "nan-L0", "overflowing-mu", "bool-dimension",
              "nan-objective-z", "inf-objective-H", "inf-preference-z", "nan-builtin-c",
@@ -158,7 +168,9 @@ class TestSolveCommand:
              "indefinite-objective-H", "list-top-level", "missing-dimension", "empty-objectives",
              "missing-preference", "list-objective", "unknown-kind", "unknown-builtin",
              "list-params", "list-constants", "mu-above-L", "misshapen-H", "string-H",
-             "asymmetric-objective-H"],
+             "asymmetric-objective-H", "unknown-param", "misspelt-param", "unknown-builtin-field",
+             "unknown-quadratic-field", "unknown-constant", "unknown-top-level-field",
+             "list-builtin-name"],
     )
     def test_unsound_spec_exits_one(self, change, field, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -304,12 +316,52 @@ class TestSolveCommand:
         assert json.loads(proc.stdout)["status"] == "certified"
         assert proc.stderr == ""
 
+    def test_import_leaves_problem_files_unloaded(self):
+        # the solver core knows no file format; only the command line loads problem_io
+        src = str(Path(paretomm.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", 'import sys, paretomm; print("paretomm.problem_io" in sys.modules)'],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_budget_exit_two(self, png_file, capsys):
         code = run_cli(
             "solve", "--problem", png_file, "--eps0", "1e-3", "--eps", "1e-6",
             "--beta0", "0.9,0.1", "--max-outer", "1", "--newton-inner",
         )
         assert code == 2
+
+
+class TestTraceCsv:
+    def test_header_and_column_count(self, png_file, tmp_path):
+        trace = tmp_path / "trace.csv"
+        code = run_cli("solve", "--problem", png_file, "--eps0", "1e-3", "--eps", "1e-6",
+                       "--trace", trace)
+        assert code == 0
+        lines = trace.read_text().strip().split("\n")
+        n, d = 2, 2
+        header = lines[0].split(",")
+        assert header == ["k", "beta_0", "beta_1", "x_0", "x_1", "residual", "f0", "gap", "err", "certified"]
+        assert all(len(line.split(",")) == n + d + 6 for line in lines)
+
+    def test_rows_parse_back(self, png_file, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        run_cli("solve", "--problem", png_file, "--eps0", "1e-2", "--eps", "1e-4", "--max-outer", "5",
+                "--newton-inner", "--beta0", "0.9,0.1", "--trace", trace)
+        summary = json.loads(capsys.readouterr().out)
+        config = SolverConfig(eps0=1e-2, eps=1e-4, max_outer=5, newton_inner=True)
+        result = pmm_solve(load_problem(png_file), config, init=(None, np.array([0.9, 0.1])))
+        rows = trace.read_text().strip().split("\n")[1:]
+        assert len(rows) == len(result.trace) == summary["iterations"] + 1
+        first = rows[0].split(",")
+        assert int(first[0]) == 0
+        np.testing.assert_allclose(
+            [float(first[1]), float(first[2])], result.trace[0].beta
+        )
+        ks = [r.k for r in result.trace]
+        assert ks == sorted(set(ks)) == [int(row.split(",")[0]) for row in rows]
 
 
 class TestPngCommand:

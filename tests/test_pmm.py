@@ -1,5 +1,4 @@
 import dataclasses
-import io
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from paretomm import (
     shared_hessian_optimum,
     solve_x_star,
 )
-from paretomm.pmm import _certificate, _exact_metric, _rounding_slack, _start_damping, trace_header
+from paretomm.pmm import _certificate, _exact_metric, _rounding_slack, _start_damping
 from paretomm.problem_io import (
     png_counterexample_spec,
     problem_from_spec,
@@ -255,6 +254,11 @@ class TestPmmSolve:
         with pytest.raises(InvalidArgumentError):
             pmm_solve(png_instance, SolverConfig(eps0=1e-3, eps=1e-6), init=init)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_x0_rejected(self, png_instance, value):
+        with pytest.raises(InvalidArgumentError, match="x0 must be finite"):
+            pmm_solve(png_instance, SolverConfig(eps0=1e-3, eps=1e-6), init=([0.0, value], [0.5, 0.5]))
+
     def test_budget_exceeded_status(self, png_instance):
         # this run certifies at step 2, so one step leaves it uncertified
         config = SolverConfig(eps0=1e-3, eps=1e-6, max_outer=1, newton_inner=True)
@@ -362,34 +366,6 @@ class TestPmmSolve:
         assert result.status == "certified"
         star = oracle_point(png_instance, result.point.beta)
         assert np.linalg.norm(result.point.x - star.x) <= config.eps / png_instance.F.mu
-
-
-class TestTraceCsv:
-    def test_header_and_column_count(self, png_instance):
-        result = pmm_solve(png_instance, SolverConfig(eps0=1e-3, eps=1e-6))
-        buf = io.StringIO()
-        result.trace.write_csv(buf)
-        lines = buf.getvalue().strip().split("\n")
-        n, d = png_instance.F.n, png_instance.F.dim
-        header = lines[0].split(",")
-        assert header == trace_header(n, d)
-        assert header == ["k", "beta_0", "beta_1", "x_0", "x_1", "residual", "f0", "gap", "err", "certified"]
-        assert all(len(line.split(",")) == n + d + 6 for line in lines)
-
-    def test_rows_parse_back(self, png_instance):
-        config = SolverConfig(eps0=1e-2, eps=1e-4, max_outer=5, newton_inner=True)
-        result = pmm_solve(png_instance, config, init=(None, np.array([0.9, 0.1])))
-        buf = io.StringIO()
-        result.trace.write_csv(buf)
-        rows = buf.getvalue().strip().split("\n")[1:]
-        assert len(rows) == len(result.trace)
-        first = rows[0].split(",")
-        assert int(first[0]) == 0
-        np.testing.assert_allclose(
-            [float(first[1]), float(first[2])], result.trace[0].beta
-        )
-        ks = [r.k for r in result.trace]
-        assert ks == sorted(set(ks))
 
 
 def closed_form_check(spec, beta, x):
