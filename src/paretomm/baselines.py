@@ -42,10 +42,11 @@ class PngConfig:
             raise InvalidArgumentError("all PNG parameters must be finite and positive")
 
 
-def _png_vector_from_grads(G: np.ndarray, g0: np.ndarray, c: float) -> np.ndarray:
+def _png_vector_from_grads(G: np.ndarray, g0: np.ndarray, c: float):
     # v = g0 + w with w the least-distance solution of G w >= h = c - G g0,
     # read off the NNLS residual r of [G^T; h^T] u ~ e_{d+1} (Lawson and
-    # Hanson, ch. 23): w = -r[:d] / r[d].
+    # Hanson, ch. 23): w = -r[:d] / r[d] = G^T lam with the constraints'
+    # multipliers lam = u / -r[d] >= 0.  Returns (v, lam).
     d = G.shape[1]
     h = c - G @ g0
     if not np.isfinite(h).all():
@@ -61,7 +62,7 @@ def _png_vector_from_grads(G: np.ndarray, g0: np.ndarray, c: float) -> np.ndarra
     # would be dominated by that error.
     if -r[d] <= 1e-12:
         raise InfeasibleError("constraint halfspaces have empty intersection")
-    return g0 - r[:d] / r[d]
+    return g0 - r[:d] / r[d], u / -r[d]
 
 
 def png_vector(F: ObjectiveSet, f0: SmoothFunction, x: np.ndarray, c: float) -> np.ndarray:
@@ -74,7 +75,7 @@ def png_vector(F: ObjectiveSet, f0: SmoothFunction, x: np.ndarray, c: float) -> 
     if c <= 0:
         raise InvalidArgumentError("c must be positive")
     x = np.asarray(x, dtype=float)
-    return _png_vector_from_grads(F.jacobian_T(x).T, f0.grad(x), c)
+    return _png_vector_from_grads(F.jacobian_T(x).T, f0.grad(x), c)[0]
 
 
 def _angle_to_descent(v: np.ndarray, g0: np.ndarray) -> float:
@@ -117,12 +118,12 @@ class PngResult:
 class _PngState:
     """One PNG iterate: its gradients, checked finite, and what the loop reads of them.
 
-    ``m`` (the smallest scalarized gradient norm, one min-norm NNLS solve)
-    and ``v`` with ``angle`` (the projection vector and its angle to
-    -grad f0, one least-distance NNLS solve) are each computed on first
-    read.  Most readers need only one: the polish's line-search and
-    golden-section probes read only ``angle``, and the descent loop reads
-    ``m`` only where the angle, the stall or the step length already qualify.
+    ``m`` (the smallest scalarized gradient norm, one min-norm NNLS solve,
+    which also sets its weights ``beta``) and ``v`` with ``angle`` (the
+    projection vector and its angle to -grad f0, one least-distance NNLS
+    solve, which also sets the constraints' multipliers ``lam``) are each
+    computed on first read.  The descent loop reads ``m`` only where the
+    angle, the stall or the step length already qualify.
     ``v`` is None and ``angle`` is pi where the halfspaces are infeasible;
     an error from a solve surfaces at that first read.
 
@@ -145,6 +146,7 @@ class _PngState:
     @cached_property
     def m(self) -> float:
         beta, m = min_norm_over_simplex(self._G.T)
+        self.beta = beta.weights
         if m > 0.0:
             self.u = self._G.T.dot(beta.weights) / m
         return m
@@ -158,116 +160,97 @@ class _PngState:
     @cached_property
     def v(self):
         try:
-            return _png_vector_from_grads(self._G, self._g0, self._c)
+            v, self.lam = _png_vector_from_grads(self._G, self._g0, self._c)
         except InfeasibleError:
             return None
+        return v
 
     @cached_property
     def angle(self) -> float:
         return math.pi if self.v is None else _angle_to_descent(self.v, self._g0)
 
 
-def _probes(F, f0, x, h, c):
-    """The states at x + h e_i and x - h e_i for each coordinate i."""
-    return [(_PngState(F, f0, x + e, c), _PngState(F, f0, x - e, c)) for e in h * np.eye(x.size)]
+def _unit_jacobian(w, dw):
+    """Jacobian of w / |w|, given the Jacobian dw of w."""
+    n = math.sqrt(w @ w)
+    return (dw - np.outer(w, w @ dw) / (n * n)) / n
 
 
-def _slope(probes, name, h):
-    """Central-difference gradient of the state attribute ``name`` from ``_probes``."""
-    return np.array([(getattr(p, name) - getattr(q, name)) / (2.0 * h) for p, q in probes])
+def _direction_residual(state):
+    """v / |v| + grad f0 / |grad f0|: zero exactly where v is anti-collinear with grad f0; None without v."""
+    if state.v is None:
+        return None
+    return state.v / math.sqrt(state.v @ state.v) + state._g0 / math.sqrt(state._g0 @ state._g0)
 
 
-def _zero_angle_along(F, f0, x, direction, config, span):
-    """Golden-section the collinearity angle along x + t * direction; the state at its end."""
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
+def _direction_jacobian(Hs, H0, state):
+    """Jacobian of ``_direction_residual`` on the piece of the state's active set A = {lam > 0}.
 
-    def val(t):
-        return _PngState(F, f0, x + t * direction, config.c).angle
+    ``Hs`` stacks the objectives' Hessians and ``H0`` is that of f0.  On the
+    piece, v = g0 + G_A^T lam_A with G_A v = c, so
+    dv = M - pinv(G_A) (G_A M + V_A) with M = H0 + sum_i lam_i Hs_i and V_A
+    the rows v^T Hs_i, i in A.
+    """
+    A = state.lam > 0.0
+    GA = state._G[A]
+    M = H0 + np.tensordot(state.lam, Hs, 1)
+    dv = M - np.linalg.pinv(GA) @ (GA @ M + Hs[A] @ state.v)
+    return _unit_jacobian(state.v, dv) + _unit_jacobian(state._g0, H0)
 
-    a, b = -span, span
-    c1 = b - phi * (b - a)
-    c2 = a + phi * (b - a)
-    f1, f2 = val(c1), val(c2)
-    for _ in range(44):
-        if f1 <= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - phi * (b - a)
-            f1 = val(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + phi * (b - a)
-            f2 = val(c2)
-    return _PngState(F, f0, x + 0.5 * (a + b) * direction, config.c)
+
+def _m_gradient(Hs, state):
+    """grad m = sum_i beta_i Hs_i u by the envelope theorem, exact where beta is unique.
+
+    ``Hs`` stacks the objectives' Hessians at the state.  At m = 0, m is at
+    its minimum and 0 is a subgradient.
+    """
+    if state.m == 0.0:
+        return np.zeros(state.x.size)
+    return np.tensordot(state.beta, Hs, 1).dot(state.u)
 
 
 def _polish_to_stationary(F, f0, state, config):
-    """Trace the collinearity set from the descent's state near the band down to it.
+    """Correct the descent's state near the band onto the stationary set by Gauss-Newton.
 
     The fixed-step iteration provably cannot land in the joint target set
     (the two-active steps conserve the quantity whose zero level is the
     collinearity set, and the set is microscopically thin transversally),
     so once the dynamics stall near the Pareto set the stationary point is
-    located by a predictor-corrector walk: first descend the angle to the
-    collinearity set, then slide along it until the smallest scalarized
-    gradient norm is inside the requested level, re-zeroing the angle after
-    every slide.  Each point's state is built once and carried along.  The
+    located by a Gauss-Newton corrector (Allgower and Georg 2003, ch. 2) on
+    R(x) = (v/|v| + g0/|g0|, (m - level)/level).  R is zero exactly where
+    v is anti-collinear with grad f0 and m is at the level.  Unlike the
+    angle, whose arccos reads 0 below about 1.5e-8, R is smooth through the
+    collinearity set; it has kinks only where the least-distance problem's
+    active set changes.  Both Jacobian blocks are exact: the direction rows
+    on the state's active-set piece (``_direction_jacobian``), the m row by
+    the envelope theorem (``_m_gradient``).  The level is
+    max(0.7 eps_stop, m/2): from far above the band each step aims only to
+    halve m, so that it does not jump onto the branch where v is parallel
+    to +grad f0, a local minimum of |R|.  Each ``lstsq`` step is halved
+    until |R| falls.  Returns None on a missing v or an exhausted budget; a
     returned point passes the exact stopping test.
     """
-    c = config.c
-    h = max(1e-7, 1e-7 * float(np.linalg.norm(state.x)))
-
-    # phase A: descend the angle onto the collinearity set
-    for _ in range(80):
-        if state.v is None:
-            return None
-        if state.angle <= 0.5 * COLLINEARITY_TOL:
-            break
-        g = _slope(_probes(F, f0, state.x, h, c), "angle", h)
-        gn = float(np.linalg.norm(g))
-        if gn <= 1e-14:
-            return None
-        step_len = state.angle / gn
-        for _ in range(12):
-            cand = _PngState(F, f0, state.x - step_len * g / gn, c)
-            if cand.angle < state.angle:
-                state = cand
-                break
-            step_len *= 0.5
-        else:
-            end = _zero_angle_along(F, f0, state.x, g / gn, config, state.angle / gn)
-            if end.angle >= state.angle:
-                return None
-            state = end
-    if state.angle > COLLINEARITY_TOL:
-        return None
-
-    # phase B: slide along the set until the band condition holds
     target = 0.7 * config.eps_stop
-    for _ in range(500):
-        if state.v is None:
+    for _ in range(50):
+        r = _direction_residual(state)
+        if r is None:
             return None
-        if state.m <= config.eps_stop and state.angle <= COLLINEARITY_TOL:
+        if state.angle <= COLLINEARITY_TOL and state.m <= config.eps_stop:
             return state.x
-        probes = _probes(F, f0, state.x, h, c)
-        ga = _slope(probes, "angle", h)
-        na = float(np.linalg.norm(ga))
-        gm = _slope(probes, "m", h)
-        if na > 1e-14:
-            ga /= na
-            gm = gm - (gm @ ga) * ga  # tangent component along the set
-        nm = float(np.linalg.norm(gm))
-        if nm <= 1e-14:
-            return None
-        step_len = min(0.5 * (state.m - target) / nm if state.m > target else 0.0, 0.05)
-        step_len = max(step_len, 0.25 * config.eps_stop / max(nm, 1.0))
-        x = state.x - step_len * gm / nm
-        if na > 1e-14:
-            end = _zero_angle_along(F, f0, x, ga, config, 2.0 * step_len + state.angle / na)
-            if end.angle > COLLINEARITY_TOL and end.angle > 10.0 * state.angle:
-                return None
-            state = end
+        level = max(target, 0.5 * state.m)
+        r = np.append(r, state.m / level - 1.0)
+        Hs = F._hessians(state.x)
+        J = np.vstack([_direction_jacobian(Hs, f0.hess(state.x), state), _m_gradient(Hs, state) / level])
+        step = np.linalg.lstsq(J, -r, rcond=None)[0]
+        for _ in range(40):
+            cand = _PngState(F, f0, state.x + step, config.c)
+            rc = _direction_residual(cand)
+            if rc is not None and rc @ rc + (cand.m / level - 1.0) ** 2 < r @ r:
+                break
+            step *= 0.5
         else:
-            state = _PngState(F, f0, x, c)
+            return None
+        state = cand
     return None
 
 
@@ -283,7 +266,8 @@ def png_descent(
     so an already-stationary start returns immediately.  Near the Pareto
     set the raw step blows up like c / distance, so displacements are
     capped there; when the capped dynamics stall, the stationary point is
-    located by the curve-tracing polish and verified against the same test.
+    corrected onto the stationary set by the Gauss-Newton polish and
+    verified against the same test.
     The stopping, stall and cap tests compare m with a level through
     ``_PngState.m_exceeds``, which skips most min-norm solves far from the
     band and leaves every iterate as solving for m would.

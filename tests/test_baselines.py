@@ -20,9 +20,28 @@ from paretomm import (
 )
 from paretomm import baselines
 from paretomm.baselines import COLLINEARITY_TOL, _PngState, rotation_map
+from paretomm.problem_io import png_counterexample_problem
+
+from conftest import random_logcosh_problem
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
+
+
+def _ulp_start(coordinate, k):
+    x = np.array([0.2, 0.9])
+    x[coordinate] += k * np.spacing(x[coordinate])  # the spacing is the same on both sides of 0.2 and 0.9
+    return x
+
+
+# PNG starts on png-example: ulp neighbours of the benchmark's (0.2, 0.9),
+# which take its 882 iterations, and seeded uniform starts in [0, 0.4] x [0.6, 1.2]
+_rng = np.random.default_rng(0)
+UNIFORM_STARTS = np.column_stack([_rng.uniform(0.0, 0.4, 30), _rng.uniform(0.6, 1.2, 30)])
+NEAR_BENCHMARK_STARTS = [
+    pytest.param(_ulp_start(i, k), 882, id=f"ulp-{'xy'[i]}{k:+d}")
+    for i, k in ((0, -3), (0, 7), (0, 10), (1, -9), (1, -5), (1, -1), (1, 1), (1, 4), (1, 9))
+] + [pytest.param(UNIFORM_STARTS[i], None, id=f"uniform-{i}") for i in (0, 1, 4, 17, 20, 26, 27, 28, 29)]
 
 
 def dual_projected_gradient_png(G, g0, c, iters=40_000):
@@ -184,6 +203,64 @@ class TestPngState:
             # the NNLS weights within a KKT tolerance, not at their optimum
             assert m - baselines._min_norm_lower_bound(G, u_star) <= 1e-10 * frobenius
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        family=st.sampled_from(["png-example", "log-cosh"]),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.1, 3.0),
+    )
+    def test_m_gradient_is_the_envelope_gradient(self, family, seed, scale):
+        # grad m = sum_i beta_i hess f_i(x) u against central differences of
+        # m, where m > 0 and beta is unique: two distinct gradients, or three
+        # affinely independent ones in three dimensions
+        rng = np.random.default_rng(seed)
+        if family == "png-example":
+            problem = png_counterexample_problem()
+        else:
+            problem = random_logcosh_problem(rng, d=3, n=3, c=1.0)
+        F, f0 = problem.F, problem.f0
+        x = scale * rng.normal(size=F.dim)
+        state = _PngState(F, f0, x, 0.01)
+        size = np.abs(state._G).max()
+        differences = state._G[1:] - state._G[0]
+        if state.m <= 1e-3 * size or np.linalg.matrix_rank(differences, tol=1e-3 * size) < F.n - 1:
+            return
+        h = 1e-6
+        fd = [
+            (_PngState(F, f0, x + e, 0.01).m - _PngState(F, f0, x - e, 0.01).m) / (2.0 * h)
+            for e in h * np.eye(F.dim)
+        ]
+        grad = baselines._m_gradient(F._hessians(x), state)
+        np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-6 * np.abs(F._hessians(x)).max())
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        family=st.sampled_from(["png-example", "log-cosh"]),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.1, 3.0),
+        c=st.floats(0.01, 2.0),
+    )
+    def test_direction_jacobian_matches_central_differences(self, family, seed, scale, c):
+        # exact on the piece of the state's active set, so compared only
+        # where every probe keeps that set: a difference across a change of
+        # the set straddles a kink of v
+        rng = np.random.default_rng(seed)
+        if family == "png-example":
+            problem = png_counterexample_problem()
+        else:
+            problem = random_logcosh_problem(rng, d=3, n=3, c=1.0)
+        F, f0 = problem.F, problem.f0
+        x = scale * rng.normal(size=F.dim)
+        state = _PngState(F, f0, x, c)
+        h = 1e-7
+        probes = [_PngState(F, f0, x + e, c) for e in (*(h * np.eye(F.dim)), *(-h * np.eye(F.dim)))]
+        if any(p.v is None or not np.array_equal(p.lam > 0, state.lam > 0) for p in [state] + probes):
+            return
+        residuals = np.column_stack([baselines._direction_residual(p) for p in probes])
+        fd = (residuals[:, :F.dim] - residuals[:, F.dim:]) / (2.0 * h)
+        jac = baselines._direction_jacobian(F._hessians(x), f0.hess(x), state)
+        np.testing.assert_allclose(jac, fd, rtol=1e-4, atol=1e-5 * np.abs(jac).max())
+
     def test_skipping_by_the_bound_leaves_the_descent_unchanged(self, png_instance, monkeypatch):
         calls = [0]
         solve = baselines.min_norm_over_simplex
@@ -195,7 +272,7 @@ class TestPngState:
         monkeypatch.setattr(baselines, "min_norm_over_simplex", counted)
         bound = baselines._min_norm_lower_bound
         x0 = np.array([0.2, 0.9])
-        for eps_stop, iterations in ((1e-1, 701), (1e-2, 882), (1e-3, 882), (3e-4, 3882)):
+        for eps_stop, iterations in ((1e-1, 701), (1e-2, 882), (1e-3, 882), (3e-4, 882)):
             config = PngConfig(c=0.01, step=0.05, eps_stop=eps_stop, max_iters=100_000)
             runs, counts = [], []
             for skip in (True, False):
@@ -209,7 +286,7 @@ class TestPngState:
             assert on.trajectory.tobytes() == off.trajectory.tobytes()
             assert on.point.tobytes() == off.point.tobytes()
             assert counts[0] < counts[1]
-            if eps_stop == 1e-3:  # the benchmark's configuration: 155 solves against 442
+            if eps_stop == 1e-3:  # the benchmark's configuration: 119 solves against 406
                 assert counts[0] <= 160 and counts[1] >= 400
 
 
@@ -251,28 +328,45 @@ class TestPngDescent:
         cosang = v @ descent / (np.linalg.norm(v) * np.linalg.norm(descent))
         assert np.arccos(np.clip(cosang, -1.0, 1.0)) <= COLLINEARITY_TOL
 
-    def test_failed_polish_is_retried_later(self, png_instance):
-        # at eps_stop 3e-4 the first polish from the stalled dynamics (0.2, 0.9)
-        # fails; the descent runs on and the retry 3000 iterations later succeeds
+    def test_failed_polish_is_retried_later(self, png_instance, monkeypatch):
+        # the first polish from the stalled dynamics (0.2, 0.9) is made to
+        # fail; the descent runs on and the retry 3000 iterations later succeeds
+        polish, calls = baselines._polish_to_stationary, []
+
+        def fails_once(*args):
+            calls.append(args)
+            return polish(*args) if len(calls) > 1 else None
+
+        monkeypatch.setattr(baselines, "_polish_to_stationary", fails_once)
         config = PngConfig(c=0.01, step=0.05, eps_stop=3e-4, max_iters=100_000)
         res = png_descent(png_instance.F, png_instance.f0, np.array([0.2, 0.9]), config)
         assert res.status == "stationary"
+        assert len(calls) == 2
         assert res.iterations == 3882
         state = _PngState(png_instance.F, png_instance.f0, res.point, config.c)
         assert state.angle <= COLLINEARITY_TOL and state.m <= config.eps_stop
 
     def test_benchmark_configuration_is_stationary_after_882_iterations(self, png_instance):
-        # the PNG run of the benchmark's validate workload.  It is fragile to
-        # rounding: building the gradient matrix C-contiguous instead of as a
-        # transposed view moves one coordinate by 3.5e-18 at iterate 110, the
-        # first polish then fails, and the run takes 3882 iterations, about
-        # five times as long
+        # the PNG run of the benchmark's validate workload; its first polish
+        # succeeds, so the run takes 882 iterations and not 3882
         config = PngConfig(c=0.01, step=0.05, eps_stop=1e-3, max_iters=100_000)
         res = png_descent(png_instance.F, png_instance.f0, np.array([0.2, 0.9]), config)
         assert res.status == "stationary"
         assert res.iterations == 882
         state = _PngState(png_instance.F, png_instance.f0, res.point, config.c)
         assert state.angle <= COLLINEARITY_TOL and state.m <= config.eps_stop
+
+    @pytest.mark.parametrize("x0, iterations", NEAR_BENCHMARK_STARTS)
+    def test_first_polish_does_not_hinge_on_the_last_bit(self, png_instance, x0, iterations):
+        # a polish that follows the angle gets no slope where arccos reads
+        # it as 0 (below 1.5e-8): its first try failed on 7 of these 9 ulp
+        # starts and 8 of the 9 uniform ones, which then took 3000
+        # iterations more, or ran to 200,000
+        config = PngConfig(c=0.01, step=0.05, eps_stop=1e-3, max_iters=1500)
+        res = png_descent(png_instance.F, png_instance.f0, x0, config)
+        assert res.status == "stationary"
+        if iterations is not None:
+            assert res.iterations == iterations
 
     @pytest.mark.parametrize("x0", [[0.2], [0.2, 0.9, 0.0], [[0.2, 0.9]]],
                              ids=["short", "long", "row"])
