@@ -111,7 +111,7 @@ def _min_norm_lower_bound(G: np.ndarray, u: np.ndarray) -> float:
 class PngResult:
     trajectory: np.ndarray  # (T, d)
     point: np.ndarray
-    status: str  # "stationary" | "budget-exceeded"
+    status: str  # "stationary" | "stalled" (the polish at the stall failed) | "budget-exceeded"
     iterations: int
 
 
@@ -227,8 +227,9 @@ def _polish_to_stationary(F, f0, state, config):
     max(0.7 eps_stop, m/2): from far above the band each step aims only to
     halve m, so that it does not jump onto the branch where v is parallel
     to +grad f0, a local minimum of |R|.  Each ``lstsq`` step is halved
-    until |R| falls.  Returns None on a missing v or an exhausted budget; a
-    returned point passes the exact stopping test.
+    until |R| falls.  Returns None, which ends the run ``stalled``, on a
+    missing v or an exhausted budget; a returned point passes the exact
+    stopping test.
     """
     target = 0.7 * config.eps_stop
     for _ in range(50):
@@ -265,9 +266,9 @@ def png_descent(
     gradient norm is at or below ``eps_stop``; it runs before every step,
     so an already-stationary start returns immediately.  Near the Pareto
     set the raw step blows up like c / distance, so displacements are
-    capped there; when the capped dynamics stall, the stationary point is
-    corrected onto the stationary set by the Gauss-Newton polish and
-    verified against the same test.
+    capped there; once the capped dynamics stall (they are then periodic),
+    one Gauss-Newton polish ends the run: ``stationary`` at its point, which
+    passes the same test, or ``stalled`` at the stalled iterate.
     The stopping, stall and cap tests compare m with a level through
     ``_PngState.m_exceeds``, which skips most min-norm solves far from the
     band and leaves every iterate as solving for m would.
@@ -284,7 +285,6 @@ def png_descent(
     traj = [state.x.copy()]
     band = max(config.eps_stop, 0.02 * max(F.r, 1e-6))
     anchor_x, anchor_it = state.x.copy(), 0
-    next_polish_at = 0
     for it in range(config.max_iters):
         # each test reads m last, and through its duality bound: most
         # iterates never need the min-norm solve
@@ -293,12 +293,12 @@ def png_descent(
         if float(np.linalg.norm(state.x - anchor_x)) > 5.0 * band:
             anchor_x, anchor_it = state.x.copy(), it
         stalled = it - anchor_it >= 100
-        if stalled and it >= next_polish_at and state.angle <= 1.0 and not state.m_exceeds(2.0 * band):
+        if stalled and state.angle <= 1.0 and not state.m_exceeds(2.0 * band):
             polished = _polish_to_stationary(F, f0, state, config)
-            if polished is not None:
-                traj.append(polished)
-                return PngResult(np.array(traj), polished, "stationary", it)
-            next_polish_at = it + 3000
+            if polished is None:
+                return PngResult(np.array(traj), state.x, "stalled", it)
+            traj.append(polished)
+            return PngResult(np.array(traj), polished, "stationary", it)
         if state.v is None:
             raise InfeasibleError(
                 f"projection subproblem infeasible at iteration {it}; "

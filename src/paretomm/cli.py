@@ -4,13 +4,14 @@ Subcommands: ``solve`` (majorize-minimize run with trace CSV), ``png``
 (navigation-baseline descent with trajectory CSV), ``oracle`` (lattice
 search CSV), ``plot`` (SVG of a planar stationary set), and ``generate``
 (problem-file writer).  Every CSV layout is decided here; problem files are
-``problem_io``'s.  Exit codes: 0 success/certified, 2 budget exceeded or
-infeasible subproblem, 1 malformed input or numerical failure.  ``main``
-alone opens the output, then loads the problem file (so a bad path fails
-before any input error), prints the summary (once the file is committed)
-and reports failures, each as exactly one ``error:``, ``failed:`` or
-``infeasible:`` line on stderr.  A run that spends its iteration budget
-prints its summary and exits 2; argparse rejects malformed flags with exit 2.
+``problem_io``'s.  Exit codes: 0 success/certified, 2 budget exceeded,
+stalled PNG run or infeasible subproblem, 1 malformed input or numerical
+failure.  ``main`` alone opens the output, then loads the problem file (so
+a bad path fails before any input error), prints the summary (once the
+file is committed) and reports failures, each as exactly one ``error:``,
+``failed:`` or ``infeasible:`` line on stderr.  A run that spends its
+iteration budget prints its summary and exits 2; argparse rejects
+malformed flags with exit 2.
 """
 
 from __future__ import annotations
@@ -88,12 +89,7 @@ def _cmd_png(args, problem, out):
     config = PngConfig(
         c=args.c, step=args.step, eps_stop=args.eps_stop, max_iters=args.max_iters
     )
-    x0 = _parse_vector(args.x0)
-    if x0.size != problem.F.dim:
-        raise InvalidArgumentError(
-            f"x0 has {x0.size} entries, expected {problem.F.dim}"
-        )
-    result = png_descent(problem.F, problem.f0, x0, config)
+    result = png_descent(problem.F, problem.f0, _parse_vector(args.x0), config)
     if out is not None:
         header = ["it"] + [f"x_{i}" for i in range(problem.F.dim)]
         write_csv(out, header, ([it, *x] for it, x in enumerate(result.trajectory)))

@@ -292,16 +292,15 @@ def _positive_definite(M, floor) -> bool:
     return bool(np.isfinite(factor).all())
 
 
-def _start_damping(B0, cap, convex=None):
+def _start_damping(B0, cap):
     """First trial sigma of a step: 1e-2 * tr(B0), clipped to [1e-12 * cap, cap].
 
     The cap instead when B0 + 1e-12 * cap * I is not positive definite (f0
     is not convex along J at the anchor) or not finite: no damped model
-    below the cap is then convex.  ``convex`` is the outcome of that test
-    when the caller has made it.
+    below the cap is then convex.
     """
     floor = _MIN_CURVATURE * cap
-    if not (_positive_definite(B0, floor) if convex is None else convex):
+    if not _positive_definite(B0, floor):
         return cap
     return min(max(1e-2 * float(np.trace(B0)), floor), cap)
 
@@ -343,9 +342,9 @@ def _outer_step(problem, surrogate, f0_anchor, tol_gap, tol_grad):
     simplex.  B0 = J^T hess f0(x) J is the Gauss-Newton metric at the
     anchor, built once per step from the implicit derivative J.  The first
     trial takes G = P (B0 + S) P, the exact Hessian on the tangent plane
-    (``_exact_metric``), when it and B0 are positive definite above
-    1e-12 mu_g (one batched Cholesky) and n <= d + 1; every other trial
-    takes G = B0.  sigma starts at 1e-2 * tr(B0), clipped to
+    (``_exact_metric``, built only for a first trial below the cap), when
+    it and B0 are positive definite above 1e-12 mu_g and n <= d + 1; every
+    other trial takes G = B0.  sigma starts at 1e-2 * tr(B0), clipped to
     [1e-12 * mu_g, mu_g], and doubles, with G switching to B0, until the
     new point does not raise f0 and its f0 rise is within m_sigma plus the
     err bound and the rounding slack of both points.  At the cap mu_g the
@@ -359,13 +358,14 @@ def _outer_step(problem, surrogate, f0_anchor, tol_gap, tol_grad):
     F, anchor, cap = problem.F, surrogate.anchor, surrogate.curvature
     J = surrogate.x_star_jacobian
     B0 = J.T @ (problem.f0.hess(anchor.x) @ J)
-    # Along ker J, which meets the tangent plane when n - 1 > d, x*(beta) is
-    # flat to second order: the exact Hessian is then singular there at best.
-    exact = _exact_metric(F, surrogate, B0) if F.n <= F.dim + 1 else None
-    if exact is not None and _positive_definite(np.array((B0, exact)), _MIN_CURVATURE * cap):
-        sigma, metric = _start_damping(B0, cap, convex=True), exact  # one Cholesky for both
-    else:
-        sigma, metric = _start_damping(B0, cap), B0
+    sigma, metric = _start_damping(B0, cap), B0
+    # sigma < cap means B0 passed _start_damping's Cholesky test.  Along
+    # ker J, which meets the tangent plane when n - 1 > d, x*(beta) is flat
+    # to second order: the exact Hessian is then singular there at best.
+    if sigma < cap and F.n <= F.dim + 1:
+        exact = _exact_metric(F, surrogate, B0)
+        if _positive_definite(exact, _MIN_CURVATURE * cap):
+            metric = exact
     slack = _rounding_slack(problem, anchor, surrogate.grad_f0_norm)
     trials = 0
     while True:

@@ -274,7 +274,10 @@ def _nnls_lift(top: np.ndarray, last):
     E[d] = last
     target = np.zeros(d + 1)
     target[d] = 1.0
-    return nnls(E, target)[0], E
+    try:
+        return nnls(E, target)[0], E
+    except RuntimeError as exc:  # scipy's iteration limit: a bare RuntimeError
+        raise NumericalFailureError(f"NNLS solve failed: {exc}") from exc
 
 
 def min_norm_over_simplex(G: np.ndarray):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paretomm import (
@@ -108,6 +108,20 @@ class TestPngVector:
         assert np.min(G @ v - c) >= -1e-9
         v_dual = dual_projected_gradient_png(G, identity_pair.f0.grad(x), c)
         assert np.linalg.norm(v - v_dual) <= 1e-6 * max(1.0, np.linalg.norm(v))
+
+    def test_nnls_iteration_limit_is_a_numerical_failure(self, png_instance, monkeypatch):
+        # scipy's nnls raises a bare RuntimeError at its iteration limit
+        import scipy.optimize
+
+        def limit(*args, **kwargs):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(scipy.optimize, "nnls", limit)
+        x = np.array([0.2, 0.9])
+        with pytest.raises(NumericalFailureError, match="NNLS"):
+            min_norm_over_simplex(png_instance.F.jacobian_T(x))
+        with pytest.raises(NumericalFailureError, match="NNLS"):
+            png_vector(png_instance.F, png_instance.f0, x, 0.01)
 
     def test_kkt_against_dual_ascent(self, rng, png_instance):
         checked = 0
@@ -240,10 +254,14 @@ class TestPngState:
         scale=st.floats(0.1, 3.0),
         c=st.floats(0.01, 2.0),
     )
+    # x_2 = 7.6e-5 and lam ~ 1e8: a plain central difference at h = 1e-7
+    # is off by 3.1e-5 there, above the 2.65e-5 allowed
+    @example(family="png-example", seed=13589, scale=0.25, c=1.0)
     def test_direction_jacobian_matches_central_differences(self, family, seed, scale, c):
         # exact on the piece of the state's active set, so compared only
         # where every probe keeps that set: a difference across a change of
-        # the set straddles a kink of v
+        # the set straddles a kink of v.  The central differences at steps
+        # h and 2h are extrapolated to h = 0 (Richardson).
         rng = np.random.default_rng(seed)
         if family == "png-example":
             problem = png_counterexample_problem()
@@ -252,12 +270,13 @@ class TestPngState:
         F, f0 = problem.F, problem.f0
         x = scale * rng.normal(size=F.dim)
         state = _PngState(F, f0, x, c)
-        h = 1e-7
-        probes = [_PngState(F, f0, x + e, c) for e in (*(h * np.eye(F.dim)), *(-h * np.eye(F.dim)))]
+        h = 1e-6
+        steps = np.concatenate([k * h * np.eye(F.dim) for k in (1.0, -1.0, 2.0, -2.0)])
+        probes = [_PngState(F, f0, x + e, c) for e in steps]
         if any(p.v is None or not np.array_equal(p.lam > 0, state.lam > 0) for p in [state] + probes):
             return
-        residuals = np.column_stack([baselines._direction_residual(p) for p in probes])
-        fd = (residuals[:, :F.dim] - residuals[:, F.dim:]) / (2.0 * h)
+        r = np.split(np.column_stack([baselines._direction_residual(p) for p in probes]), 4, axis=1)
+        fd = (4.0 * (r[0] - r[1]) / (2.0 * h) - (r[2] - r[3]) / (4.0 * h)) / 3.0
         jac = baselines._direction_jacobian(F._hessians(x), f0.hess(x), state)
         np.testing.assert_allclose(jac, fd, rtol=1e-4, atol=1e-5 * np.abs(jac).max())
 
@@ -328,27 +347,37 @@ class TestPngDescent:
         cosang = v @ descent / (np.linalg.norm(v) * np.linalg.norm(descent))
         assert np.arccos(np.clip(cosang, -1.0, 1.0)) <= COLLINEARITY_TOL
 
-    def test_failed_polish_is_retried_later(self, png_instance, monkeypatch):
+    def test_failed_polish_ends_the_run_stalled(self, png_instance, monkeypatch):
         # the first polish from the stalled dynamics (0.2, 0.9) is made to
-        # fail; the descent runs on and the retry 3000 iterations later succeeds
-        polish, calls = baselines._polish_to_stationary, []
+        # fail; the capped dynamics are periodic after the stall, so the run
+        # ends there instead of handing a later polish the same states
+        calls = []
 
-        def fails_once(*args):
-            calls.append(args)
-            return polish(*args) if len(calls) > 1 else None
+        def fails(F, f0, state, config):
+            calls.append(state.x.copy())
 
-        monkeypatch.setattr(baselines, "_polish_to_stationary", fails_once)
+        monkeypatch.setattr(baselines, "_polish_to_stationary", fails)
         config = PngConfig(c=0.01, step=0.05, eps_stop=3e-4, max_iters=100_000)
         res = png_descent(png_instance.F, png_instance.f0, np.array([0.2, 0.9]), config)
-        assert res.status == "stationary"
-        assert len(calls) == 2
-        assert res.iterations == 3882
-        state = _PngState(png_instance.F, png_instance.f0, res.point, config.c)
-        assert state.angle <= COLLINEARITY_TOL and state.m <= config.eps_stop
+        assert res.status == "stalled"
+        assert len(calls) == 1
+        assert res.iterations == 882
+        assert len(res.trajectory) == 883
+        np.testing.assert_array_equal(res.trajectory[-1], calls[0])
+        np.testing.assert_array_equal(res.point, calls[0])
+
+    def test_unreachable_eps_stop_ends_stalled_at_the_first_stall(self, png_instance):
+        # eps_stop 1e-8 is out of reach at c = 0.01, so the polish fails: the
+        # run ends at its first stall instead of spending max_iters
+        config = PngConfig(c=0.01, step=0.05, eps_stop=1e-8, max_iters=200_000)
+        res = png_descent(png_instance.F, png_instance.f0, np.array([0.2, 0.9]), config)
+        assert res.status == "stalled"
+        assert res.iterations == 882
+        np.testing.assert_array_equal(res.trajectory[-1], res.point)
 
     def test_benchmark_configuration_is_stationary_after_882_iterations(self, png_instance):
         # the PNG run of the benchmark's validate workload; its first polish
-        # succeeds, so the run takes 882 iterations and not 3882
+        # succeeds, so the run ends stationary, not stalled, at 882 iterations
         config = PngConfig(c=0.01, step=0.05, eps_stop=1e-3, max_iters=100_000)
         res = png_descent(png_instance.F, png_instance.f0, np.array([0.2, 0.9]), config)
         assert res.status == "stationary"

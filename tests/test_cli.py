@@ -408,6 +408,38 @@ class TestPngCommand:
         assert code == 1
         assert err.startswith(prefix) and "Traceback" not in err
 
+    def test_unreachable_eps_stop_exits_two_stalled(self, png_file, capsys):
+        # eps_stop 1e-8 is out of reach at c = 0.01: the run ends at its
+        # first stall, not after the 200,000 default iterations
+        code = run_cli("png", "--problem", png_file, "--c", "0.01", "--eps-stop", "1e-8", "--x0", "0.2,0.9")
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        out = json.loads(captured.out)
+        assert out["status"] == "stalled"
+        assert out["iterations"] == 882
+
+    @pytest.mark.parametrize("x0, shape", [("0.2", "(1,)"), ("0.2,0.9,0", "(3,)")], ids=["short", "long"])
+    def test_wrong_length_x0_exits_one(self, x0, shape, png_file, capsys):
+        code = run_cli("png", "--problem", png_file, "--c", "0.01", "--eps-stop", "1e-2", "--x0", x0)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: x0 has shape {shape}, expected (2,)\n"
+
+    def test_nnls_iteration_limit_fails_with_one_line(self, png_file, capsys, monkeypatch):
+        import scipy.optimize
+
+        def limit(*args, **kwargs):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(scipy.optimize, "nnls", limit)
+        code = run_cli("png", "--problem", png_file, "--c", "0.01", "--eps-stop", "1e-2", "--x0", "0.2,0.9")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("failed:") and captured.err.count("\n") == 1
+
     def test_stationary_start_immediate(self, tmp_path, capsys):
         path = tmp_path / "pair.json"
         save_problem_spec(str(path), PRESETS["identity-pair"]())
