@@ -11,6 +11,7 @@ be necessary for optimality.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -38,6 +39,8 @@ class PngConfig:
     max_iters: int
 
     def __post_init__(self):
+        if not isinstance(self.max_iters, numbers.Integral):
+            raise InvalidArgumentError("max_iters must be an integer")
         if not all(0 < v < np.inf for v in (self.c, self.step, self.eps_stop)) or self.max_iters <= 0:
             raise InvalidArgumentError("all PNG parameters must be finite and positive")
 
@@ -111,7 +114,7 @@ def _min_norm_lower_bound(G: np.ndarray, u: np.ndarray) -> float:
 class PngResult:
     trajectory: np.ndarray  # (T, d)
     point: np.ndarray
-    status: str  # "stationary" | "stalled" (the polish at the stall failed) | "budget-exceeded"
+    status: str  # "stationary" | "stalled" (the polish at the band failed) | "budget-exceeded"
     iterations: int
 
 
@@ -123,7 +126,7 @@ class _PngState:
     projection vector and its angle to -grad f0, one least-distance NNLS
     solve, which also sets the constraints' multipliers ``lam``) are each
     computed on first read.  The descent loop reads ``m`` only where the
-    angle, the stall or the step length already qualify.
+    angle already qualifies.
     ``v`` is None and ``angle`` is pi where the halfspaces are infeasible;
     an error from a solve surfaces at that first read.
 
@@ -215,10 +218,10 @@ def _polish_to_stationary(F, f0, state, config):
     The fixed-step iteration provably cannot land in the joint target set
     (the two-active steps conserve the quantity whose zero level is the
     collinearity set, and the set is microscopically thin transversally),
-    so once the dynamics stall near the Pareto set the stationary point is
-    located by a Gauss-Newton corrector (Allgower and Georg 2003, ch. 2) on
-    R(x) = (v/|v| + g0/|g0|, (m - level)/level).  R is zero exactly where
-    v is anti-collinear with grad f0 and m is at the level.  Unlike the
+    so once the descent enters the band near the Pareto set the stationary
+    point is located by a Gauss-Newton corrector (Allgower and Georg 2003,
+    ch. 2) on R(x) = (v/|v| + g0/|g0|, (m - level)/level).  R is zero
+    exactly where v is anti-collinear with grad f0 and m is at the level.  Unlike the
     angle, whose arccos reads 0 below about 1.5e-8, R is smooth through the
     collinearity set; it has kinks only where the least-distance problem's
     active set changes.  Both Jacobian blocks are exact: the direction rows
@@ -264,14 +267,14 @@ def png_descent(
     The test requires the projection vector to be anti-collinear with
     grad f0 (within ``COLLINEARITY_TOL``) while the smallest scalarized
     gradient norm is at or below ``eps_stop``; it runs before every step,
-    so an already-stationary start returns immediately.  Near the Pareto
-    set the raw step blows up like c / distance, so displacements are
-    capped there; once the capped dynamics stall (they are then periodic),
-    one Gauss-Newton polish ends the run: ``stationary`` at its point, which
-    passes the same test, or ``stalled`` at the stalled iterate.
-    The stopping, stall and cap tests compare m with a level through
-    ``_PngState.m_exceeds``, which skips most min-norm solves far from the
-    band and leaves every iterate as solving for m would.
+    so an already-stationary start returns immediately.  At the first
+    iterate in the band (angle at most 1 radian, m at most twice the band
+    width max(eps_stop, 0.02 F.r)), one Gauss-Newton polish ends the run:
+    ``stationary`` at its point, which passes the same test, or
+    ``stalled`` at that iterate.
+    Both tests compare m with a level through ``_PngState.m_exceeds``,
+    which skips most min-norm solves far from the band and leaves every
+    iterate as solving for m would.
     An x0 that is not a finite vector of shape (d,) raises
     ``InvalidArgumentError``; a gradient that overflows along the way raises
     ``NumericalFailureError``.
@@ -284,16 +287,12 @@ def png_descent(
     state = _PngState(F, f0, x0, config.c)
     traj = [state.x.copy()]
     band = max(config.eps_stop, 0.02 * max(F.r, 1e-6))
-    anchor_x, anchor_it = state.x.copy(), 0
     for it in range(config.max_iters):
         # each test reads m last, and through its duality bound: most
         # iterates never need the min-norm solve
         if state.angle <= COLLINEARITY_TOL and not state.m_exceeds(config.eps_stop):
             return PngResult(np.array(traj), state.x, "stationary", it)
-        if float(np.linalg.norm(state.x - anchor_x)) > 5.0 * band:
-            anchor_x, anchor_it = state.x.copy(), it
-        stalled = it - anchor_it >= 100
-        if stalled and state.angle <= 1.0 and not state.m_exceeds(2.0 * band):
+        if state.angle <= 1.0 and not state.m_exceeds(2.0 * band):
             polished = _polish_to_stationary(F, f0, state, config)
             if polished is None:
                 return PngResult(np.array(traj), state.x, "stalled", it)
@@ -304,14 +303,7 @@ def png_descent(
                 f"projection subproblem infeasible at iteration {it}; "
                 f"x={state.x.tolist()}"
             )
-        move = config.step * state.v
-        length = math.sqrt(move @ move)
-        # the cap (m + band) / L is at least band / L, so a shorter step is never capped
-        if length > band / F.L and not state.m_exceeds(4.0 * band):
-            cap = (state.m + band) / F.L
-            if length > cap:
-                move *= cap / length
-        state = _PngState(F, f0, state.x - move, config.c, state.u)
+        state = _PngState(F, f0, state.x - config.step * state.v, config.c, state.u)
         traj.append(state.x.copy())
     return PngResult(np.array(traj), state.x, "budget-exceeded", config.max_iters)
 

@@ -29,6 +29,7 @@ reads the model.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -145,8 +146,8 @@ class SolverConfig:
             raise ConfigurationError("requires 0 < eps <= eps0^2")
         if not (0.0 < self.alpha < 1.0):
             raise ConfigurationError("requires alpha in (0, 1)")
-        if self.max_outer < 0:
-            raise ConfigurationError("requires max_outer >= 0")
+        if not isinstance(self.max_outer, numbers.Integral) or self.max_outer < 0:
+            raise ConfigurationError("requires an integer max_outer >= 0")
 
 
 @dataclass(frozen=True)

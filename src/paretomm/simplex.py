@@ -274,8 +274,8 @@ def _nnls_lift(top: np.ndarray, last):
     E[d] = last
     target = np.zeros(d + 1)
     target[d] = 1.0
-    try:
-        return nnls(E, target)[0], E
+    try:  # scipy's default limit, 3n, stops short of solutions it reaches within 10n
+        return nnls(E, target, maxiter=10 * n)[0], E
     except RuntimeError as exc:  # scipy's iteration limit: a bare RuntimeError
         raise NumericalFailureError(f"NNLS solve failed: {exc}") from exc
 

@@ -409,15 +409,15 @@ class TestPngCommand:
         assert err.startswith(prefix) and "Traceback" not in err
 
     def test_unreachable_eps_stop_exits_two_stalled(self, png_file, capsys):
-        # eps_stop 1e-8 is out of reach at c = 0.01: the run ends at its
-        # first stall, not after the 200,000 default iterations
+        # eps_stop 1e-8 is out of reach at c = 0.01: the run ends where it
+        # enters the band, not after the 200,000 default iterations
         code = run_cli("png", "--problem", png_file, "--c", "0.01", "--eps-stop", "1e-8", "--x0", "0.2,0.9")
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err == ""
         out = json.loads(captured.out)
         assert out["status"] == "stalled"
-        assert out["iterations"] == 882
+        assert out["iterations"] == 769
 
     @pytest.mark.parametrize("x0, shape", [("0.2", "(1,)"), ("0.2,0.9,0", "(3,)")], ids=["short", "long"])
     def test_wrong_length_x0_exits_one(self, x0, shape, png_file, capsys):

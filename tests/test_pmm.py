@@ -64,6 +64,10 @@ class TestSolverConfig:
         with pytest.raises(ConfigurationError, match="max_outer"):
             SolverConfig(eps0=1e-2, eps=1e-5, max_outer=-1)
 
+    def test_rejects_float_max_outer(self):
+        with pytest.raises(ConfigurationError, match="integer max_outer"):
+            SolverConfig(eps0=1e-3, eps=1e-6, max_outer=1e5)
+
 
 class TestBuildSurrogate:
     def test_orthogonal_preference_gives_zero_linear(self, identity_pair):
