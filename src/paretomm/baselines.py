@@ -81,16 +81,6 @@ def png_vector(F: ObjectiveSet, f0: SmoothFunction, x: np.ndarray, c: float) -> 
     return _png_vector_from_grads(F.jacobian_T(x).T, f0.grad(x), c)[0]
 
 
-def _angle_to_descent(v: np.ndarray, g0: np.ndarray) -> float:
-    """Angle between v and -grad f0; pi when either vector vanishes."""
-    nv = math.sqrt(v @ v)  # bit for bit np.linalg.norm of a 1-D vector
-    ng = math.sqrt(g0 @ g0)
-    if nv == 0.0 or ng == 0.0:
-        return math.pi
-    cosang = float(v @ (-g0)) / (nv * ng)
-    return float(np.arccos(min(max(cosang, -1.0), 1.0)))
-
-
 def _min_norm_lower_bound(G: np.ndarray, u: np.ndarray) -> float:
     """A lower bound on ``min_norm_over_simplex(G.T)[1]`` from a unit vector u.
 
@@ -121,14 +111,18 @@ class PngResult:
 class _PngState:
     """One PNG iterate: its gradients, checked finite, and what the loop reads of them.
 
-    ``m`` (the smallest scalarized gradient norm, one min-norm NNLS solve,
-    which also sets its weights ``beta``) and ``v`` with ``angle`` (the
-    projection vector and its angle to -grad f0, one least-distance NNLS
-    solve, which also sets the constraints' multipliers ``lam``) are each
-    computed on first read.  The descent loop reads ``m`` only where the
-    angle already qualifies.
-    ``v`` is None and ``angle`` is pi where the halfspaces are infeasible;
-    an error from a solve surfaces at that first read.
+    Built once per point, with the projection vector ``v`` and the
+    constraints' multipliers ``lam`` (one least-distance NNLS solve), the
+    collinearity residual ``residual`` = v/|v| + grad f0/|grad f0|, zero
+    exactly where v is anti-collinear with grad f0, and the angle between v
+    and -grad f0, read from it as ``angle`` =
+    2 atan2(|residual|, |v/|v| - grad f0/|grad f0||), accurate on all of
+    [0, pi] (Kahan 2006).  ``v`` is None where the halfspaces are
+    infeasible; ``residual`` is None and ``angle`` is pi there and where
+    grad f0 = 0.  Only ``m`` (the smallest scalarized gradient norm, one
+    min-norm NNLS solve, which also sets its weights ``beta``) is computed
+    on first read: the descent loop reads it only where the angle already
+    qualifies.
 
     ``u`` is the unit direction of the last min-norm point of the run: this
     state's own once ``m`` is read, else the one it was built with.
@@ -141,10 +135,20 @@ class _PngState:
         self.x = np.asarray(x, dtype=float)
         self._G = F.jacobian_T(self.x).T
         self._g0 = f0.grad(self.x)
-        self._c = c
         self.u = u
         if not (np.isfinite(self._G).all() and np.isfinite(self._g0).all()):
             raise NumericalFailureError(f"non-finite gradient at x={self.x.tolist()}")
+        try:
+            self.v, self.lam = _png_vector_from_grads(self._G, self._g0, c)
+        except InfeasibleError:
+            self.v = None
+        ng = math.sqrt(self._g0 @ self._g0)
+        if self.v is None or ng == 0.0:
+            self.residual, self.angle = None, math.pi
+        else:
+            a, b = self.v / math.sqrt(self.v @ self.v), self._g0 / ng
+            self.residual, diff = a + b, a - b
+            self.angle = 2.0 * math.atan2(math.sqrt(self.residual @ self.residual), math.sqrt(diff @ diff))
 
     @cached_property
     def m(self) -> float:
@@ -160,18 +164,6 @@ class _PngState:
             return True
         return self.m > level
 
-    @cached_property
-    def v(self):
-        try:
-            v, self.lam = _png_vector_from_grads(self._G, self._g0, self._c)
-        except InfeasibleError:
-            return None
-        return v
-
-    @cached_property
-    def angle(self) -> float:
-        return math.pi if self.v is None else _angle_to_descent(self.v, self._g0)
-
 
 def _unit_jacobian(w, dw):
     """Jacobian of w / |w|, given the Jacobian dw of w."""
@@ -179,15 +171,8 @@ def _unit_jacobian(w, dw):
     return (dw - np.outer(w, w @ dw) / (n * n)) / n
 
 
-def _direction_residual(state):
-    """v / |v| + grad f0 / |grad f0|: zero exactly where v is anti-collinear with grad f0; None without v."""
-    if state.v is None:
-        return None
-    return state.v / math.sqrt(state.v @ state.v) + state._g0 / math.sqrt(state._g0 @ state._g0)
-
-
 def _direction_jacobian(Hs, H0, state):
-    """Jacobian of ``_direction_residual`` on the piece of the state's active set A = {lam > 0}.
+    """Jacobian of ``residual`` on the piece of the state's active set A = {lam > 0}.
 
     ``Hs`` stacks the objectives' Hessians and ``H0`` is that of f0.  On the
     piece, v = g0 + G_A^T lam_A with G_A v = c, so
@@ -220,13 +205,14 @@ def _polish_to_stationary(F, f0, state, config):
     collinearity set, and the set is microscopically thin transversally),
     so once the descent enters the band near the Pareto set the stationary
     point is located by a Gauss-Newton corrector (Allgower and Georg 2003,
-    ch. 2) on R(x) = (v/|v| + g0/|g0|, (m - level)/level).  R is zero
-    exactly where v is anti-collinear with grad f0 and m is at the level.  Unlike the
-    angle, whose arccos reads 0 below about 1.5e-8, R is smooth through the
-    collinearity set; it has kinks only where the least-distance problem's
-    active set changes.  Both Jacobian blocks are exact: the direction rows
-    on the state's active-set piece (``_direction_jacobian``), the m row by
-    the envelope theorem (``_m_gradient``).  The level is
+    ch. 2) on R(x) = (v/|v| + g0/|g0|, (m - level)/level), the state's
+    ``residual`` and the m row.  R is zero exactly where v is anti-collinear
+    with grad f0 and m is at the level; the stopping test reads its angle
+    from the same residual.  R is smooth through the collinearity set; it
+    has kinks only where the least-distance problem's active set changes.
+    Both Jacobian blocks are exact: the direction rows on the state's
+    active-set piece (``_direction_jacobian``), the m row by the envelope
+    theorem (``_m_gradient``).  The level is
     max(0.7 eps_stop, m/2): from far above the band each step aims only to
     halve m, so that it does not jump onto the branch where v is parallel
     to +grad f0, a local minimum of |R|.  Each ``lstsq`` step is halved
@@ -236,19 +222,18 @@ def _polish_to_stationary(F, f0, state, config):
     """
     target = 0.7 * config.eps_stop
     for _ in range(50):
-        r = _direction_residual(state)
-        if r is None:
+        if state.residual is None:
             return None
         if state.angle <= COLLINEARITY_TOL and state.m <= config.eps_stop:
             return state.x
         level = max(target, 0.5 * state.m)
-        r = np.append(r, state.m / level - 1.0)
+        r = np.append(state.residual, state.m / level - 1.0)
         Hs = F._hessians(state.x)
         J = np.vstack([_direction_jacobian(Hs, f0.hess(state.x), state), _m_gradient(Hs, state) / level])
         step = np.linalg.lstsq(J, -r, rcond=None)[0]
         for _ in range(40):
             cand = _PngState(F, f0, state.x + step, config.c)
-            rc = _direction_residual(cand)
+            rc = cand.residual
             if rc is not None and rc @ rc + (cand.m / level - 1.0) ** 2 < r @ r:
                 break
             step *= 0.5

@@ -179,7 +179,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("png", parents=[problem_arg], help="run the navigation-gradient baseline")
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--eps-stop", type=float, required=True)
-    p.add_argument("--x0", required=True, help="comma-separated start point")
+    p.add_argument(
+        "--x0",
+        required=True,
+        help="comma-separated start point; write a negative first entry as --x0=-0.5,0.9",
+    )
     p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--max-iters", type=int, default=200_000)
     p.add_argument("--trace", help="write trajectory CSV here")

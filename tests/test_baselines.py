@@ -162,10 +162,11 @@ class TestPngVector:
 
 class TestPngState:
     @pytest.mark.parametrize("instance", ["png_instance", "identity_pair"])
-    def test_lazy_reads_equal_their_definitions(self, instance, rng, request):
+    def test_reads_equal_their_definitions(self, instance, rng, request):
+        # (0, 1) is the preference centre, where grad f0 = 0
         problem = request.getfixturevalue(instance)
         F, f0 = problem.F, problem.f0
-        points = [rng.normal(size=2) for _ in range(20)] + [np.array([0.2, 0.0])]
+        points = [rng.normal(size=2) for _ in range(20)] + [np.array([0.2, 0.0]), np.array([0.0, 1.0])]
         infeasible = 0
         for x in points:
             for c in (0.01, 1.0):
@@ -174,13 +175,17 @@ class TestPngState:
                 try:
                     v = png_vector(F, f0, x, c)
                 except InfeasibleError:
-                    assert state.v is None and state.angle == np.pi
+                    assert state.v is None and state.residual is None and state.angle == np.pi
                     infeasible += 1
                     continue
                 np.testing.assert_array_equal(state.v, v)
                 g0 = f0.grad(x)
-                cosang = v @ -g0 / (np.linalg.norm(v) * np.linalg.norm(g0))
-                assert state.angle == np.arccos(np.clip(cosang, -1.0, 1.0))
+                if not g0.any():
+                    assert state.residual is None and state.angle == np.pi
+                    continue
+                np.testing.assert_array_equal(state.residual, v / np.linalg.norm(v) + g0 / np.linalg.norm(g0))
+                cross = v[0] * g0[1] - v[1] * g0[0]
+                assert abs(state.angle - np.arctan2(abs(cross), -(v @ g0))) <= 1e-15
         assert infeasible > 0
 
     def test_non_finite_gradient_raises_when_built(self, png_instance):
@@ -293,7 +298,7 @@ class TestPngState:
         probes = [_PngState(F, f0, x + e, c) for e in steps]
         if any(p.v is None or not np.array_equal(p.lam > 0, state.lam > 0) for p in [state] + probes):
             return
-        r = np.split(np.column_stack([baselines._direction_residual(p) for p in probes]), 4, axis=1)
+        r = np.split(np.column_stack([p.residual for p in probes]), 4, axis=1)
         fd = (4.0 * (r[0] - r[1]) / (2.0 * h) - (r[2] - r[3]) / (4.0 * h)) / 3.0
         jac = baselines._direction_jacobian(F._hessians(x), f0.hess(x), state)
         np.testing.assert_allclose(jac, fd, rtol=1e-4, atol=1e-5 * np.abs(jac).max())
@@ -401,12 +406,17 @@ class TestPngDescent:
         assert res.iterations == 769
         state = _PngState(png_instance.F, png_instance.f0, res.point, config.c)
         assert state.angle <= COLLINEARITY_TOL and state.m <= config.eps_stop
+        # the angle is read from the residual, not from an arccos, which
+        # reads 0 here
+        v, g0 = state.v, png_instance.f0.grad(res.point)
+        angle = np.arctan2(abs(v[0] * g0[1] - v[1] * g0[0]), -(v @ g0))
+        assert 1e-10 < angle < 2e-10
+        assert abs(state.angle - angle) <= 1e-15
 
     @pytest.mark.parametrize("x0, iterations", NEAR_BENCHMARK_STARTS)
     def test_first_polish_does_not_hinge_on_the_last_bit(self, png_instance, x0, iterations):
-        # the polish corrects a smooth residual, not the angle, which arccos
-        # reads as 0 below 1.5e-8: so starts a few ulp apart all end
-        # stationary at the first band iterate, and the uniform ones too
+        # the polish corrects a smooth residual: so starts a few ulp apart
+        # all end stationary at the first band iterate, and the uniform ones too
         config = PngConfig(c=0.01, step=0.05, eps_stop=1e-3, max_iters=1500)
         res = png_descent(png_instance.F, png_instance.f0, x0, config)
         assert res.status == "stationary"

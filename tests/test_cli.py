@@ -419,6 +419,17 @@ class TestPngCommand:
         assert out["status"] == "stalled"
         assert out["iterations"] == 769
 
+    def test_negative_first_x0_entry_in_the_equals_form(self, png_file, capsys):
+        # argparse reads "-0.5,0.9" after a space as a flag, not a value
+        with pytest.raises(SystemExit) as exc:
+            run_cli("png", "--problem", png_file, "--c", "0.01", "--eps-stop", "1e-2", "--x0", "-0.5,0.9")
+        assert exc.value.code == 2
+        assert "argument --x0: expected one argument" in capsys.readouterr().err
+        code = run_cli("png", "--problem", png_file, "--c", "0.01", "--eps-stop", "1e-2", "--x0=-0.5,0.9")
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["status"] == "stationary" and out["iterations"] == 546
+
     @pytest.mark.parametrize("x0, shape", [("0.2", "(1,)"), ("0.2,0.9,0", "(3,)")], ids=["short", "long"])
     def test_wrong_length_x0_exits_one(self, x0, shape, png_file, capsys):
         code = run_cli("png", "--problem", png_file, "--c", "0.01", "--eps-stop", "1e-2", "--x0", x0)
