@@ -15,15 +15,21 @@ gradient norm proportional to eps.  Newton starts that solve at the tangent
 prediction x + J (beta_new - beta) (an Euler predictor with a Newton
 corrector; Allgower and Georg, 2003, ch. 2); for shared-Hessian quadratics
 x*(beta) is affine, so the prediction is exact.  sigma is found by
-backtracking (Beck and Teboulle, 2009; Nesterov, 2013): each step starts
-at 1e-2 * tr(B0) and doubles sigma until the new point lowers f0 and lies
-under the model, up to the rounding slack of the two inexact points.  The
-bundle constant mu_g caps sigma; at the cap the model is the isotropic
-upper bound with curvature mu_g, and the step is taken untested, so the
-worst-case rate is that of the fixed-mu_g method.  A point is certified
-stationary when its residual, its estimated-gradient gap, and the
-gradient-estimation error bound are all within their budgets; none of them
-reads the model.
+backtracking (Beck and Teboulle, 2009; Nesterov, 2013) from a ratio
+rho = sigma / tr(B0) carried across steps, the Levenberg-Marquardt update
+(More, 1978) read as a trust-region ratio rule (Nocedal and Wright, 2006,
+Algorithm 4.1).  rho starts at 1e-2 and becomes each accepted step's
+sigma / tr(B0).  A step after one accepted at its first trial tries rho / 4
+first and, if that is rejected, rho; every later rejection doubles sigma.
+A trial is accepted when the new point lowers f0 and lies under the
+model, up to the rounding slack of the two inexact points.  The bundle
+constant mu_g caps sigma; at the cap the model is the isotropic upper
+bound with curvature mu_g, and the step is taken untested, so the
+worst-case rate is that of the fixed-mu_g method.  A new point whose
+residual is above eps has its weights replaced by the min-norm weights at
+its x when that lowers the residual.  A point is certified stationary when
+its residual, its estimated-gradient gap, and the gradient-estimation error
+bound are all within their budgets; none of them reads the model.
 """
 
 from __future__ import annotations
@@ -54,6 +60,10 @@ from .simplex import (
 
 # Lowest damping sigma, relative to mu_g: a floor on the start rule.
 _MIN_CURVATURE = 1e-12
+# The damping ratio sigma / tr(B0) a run starts from, and the factor that
+# shrinks it after a step accepted at its first trial.
+_START_RATIO = 1e-2
+_SHRINK = 0.25
 # Consecutive steps that leave the residual above eps and f0 within the
 # anchor's rounding slack before a run is stopped as stalled.
 _STALL_STEPS = 5
@@ -241,9 +251,10 @@ class TraceRecord:
     x*(beta) solves it took, rejected trials included; row 0, the solved
     start, has mu_g and 1 solve.  A step accepted at its first trial was
     tested against the exact-Hessian model P (B0 + S) P + sigma I when that
-    Hessian is positive definite, and any other against B0 + sigma I; so
-    sigma is 1e-2 tr(B0) (clipped) times 2^(trials - 1) below the cap.
-    Neither is in the CSV.
+    Hessian is positive definite, and any other against B0 + sigma I.
+    Below the cap sigma is the run's carried ratio times tr(B0), clipped,
+    and grown per rejected trial as ``_outer_step`` describes.  Neither is
+    in the CSV.
     """
 
     k: int
@@ -293,17 +304,18 @@ def _positive_definite(M, floor) -> bool:
     return bool(np.isfinite(factor).all())
 
 
-def _start_damping(B0, cap):
-    """First trial sigma of a step: 1e-2 * tr(B0), clipped to [1e-12 * cap, cap].
+def _start_damping(B0, cap, ratio=_START_RATIO):
+    """First trial sigma of a step: ratio * tr(B0), clipped to [1e-12 * cap, cap].
 
-    The cap instead when B0 + 1e-12 * cap * I is not positive definite (f0
-    is not convex along J at the anchor) or not finite: no damped model
-    below the cap is then convex.
+    ``ratio`` is the damping ratio the run carries, 1e-2 at its first step
+    (see ``_outer_step``).  The cap instead when B0 + 1e-12 * cap * I is not
+    positive definite (f0 is not convex along J at the anchor) or not
+    finite: no damped model below the cap is then convex.
     """
     floor = _MIN_CURVATURE * cap
     if not _positive_definite(B0, floor):
         return cap
-    return min(max(1e-2 * float(np.trace(B0)), floor), cap)
+    return min(max(ratio * float(np.trace(B0)), floor), cap)
 
 
 def _exact_metric(F, surrogate, B0):
@@ -335,7 +347,7 @@ def _exact_metric(F, surrogate, B0):
     return P.dot(M).dot(P)
 
 
-def _outer_step(problem, surrogate, f0_anchor, tol_gap, tol_grad):
+def _outer_step(problem, surrogate, f0_anchor, tol_gap, tol_grad, ratio, shrink):
     """One backtracked projected-Newton MM step from the surrogate's anchor.
 
     With d = beta' - beta, each trial minimizes the model
@@ -345,24 +357,31 @@ def _outer_step(problem, surrogate, f0_anchor, tol_gap, tol_grad):
     trial takes G = P (B0 + S) P, the exact Hessian on the tangent plane
     (``_exact_metric``, built only for a first trial below the cap), when
     it and B0 are positive definite above 1e-12 mu_g and n <= d + 1; every
-    other trial takes G = B0.  sigma starts at 1e-2 * tr(B0), clipped to
-    [1e-12 * mu_g, mu_g], and doubles, with G switching to B0, until the
-    new point does not raise f0 and its f0 rise is within m_sigma plus the
-    err bound and the rounding slack of both points.  At the cap mu_g the
-    model is the isotropic upper bound linear^T d + 0.5 mu_g ||d||^2 and the
-    step is taken untested; ``_start_damping`` starts there when B0 +
-    1e-12 mu_g I is not positive definite.
+    other trial takes G = B0.  sigma starts at ``ratio`` * tr(B0), or at
+    ratio / 4 * tr(B0) when ``shrink`` (the previous step was accepted at
+    its first trial), clipped to [1e-12 * mu_g, mu_g].  A rejected shrunk
+    trial is retried at 4 times its sigma, ratio * tr(B0) unless clipped,
+    and any other rejection doubles sigma, with G switching to B0, until
+    the new point does not raise f0 and its f0 rise is within m_sigma plus
+    the err bound and the rounding slack of both points.  At the cap mu_g
+    the model is the isotropic upper bound linear^T d + 0.5 mu_g ||d||^2
+    and the step is taken untested; ``_start_damping`` starts there when
+    B0 + 1e-12 mu_g I is not positive definite.
     Each trial's x*(beta) solve starts at the anchor's tangent prediction
     x + J (beta - beta_anchor).  Returns ``(point, f0 value, sigma, trials,
-    slack)``, with ``slack`` the anchor's rounding slack.
+    slack, ratio)``, with ``slack`` the anchor's rounding slack and
+    ``ratio`` the accepted sigma / tr(B0) for the next step; ``ratio`` is
+    returned as given when tr(B0) <= 0 or B0 fails the Cholesky test.
     """
     F, anchor, cap = problem.F, surrogate.anchor, surrogate.curvature
     J = surrogate.x_star_jacobian
     B0 = J.T @ (problem.f0.hess(anchor.x) @ J)
-    sigma, metric = _start_damping(B0, cap), B0
-    # sigma < cap means B0 passed _start_damping's Cholesky test.  Along
-    # ker J, which meets the tangent plane when n - 1 > d, x*(beta) is flat
-    # to second order: the exact Hessian is then singular there at best.
+    trace_B0 = float(np.trace(B0))
+    sigma, metric = _start_damping(B0, cap, _SHRINK * ratio if shrink else ratio), B0
+    # sigma < cap means B0 passed _start_damping's Cholesky test.
+    convex = sigma < cap or _positive_definite(B0, _MIN_CURVATURE * cap)
+    # Along ker J, which meets the tangent plane when n - 1 > d, x*(beta) is
+    # flat to second order: the exact Hessian is then singular there at best.
     if sigma < cap and F.n <= F.dim + 1:
         exact = _exact_metric(F, surrogate, B0)
         if _positive_definite(exact, _MIN_CURVATURE * cap):
@@ -383,13 +402,39 @@ def _outer_step(problem, surrogate, f0_anchor, tol_gap, tol_grad):
         trials += 1
         f0_value = problem.f0.value(point.x)
         if sigma >= cap:
-            return point, f0_value, sigma, trials, slack
+            break
         rise = f0_value - f0_anchor
         bound = Q.value_at(beta) + surrogate.err_term + slack  # cap > 0 here: Q is this trial's model
         bound += _rounding_slack(problem, point, stable_norm(problem.f0.grad(point.x)))
         if rise <= 0.0 and rise <= bound:
-            return point, f0_value, sigma, trials, slack
-        sigma, metric = min(2.0 * sigma, cap), B0
+            break
+        growth = 1.0 / _SHRINK if shrink and trials == 1 else 2.0  # a rejected shrunk trial retries at ratio
+        sigma, metric = min(growth * sigma, cap), B0
+    if convex and trace_B0 > 0.0:
+        ratio = sigma / trace_B0
+    return point, f0_value, sigma, trials, slack, ratio
+
+
+def _reweighted(F, point, tol_gap):
+    """``point`` with its weights replaced by the min-norm weights at its x, if that lowers the residual.
+
+    The weights minimize 0.5 ||G(x) beta||^2 over the simplex, G(x) the
+    d x n objective Jacobian, in the metric G^T G with curvature
+    1e-12 tr(G^T G).  A step can end where the model's linear term
+    vanishes, at f0's centre, on a float x whose weights leave a residual
+    above eps; the weights that suit that x exactly then let it certify.
+    """
+    G = F.jacobian_T(point.x)
+    M = G.T @ G
+    scale = float(np.trace(M))
+    if not (0.0 < scale < math.inf):
+        return point
+    Q = SimplexQuadratic(
+        anchor=point.beta, linear=M @ point.beta.weights, curvature=_MIN_CURVATURE * scale, metric=M
+    )
+    beta, _ = minimize_quadratic_over_simplex(Q, tol_gap=tol_gap)
+    candidate = ManifoldPoint.from_x_beta(F, point.x, beta)
+    return candidate if candidate.residual < point.residual else point
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow ends in NumericalFailureError or a failed check
@@ -408,10 +453,15 @@ def pmm_solve(
     quadratic model in the metric G + sigma I (see ``_outer_step``): G is
     the exact Hessian of the pulled-back preference on the tangent plane
     for the first trial when it is positive definite, and the Gauss-Newton
-    metric B0 otherwise.  sigma starts at 1e-2 * tr(B0), clipped to
-    [1e-12 * mu_g, mu_g], and doubles, with G switching to B0, after each
-    failed descent or upper-bound test; at the cap mu_g the isotropic step
-    is taken untested, as in the fixed-mu_g method.
+    metric B0 otherwise.  sigma starts at rho * tr(B0), clipped to
+    [1e-12 * mu_g, mu_g], with the ratio rho carried across steps: 1e-2 at
+    the first step, then each accepted step's sigma / tr(B0).  After a step
+    accepted at its first trial the next tries rho / 4 first and rho
+    second; every other failed descent or upper-bound test doubles sigma,
+    with G switching to B0.  At the cap mu_g the isotropic step is taken
+    untested, as in the fixed-mu_g method.  A new point whose residual is
+    above eps takes the min-norm weights at its x when they give a lower
+    residual (``_reweighted``), before the stall test below.
     The certificate never reads the model.  Stationarity is checked every
     iteration, so a certifiable iterate ends the run as soon as it appears.
     Each x*(beta) solve may stop at its rounding floor above its target;
@@ -440,6 +490,7 @@ def pmm_solve(
     point = solve_x_star(F, beta, tol_grad=compute_c1_c2(problem, x)[1] * config.eps, x0=x)
     f0_value = problem.f0.value(point.x)
     curvature, trials, stalls = problem.bundle.mu_g, 1, 0
+    ratio, shrink = _START_RATIO, False
     for k in range(config.max_outer + 1):
         surrogate = build_surrogate(problem, point)
         cert = _certificate(surrogate, config.eps0, config.eps, config.alpha)
@@ -481,9 +532,12 @@ def pmm_solve(
                     f"{cert.err_budget:.3e}"
                 )
         f0_anchor = f0_value
-        point, f0_value, curvature, trials, slack = _outer_step(
-            problem, surrogate, f0_anchor, c1 * config.eps0, c2 * config.eps
+        point, f0_value, curvature, trials, slack, ratio = _outer_step(
+            problem, surrogate, f0_anchor, c1 * config.eps0, c2 * config.eps, ratio, shrink
         )
+        shrink = trials == 1
+        if point.residual > config.eps:
+            point = _reweighted(F, point, c1 * config.eps0)
         stalled = point.residual > config.eps and abs(f0_value - f0_anchor) <= slack
         stalls = stalls + 1 if stalled else 0
         if stalls == _STALL_STEPS:

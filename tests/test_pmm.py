@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from paretomm import (
     shared_hessian_optimum,
     solve_x_star,
 )
-from paretomm.pmm import _certificate, _exact_metric, _rounding_slack, _start_damping
+from paretomm.pmm import _certificate, _exact_metric, _reweighted, _rounding_slack, _start_damping
 from paretomm.problem_io import (
     png_counterexample_spec,
     problem_from_spec,
@@ -400,6 +401,17 @@ def _transformed_triangle(shift=0.0, h_scale=1.0):
     return spec
 
 
+def exact_residual_squared(spec, beta, x):
+    """||sum_i beta_i H_i (x - z_i)||^2 of a quadratic spec, in rationals at the given floats."""
+    x = [Fraction(v) for v in np.asarray(x).tolist()]
+    g = [Fraction(0)] * len(x)
+    for b, entry in zip(np.asarray(beta).tolist(), spec["objectives"]):
+        D = [xa - Fraction(za) for xa, za in zip(x, entry["z"])]
+        for a, row in enumerate(entry["H"]):
+            g[a] += Fraction(b) * sum(Fraction(h) * t for h, t in zip(row, D))
+    return sum(v * v for v in g)
+
+
 class TestRoundingFloor:
     """Inner targets c2 * eps below the gradient's rounding floor still certify."""
 
@@ -425,31 +437,68 @@ class TestRoundingFloor:
         assert residual <= config.eps and gap <= config.eps0
 
     def test_unreachable_eps_stops_as_stalled(self):
-        # At shift 1e11 the residual's rounding stays above eps = 1e-8 (it ends
-        # near 1.3e-6) and f0 only moves within its slack, so no step can
-        # certify; the run must stop within 50 steps instead of spending its
-        # whole budget
+        # Two of the triangle's objectives, the second centred at (2, 1), and
+        # the preference centred at (1.5, 0), all shifted by 1e11: the residual
+        # at the floats near the optimum stays above eps = 1e-8 (it ends near
+        # 1e-5, with the weights that suit x) and f0 only moves within its
+        # slack, so no step can certify; the run must stop within 50 steps
+        # instead of spending its whole budget
         spec = _transformed_triangle(shift=1e11)
+        spec["objectives"] = spec["objectives"][:2]
+        spec["objectives"][1]["z"] = [2.0 + 1e11, 1.0 + 1e11]
+        spec["preference"]["z"] = [1.5 + 1e11, 1e11]
         with pytest.raises(NumericalFailureError, match="stalled"):
             pmm_solve(problem_from_spec(spec), SolverConfig(eps0=1e-3, eps=1e-8, max_outer=50))
+
+    def test_optimum_on_the_float_grid_certifies_at_tight_eps(self):
+        # The triangle's optimum is f0's centre, a float point even at shift
+        # 1e11, where the weights that suit x make the exact residual about
+        # 1e-16: eps = 1e-8 is reachable, and the certified point's residual,
+        # computed in rationals at the floats the run used, is within it
+        config = SolverConfig(eps0=1e-3, eps=1e-8, max_outer=50)
+        spec = _transformed_triangle(shift=1e11)
+        result = pmm_solve(problem_from_spec(spec), config)
+        assert result.status == "certified"
+        residual2 = exact_residual_squared(spec, result.point.beta.weights, result.point.x)
+        assert residual2 <= Fraction(config.eps) ** 2
 
     def test_far_shifted_residual_is_exact_within_eps(self):
         # At shift 1e11 eps = 1e-6 is reachable: the certified point's residual
         # ||sum_i beta_i H_i (x - z_i)||, computed exactly in rationals at the
-        # floats the run used, is within eps (7.9e-7)
-        from fractions import Fraction
-
+        # floats the run used, is within eps
         config = SolverConfig(eps0=1e-3, eps=1e-6, max_outer=50)
         spec = _transformed_triangle(shift=1e11)
         result = pmm_solve(problem_from_spec(spec), config)
         assert result.status == "certified"
-        x = [Fraction(v) for v in result.point.x.tolist()]
-        g = [Fraction(0), Fraction(0)]
-        for b, entry in zip(result.point.beta.weights.tolist(), spec["objectives"]):
-            D = [xa - Fraction(za) for xa, za in zip(x, entry["z"])]
-            for a, row in enumerate(entry["H"]):
-                g[a] += Fraction(b) * sum(Fraction(h) * t for h, t in zip(row, D))
-        assert g[0] ** 2 + g[1] ** 2 <= Fraction(config.eps) ** 2
+        residual2 = exact_residual_squared(spec, result.point.beta.weights, result.point.x)
+        assert residual2 <= Fraction(config.eps) ** 2
+
+    @pytest.mark.parametrize(
+        "shift", (np.linspace(1.0, 9.0, 16) * [[1e10], [1e11]]).ravel().tolist(), ids=lambda s: f"{s:.4g}"
+    )
+    def test_far_shifts_certify_at_f0s_centre(self, shift):
+        # The run reaches f0's centre, where grad f0 = 0 and the model's linear
+        # term vanishes, so no step moves beta; the weights that suit that float
+        # x, not luck in where x lands, must bring the residual under eps
+        config = SolverConfig(eps0=1e-3, eps=1e-6, max_outer=50)
+        spec = _transformed_triangle(shift=shift)
+        result = pmm_solve(problem_from_spec(spec), config)
+        assert result.status == "certified"
+        beta, x = result.point.beta.weights, result.point.x
+        assert exact_residual_squared(spec, beta, x) <= Fraction(config.eps) ** 2
+        assert closed_form_check(spec, beta, x)[1] <= config.eps0
+
+    def test_reweighting_keeps_x_and_lowers_the_residual(self):
+        # At objective 1's centre the weights e_1 make the residual 0
+        problem = problem_from_spec(triangle_spec())
+        x = problem.F.minimizers[0].copy()
+        point = ManifoldPoint.from_x_beta(problem.F, x, SimplexPoint.uniform(3))
+        reweighted = _reweighted(problem.F, point, 1e-3)
+        assert reweighted.x is point.x
+        assert point.residual > 1.0 and reweighted.residual <= 1e-10
+        np.testing.assert_allclose(reweighted.beta.weights, [1.0, 0.0, 0.0], atol=1e-10)
+        exact = ManifoldPoint.from_x_beta(problem.F, x, SimplexPoint.vertex(3, 0))
+        assert exact.residual == 0.0 and _reweighted(problem.F, exact, 1e-3) is exact
 
     def test_scaled_hessians_certify(self):
         config = SolverConfig(eps0=1e-3, eps=1e-6)
@@ -619,18 +668,24 @@ class TestBacktrackedCurvature:
     def test_gauss_newton_metric_is_exact_on_png_example(self, png_instance):
         # x*(beta) = Z^T beta, so the pulled-back preference is quadratic with
         # Hessian Z Z^T, which B0 = J^T J equals on the tangent plane sum d = 0
-        # (column i of J is z_i - x).  Each step is accepted at its start
-        # sigma = 1e-2 tr(B0) = 1e-2 sum_i |z_i - x|^2; along d = t (-1, 1) the
-        # model is (g_2 - g_1) t + 0.5 t^2 (|z_2 - z_1|^2 + 2 sigma).
+        # (column i of J is z_i - x).  Each step is accepted at its first
+        # trial, at sigma = rho tr(B0) = rho sum_i |z_i - x|^2: rho = 1e-2 at
+        # the first step, and a quarter of the previous step's sigma / tr(B0)
+        # after that, since the previous step was accepted at its first trial.
+        # Along d = t (-1, 1) the model is
+        # (g_2 - g_1) t + 0.5 t^2 (|z_2 - z_1|^2 + 2 sigma).
         config = SolverConfig(eps0=1e-3, eps=1e-6)
         result = pmm_solve(png_instance, config, init=(None, np.array([0.9, 0.1])))
         assert result.status == "certified"
         assert len(result.trace) - 1 == 2
         assert sum(r.trials for r in result.trace) == 3  # the start's solve and one per step
         Z, z0 = png_instance.F.minimizers, np.array(png_counterexample_spec()["preference"]["z"])
+        ratio, shrink = 1e-2, False
         for prev, cur in zip(result.trace, result.trace[1:]):
-            sigma = 1e-2 * float(((Z - prev.x) ** 2).sum())
+            trace_B0 = float(((Z - prev.x) ** 2).sum())
+            sigma = (ratio / 4.0 if shrink else ratio) * trace_B0
             assert cur.curvature == pytest.approx(sigma, rel=1e-9)
+            ratio, shrink = cur.curvature / trace_B0, cur.trials == 1
             g = (Z - prev.x) @ (prev.x - z0)
             t = -(g[1] - g[0]) / (float((Z[1] - Z[0]) @ (Z[1] - Z[0])) + 2.0 * sigma)
             np.testing.assert_allclose(cur.beta, prev.beta + t * np.array([-1.0, 1.0]), rtol=0.0, atol=1e-12)
@@ -654,7 +709,8 @@ class TestBacktrackedCurvature:
 
 
 class TestStartDamping:
-    """1e-2 tr(B0), clipped to [1e-12 cap, cap]; the cap when B0 + 1e-12 cap I is not positive definite or finite."""
+    """ratio tr(B0) (ratio 1e-2 by default), clipped to [1e-12 cap, cap];
+    the cap when B0 + 1e-12 cap I is not positive definite or finite."""
 
     @pytest.mark.parametrize(
         "B0, expected",
@@ -671,6 +727,57 @@ class TestStartDamping:
     )
     def test_start(self, B0, expected):
         assert _start_damping(np.array(B0), 8.0) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "B0, ratio, expected",
+        [
+            ([[100.0, -50.0], [-50.0, 100.0]], 2.5e-3, 0.5),  # the default start shrunk by 1/4
+            ([[100.0, -50.0], [-50.0, 100.0]], 0.2, 8.0),  # 40, clipped to the cap
+            ([[100.0, -50.0], [-50.0, 100.0]], 1e-16, 8e-12),  # 2e-14, raised to the floor
+            ([[1.0, 2.0], [2.0, 1.0]], 1e-4, 8.0),  # indefinite: the cap at any ratio
+        ],
+        ids=["shrunk", "cap", "floor", "indefinite"],
+    )
+    def test_carried_ratio(self, B0, ratio, expected):
+        assert _start_damping(np.array(B0), 8.0, ratio) == pytest.approx(expected, rel=1e-12)
+
+
+class TestCarriedDamping:
+    """The damping ratio sigma / tr(B0) carries from each accepted step to the next."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_large_random_quadratics_certify_within_8_steps(self, seed):
+        # (d, n) = (40, 120), where most weights end at 0 and the exact metric
+        # is off: restarting sigma at 1e-2 tr(B0) every step took 20-24 steps
+        spec = random_problem_spec(np.random.default_rng(seed), 40, 120)
+        result = pmm_solve(problem_from_spec(spec), SolverConfig(eps0=0.1, eps=0.01))
+        assert result.status == "certified"
+        assert len(result.trace) - 1 <= 8
+        residual, gap = closed_form_check(spec, result.point.beta.weights, result.point.x)
+        assert residual <= 0.01 and gap <= 0.1
+
+    def test_each_start_follows_the_previous_accepted_step(self, rng):
+        # A step's first trial is at rho / 4 after a step accepted at its
+        # first trial and at rho otherwise, with rho = 1e-2 at the first step
+        # and the previous accepted sigma / tr(B0) after it; B0 = J^T H0 J
+        # from the closed form at each anchor.  Steps that hit the floor or
+        # the cap are skipped, and so is everything after them.
+        spec = random_problem_spec(rng, 6, 12)
+        problem = problem_from_spec(spec)
+        result = pmm_solve(problem, SolverConfig(eps0=0.1, eps=0.01))
+        assert result.status == "certified"
+        mu_g = problem.bundle.mu_g
+        ratio, shrink, checked = 1e-2, False, 0
+        for prev, cur in zip(result.trace, result.trace[1:]):
+            *_, B0 = closed_form_model_terms(spec, prev.beta, prev.x)
+            trace_B0 = float(np.trace(B0))
+            start = (ratio / 4.0 if shrink else ratio) * trace_B0
+            if not 1e-12 * mu_g < cur.curvature < mu_g:
+                break
+            growth = 1.0 if cur.trials == 1 else (4.0 if shrink else 2.0) * 2.0 ** (cur.trials - 2)
+            assert cur.curvature == pytest.approx(start * growth, rel=1e-9)
+            ratio, shrink, checked = cur.curvature / trace_B0, cur.trials == 1, checked + 1
+        assert checked >= 2
 
 
 def _metric_terms(problem, beta):
