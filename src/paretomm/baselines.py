@@ -25,10 +25,9 @@ from .problem import (
     SmoothFunction,
     quadratic_from_hessian,
 )
-from .simplex import _nnls_lift, min_norm_over_simplex
+from .simplex import _EPS, _nnls_lift, min_norm_over_simplex
 
 COLLINEARITY_TOL = 1e-6  # radians; the stopping test has no canonical tolerance
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -45,35 +44,77 @@ class PngConfig:
             raise InvalidArgumentError("all PNG parameters must be finite and positive")
 
 
-def _png_vector_from_grads(G: np.ndarray, g0: np.ndarray, c: float):
+def _png_face_solve(G, h, active):
+    # The least-distance step w on the face of the rows A = ``active``:
+    # w = G_A^T mu with G_A w = h_A, so (G_A G_A^T) mu = h_A, the rows of G_A
+    # scaled to a largest entry of 1 (the same halfspaces).  Returns (w, lam),
+    # lam the multipliers of the unscaled rows, 0 off A.  One row takes the
+    # same arithmetic on vectors.
+    lam = np.zeros(h.size)
+    idx = np.flatnonzero(active)
+    if idx.size == 0:
+        return np.zeros(G.shape[1]), lam
+    if idx.size == 1:
+        i = idx[0]
+        s = np.abs(G[i]).max()
+        g = G[i] / s
+        mu = h[i] / s / g.dot(g)
+        lam[i] = mu / s
+        return g * mu, lam
+    GA = G[idx]
+    s = np.abs(GA).max(axis=1)
+    GA /= s[:, None]
+    mu = np.linalg.solve(GA.dot(GA.T), h[idx] / s)
+    lam[idx] = mu / s
+    return GA.T.dot(mu), lam
+
+
+def _png_vector_from_grads(G: np.ndarray, g0: np.ndarray, c: float, active=None):
     # v = g0 + w with w the least-distance solution of G w >= h = c - G g0,
-    # read off the NNLS residual r of [G^T; h^T] u ~ e_{d+1} (Lawson and
-    # Hanson, ch. 23): w = -r[:d] / r[d] = G^T lam with the constraints'
-    # multipliers lam = u / -r[d] >= 0.  Returns (v, lam).
-    d = G.shape[1]
-    h = c - G @ g0
+    # which is the solve on the face of its active set A (``_png_face_solve``)
+    # and meets the KKT conditions: lam >= 0 and G w >= h off A.  ``active``
+    # guesses A (the last iterate's; none by default), and its face solve is
+    # taken when it meets them.  Otherwise the NNLS of [G^T; h^T] u ~ e_{d+1}
+    # (Lawson and Hanson, ch. 23) finds A = {u > 0}.  Its residual r has
+    # ||r||^2 = -r[d] = 1 - h^T u = 1 / (1 + ||w||^2), which is 0 exactly
+    # when the halfspaces are infeasible; -r[d] carries rounding error of
+    # order 1e-16 * |h|^T u, so below 1e-12 it cannot be told apart from 0,
+    # and a guessed face with 1 + ||w||^2 >= 1e12 is not taken either.  Nor
+    # is a face of A with a negative multiplier, which exact arithmetic rules
+    # out (lam_A = u_A / -r[d]): rounding has then decided the set.  h is
+    # finite exactly when G and g0 are and G g0 does not overflow.
+    # Returns (v, lam).
+    h = c - G.dot(g0)
     if not np.isfinite(h).all():
-        raise NumericalFailureError("constraint levels overflow at this point")
-    u, E = _nnls_lift(G.T, h)
-    r = E @ u
-    r[d] -= 1.0
-    # NNLS optimality (E^T r >= 0, u^T E^T r = 0) gives ||r||^2 = -r[d] =
-    # 1 / (1 + ||w||^2), and the halfspaces are infeasible exactly when it
-    # is 0.  -r[d] = 1 - h^T u carries rounding error of order
-    # 1e-16 * |h|^T u, so below 1e-12 it keeps at most four reliable digits
-    # and cannot be told apart from 0; the w it would give (norm above 1e6)
-    # would be dominated by that error.
-    if -r[d] <= 1e-12:
+        raise NumericalFailureError("non-finite gradient or constraint level")
+    if active is None:
+        active = np.zeros(h.size, dtype=bool)
+    try:
+        w, lam = _png_face_solve(G, h, active)
+    except np.linalg.LinAlgError:  # a singular face: not the active set
+        pass
+    else:
+        if lam.min() >= 0.0 and w.dot(w) < 1e12 - 1.0 and ((G.dot(w) >= h) | active).all():
+            return g0 + w, lam
+    u = _nnls_lift(G.T, h)
+    if 1.0 - h.dot(u) <= 1e-12:
         raise InfeasibleError("constraint halfspaces have empty intersection")
-    return g0 - r[:d] / r[d], u / -r[d]
+    try:
+        w, lam = _png_face_solve(G, h, u > 0.0)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"projection face solve failed: {exc}") from exc
+    if lam.min() < 0.0:
+        raise InfeasibleError("constraint halfspaces have empty intersection")
+    return g0 + w, lam
 
 
 def png_vector(F: ObjectiveSet, f0: SmoothFunction, x: np.ndarray, c: float) -> np.ndarray:
     """Project grad f0(x) onto {v : grad f_i(x)^T v >= c for all i}.
 
-    Solved exactly as a least-distance program, which is one nonnegative
-    least-squares solve in the n constraint multipliers; raises
-    ``InfeasibleError`` when the halfspaces have empty intersection.
+    Solved exactly as a least-distance program: a nonnegative least-squares
+    solve in the n constraint multipliers finds the active constraints, and
+    v is the projection onto their face; raises ``InfeasibleError`` when the
+    halfspaces have empty intersection.
     """
     if c <= 0:
         raise InvalidArgumentError("c must be positive")
@@ -109,39 +150,42 @@ class PngResult:
 
 
 class _PngState:
-    """One PNG iterate: its gradients, checked finite, and what the loop reads of them.
+    """One PNG iterate: its gradients and what the loop reads of them.
 
-    Built once per point, with the projection vector ``v`` and the
-    constraints' multipliers ``lam`` (one least-distance NNLS solve), the
-    collinearity residual ``residual`` = v/|v| + grad f0/|grad f0|, zero
-    exactly where v is anti-collinear with grad f0, and the angle between v
-    and -grad f0, read from it as ``angle`` =
-    2 atan2(|residual|, |v/|v| - grad f0/|grad f0||), accurate on all of
-    [0, pi] (Kahan 2006).  ``v`` is None where the halfspaces are
+    Built once per point, from the previous iterate ``prev`` if any, with
+    the projection vector ``v`` and the constraints' multipliers ``lam``
+    (``_png_vector_from_grads``, tried first on the face of prev's active
+    set {lam > 0}), the collinearity residual ``residual`` =
+    v/|v| + grad f0/|grad f0|, zero exactly where v is anti-collinear with
+    grad f0, and the angle between v and -grad f0, read from it as
+    ``angle`` = 2 atan2(|residual|, |v/|v| - grad f0/|grad f0||), accurate
+    on all of [0, pi] (Kahan 2006).  ``v`` is None where the halfspaces are
     infeasible; ``residual`` is None and ``angle`` is pi there and where
     grad f0 = 0.  Only ``m`` (the smallest scalarized gradient norm, one
     min-norm NNLS solve, which also sets its weights ``beta``) is computed
     on first read: the descent loop reads it only where the angle already
-    qualifies.
+    qualifies.  A gradient that is not finite, or a G g0 that overflows,
+    raises ``NumericalFailureError``.
 
     ``u`` is the unit direction of the last min-norm point of the run: this
-    state's own once ``m`` is read, else the one it was built with.
+    state's own once ``m`` is read, else prev's.
     ``m_exceeds`` solves for m only when the duality bound of ``u``
     (``_min_norm_lower_bound``) does not exceed the level.  The bound is at
     most the computed m, so the outcome is the one the solve would give.
     """
 
-    def __init__(self, F, f0, x, c, u=None):
+    def __init__(self, F, f0, x, c, prev=None):
         self.x = np.asarray(x, dtype=float)
         self._G = F.jacobian_T(self.x).T
         self._g0 = f0.grad(self.x)
-        self.u = u
-        if not (np.isfinite(self._G).all() and np.isfinite(self._g0).all()):
-            raise NumericalFailureError(f"non-finite gradient at x={self.x.tolist()}")
+        self.u = None if prev is None else prev.u
+        active = None if prev is None or prev.v is None else prev.lam > 0.0
         try:
-            self.v, self.lam = _png_vector_from_grads(self._G, self._g0, c)
+            self.v, self.lam = _png_vector_from_grads(self._G, self._g0, c, active)
         except InfeasibleError:
             self.v = None
+        except NumericalFailureError as exc:
+            raise NumericalFailureError(f"{exc} at x={self.x.tolist()}") from None
         ng = math.sqrt(self._g0 @ self._g0)
         if self.v is None or ng == 0.0:
             self.residual, self.angle = None, math.pi
@@ -232,7 +276,7 @@ def _polish_to_stationary(F, f0, state, config):
         J = np.vstack([_direction_jacobian(Hs, f0.hess(state.x), state), _m_gradient(Hs, state) / level])
         step = np.linalg.lstsq(J, -r, rcond=None)[0]
         for _ in range(40):
-            cand = _PngState(F, f0, state.x + step, config.c)
+            cand = _PngState(F, f0, state.x + step, config.c, state)
             rc = cand.residual
             if rc is not None and rc @ rc + (cand.m / level - 1.0) ** 2 < r @ r:
                 break
@@ -288,7 +332,7 @@ def png_descent(
                 f"projection subproblem infeasible at iteration {it}; "
                 f"x={state.x.tolist()}"
             )
-        state = _PngState(F, f0, state.x - config.step * state.v, config.c, state.u)
+        state = _PngState(F, f0, state.x - config.step * state.v, config.c, state)
         traj.append(state.x.copy())
     return PngResult(np.array(traj), state.x, "budget-exceeded", config.max_iters)
 

@@ -6,7 +6,7 @@ stationary points.  This module provides the Newton inner solver for
 x*(beta), the exact derivative of the map (an SPD solve against the
 objective Jacobian), its computable estimate at off-manifold points, and the
 error bound that controls how far the estimated gradient of the pulled-back
-preference can be from the true one.  It needs numpy alone, not scipy.
+preference can be from the true one.
 """
 
 from __future__ import annotations

@@ -55,6 +55,7 @@ from .simplex import (
     SimplexPoint,
     SimplexQuadratic,
     l1_stationarity_gap,
+    min_norm_over_simplex,
     minimize_quadratic_over_simplex,
 )
 
@@ -415,24 +416,20 @@ def _outer_step(problem, surrogate, f0_anchor, tol_gap, tol_grad, ratio, shrink)
     return point, f0_value, sigma, trials, slack, ratio
 
 
-def _reweighted(F, point, tol_gap):
+def _reweighted(F, point):
     """``point`` with its weights replaced by the min-norm weights at its x, if that lowers the residual.
 
-    The weights minimize 0.5 ||G(x) beta||^2 over the simplex, G(x) the
-    d x n objective Jacobian, in the metric G^T G with curvature
-    1e-12 tr(G^T G).  A step can end where the model's linear term
-    vanishes, at f0's centre, on a float x whose weights leave a residual
-    above eps; the weights that suit that x exactly then let it certify.
+    The weights minimize ||G(x) beta|| over the simplex, G(x) the d x n
+    objective Jacobian (``min_norm_over_simplex``).  A step can end where
+    the model's linear term vanishes, at f0's centre, on a float x whose
+    weights leave a residual above eps; the weights that suit that x exactly
+    then let it certify.  A min-norm solve that fails, on gradients that
+    are not finite or near the float range, keeps the point.
     """
-    G = F.jacobian_T(point.x)
-    M = G.T @ G
-    scale = float(np.trace(M))
-    if not (0.0 < scale < math.inf):
+    try:
+        beta, _ = min_norm_over_simplex(F.jacobian_T(point.x))
+    except NumericalFailureError:
         return point
-    Q = SimplexQuadratic(
-        anchor=point.beta, linear=M @ point.beta.weights, curvature=_MIN_CURVATURE * scale, metric=M
-    )
-    beta, _ = minimize_quadratic_over_simplex(Q, tol_gap=tol_gap)
     candidate = ManifoldPoint.from_x_beta(F, point.x, beta)
     return candidate if candidate.residual < point.residual else point
 
@@ -537,7 +534,7 @@ def pmm_solve(
         )
         shrink = trials == 1
         if point.residual > config.eps:
-            point = _reweighted(F, point, c1 * config.eps0)
+            point = _reweighted(F, point)
         stalled = point.residual > config.eps and abs(f0_value - f0_anchor) <= slack
         stalls = stalls + 1 if stalled else 0
         if stalls == _STALL_STEPS:

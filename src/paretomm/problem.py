@@ -132,7 +132,7 @@ def make_log_cosh_quadratic(H: np.ndarray, z: np.ndarray, c: float) -> SmoothFun
         raise InvalidArgumentError(f"H must be square, got shape {H.shape}")
     if H.shape[0] != z.shape[0]:
         raise InvalidArgumentError("H and z dimensions disagree")
-    if not np.allclose(H, H.T, atol=1e-12 * max(1.0, np.abs(H).max())):
+    if not np.allclose(H, H.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(H).max())):
         raise InvalidArgumentError("H must be symmetric")
     eigs = np.linalg.eigvalsh(H)
     if not eigs[0] > 1e-24 * eigs[-1]:

@@ -70,6 +70,8 @@ def _finite_array(value, where: str) -> np.ndarray:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"{where}: expected numbers") from exc
+    if not {bool, np.bool_}.isdisjoint(map(type, np.asarray(value, dtype=object).flat)):  # float(True) is 1.0
+        raise InvalidArgumentError(f"{where}: expected numbers, got a boolean")
     if not np.all(np.isfinite(arr)):
         raise InvalidArgumentError(f"{where}: contains a non-finite value")
     return arr

@@ -261,23 +261,65 @@ def minimize_quadratic_over_simplex(Q: SimplexQuadratic, tol_gap: float):
     return SimplexPoint(_active_set_minimizer(Q)), 0.0
 
 
-def _nnls_lift(top: np.ndarray, last):
-    """NNLS solution u of [top; last] u ~ e_{d+1}, ``top`` d x n, and that stacked matrix.
+_EPS = float(np.finfo(float).eps)
+_NNLS_PASSES = 3  # column additions per column before the solve gives up (Lawson and Hanson's 3n)
 
-    The min-norm point and the least-distance program both reduce to it (Lawson and Hanson, ch. 23).
+
+def _nnls_lift(top: np.ndarray, last) -> np.ndarray:
+    """Nonnegative u minimizing ||[top; last] u - e_{d+1}||_2, ``top`` d x n.
+
+    The min-norm point and the least-distance program both reduce to it
+    (Lawson and Hanson, 1974, ch. 23).  Solved by their active-set
+    algorithm NNLS on the columns of E = [top; last] scaled to a largest
+    entry of 1, which only rescales u.  Each pass frees the column with the
+    largest dual value w = E^T (e_{d+1} - E u) above its rounding, solves
+    least squares on the free columns, and while a free weight comes out
+    nonpositive, steps towards that solution until the first weight reaches
+    0, fixes it and solves again.  A column whose own weight comes out
+    nonpositive when it is freed had a positive w by rounding alone, and it
+    is passed over until u moves.  ``NumericalFailureError`` on non-finite
+    data or after 3n passes.
     """
-    from scipy.optimize import nnls  # deferred: slow to import; most commands never need it
-
     d, n = top.shape
     E = np.empty((d + 1, n))
     E[:d] = top
     E[d] = last
+    if not np.isfinite(E).all():
+        raise NumericalFailureError("NNLS solve failed: non-finite data")
+    scale = np.abs(E).max(axis=0)
+    E /= scale
     target = np.zeros(d + 1)
     target[d] = 1.0
-    try:  # scipy's default limit, 3n, stops short of solutions it reaches within 10n
-        return nnls(E, target, maxiter=10 * n)[0], E
-    except RuntimeError as exc:  # scipy's iteration limit: a bare RuntimeError
-        raise NumericalFailureError(f"NNLS solve failed: {exc}") from exc
+    u = np.zeros(n)
+    free = []  # the free columns, in order of entry
+    w = E[d].copy()  # E^T e_{d+1}, at u = 0
+    tol = 10.0 * max(d + 1, n) * _EPS
+    for _ in range(_NNLS_PASSES * n + 1):
+        w[free] = -np.inf
+        j = int(w.argmax())
+        if not w[j] > tol * (1.0 + u.sum()):  # the rounding of w grows with that of E u
+            return u / scale
+        free.append(j)
+        z = np.linalg.lstsq(E[:, free], target, rcond=None)[0]
+        if not z[-1] > 0.0:
+            free.pop()
+            w[j] = 0.0
+            continue
+        uf = u[free]
+        while (z <= 0.0).any():
+            out = np.flatnonzero(z <= 0.0)
+            ratios = uf[out] / (uf[out] - z[out])
+            k = int(ratios.argmin())
+            uf += ratios[k] * (z - uf)
+            uf[out[k]] = 0.0
+            kept = uf > 0.0
+            free = [i for i, keep in zip(free, kept.tolist()) if keep]
+            uf = uf[kept]
+            z = np.linalg.lstsq(E[:, free], target, rcond=None)[0]
+        u[:] = 0.0
+        u[free] = z
+        w = E.T.dot(target - E.dot(u))
+    raise NumericalFailureError(f"NNLS solve failed: no solution within {_NNLS_PASSES * n} passes")
 
 
 def min_norm_over_simplex(G: np.ndarray):
@@ -285,28 +327,14 @@ def min_norm_over_simplex(G: np.ndarray):
 
     ``G`` is d x n.  With y = s * beta >= 0, ||[G; 1^T] y - e_{d+1}||^2 =
     s^2 ||G beta||^2 + (s - 1)^2, whose minimum over s is increasing in
-    ||G beta||; so the nonnegative least-squares solution y gives the
-    minimizer beta = y / sum(y) (Lawson and Hanson, ch. 23).  When y breaks
-    the lifted problem's KKT conditions, w = E^T (E y - e_{d+1}) >= 0 with
-    w_i = 0 where y_i > 0, by more than rounding, as ``scipy.optimize.nnls``
-    can, the bounded-variable solver ``lsq_linear(method="bvls")`` solves
-    it again.  Returns
-    ``(SimplexPoint, norm)``.
+    ||G beta||; so the nonnegative least-squares solution y (``_nnls_lift``)
+    gives the minimizer beta = y / sum(y) (Lawson and Hanson, ch. 23).
+    Returns ``(SimplexPoint, norm)``.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     if G.shape[1] == 0:
         raise InvalidArgumentError("G must have at least one column")
-    y, E = _nnls_lift(G, 1.0)
-    # ndarray.dot, not @: the check runs on every call and dot dispatches faster
-    with np.errstate(all="ignore"):  # huge entries overflow: no finite tolerance, no re-solve
-        kkt = E.dot(y).dot(E).tolist()  # 1 + E^T (E y - e_{d+1}): the last row of E is all ones
-        e = E.ravel()
-        tol = 1e-9 * (1.0 + float(e.dot(e)))
-    on_support = max((k for k, yi in zip(kkt, y.tolist()) if yi > 0.0), default=1.0)
-    if min(kkt) < 1.0 - tol or on_support > 1.0 + tol:
-        from scipy.optimize import lsq_linear
-
-        y = lsq_linear(E, np.eye(E.shape[0])[-1], bounds=(0.0, np.inf), method="bvls").x
+    y = _nnls_lift(G, 1.0)
     if not y.sum() > 0:  # the solve underflows to y = 0 on columns near the float range
         raise NumericalFailureError("min-norm solve lost every weight; G is too large")
     beta = SimplexPoint(y)

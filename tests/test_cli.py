@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paretomm
-from paretomm import cli
+from paretomm import cli, simplex
 from paretomm import SimplexPoint, SolverConfig, pmm_solve, solve_x_star
 from paretomm.cli import main, write_csv
 from paretomm.oracle import _newton_tolerance, lattice_size, simplex_lattice
@@ -149,6 +149,9 @@ class TestSolveCommand:
             ({"objectives": [_quadratic(H_PNG, [-1.0, 0.0]),
                              _quadratic([[1.0, 0.5], [0.0, 1.0]], [1.0, 0.0])]},
              "objectives[1]: H must be symmetric"),
+            ({"objectives": [_quadratic([[2.0, 1.0], [1.0 + 1e-6, 3.0]], [-1.0, 0.0]),
+                             _quadratic(H_PNG, [1.0, 0.0])]},
+             "objectives[0]: H must be symmetric"),
             ({"objectives": [_log_cosh(C=5.0), _quadratic(H_PNG, [1.0, 0.0])]},
              "objectives[0].params: unknown field 'C'"),
             ({"preference": _log_cosh(cc=7.0)}, "preference.params: unknown field 'cc'"),
@@ -168,9 +171,9 @@ class TestSolveCommand:
              "indefinite-objective-H", "list-top-level", "missing-dimension", "empty-objectives",
              "missing-preference", "list-objective", "unknown-kind", "unknown-builtin",
              "list-params", "list-constants", "mu-above-L", "misshapen-H", "string-H",
-             "asymmetric-objective-H", "unknown-param", "misspelt-param", "unknown-builtin-field",
-             "unknown-quadratic-field", "unknown-constant", "unknown-top-level-field",
-             "list-builtin-name"],
+             "asymmetric-objective-H", "nearly-symmetric-objective-H", "unknown-param",
+             "misspelt-param", "unknown-builtin-field", "unknown-quadratic-field", "unknown-constant",
+             "unknown-top-level-field", "list-builtin-name"],
     )
     def test_unsound_spec_exits_one(self, change, field, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -182,6 +185,28 @@ class TestSolveCommand:
         assert err.startswith("error:")
         assert field in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"constants": {"L0": True}}, "constants.L0"),
+            ({"constants": {"mu": False}}, "constants.mu"),
+            ({"preference": _quadratic([[1.0, 0.0], [0.0, True]], [0.0, 1.0])}, "preference.H"),
+            ({"objectives": [_quadratic(H_PNG, [True, 0.0]), _quadratic(H_PNG, [1.0, 0.0])]},
+             "objectives[0].z"),
+            ({"preference": _log_cosh(c=True)}, "preference.params.c"),
+        ],
+        ids=["L0", "mu", "preference-H", "objective-z", "builtin-c"],
+    )
+    def test_json_boolean_is_not_a_number(self, change, field, tmp_path, capsys):
+        # json reads true as True, which numpy would take as 1.0
+        path = tmp_path / "bool.json"
+        save_problem_spec(str(path), {**png_counterexample_spec(), **change})
+        code = run_cli("solve", "--problem", path, "--eps0", "1e-3", "--eps", "1e-6")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {field}: expected numbers, got a boolean\n"
 
     @pytest.mark.parametrize(
         "change",
@@ -302,19 +327,23 @@ class TestSolveCommand:
 
     def test_runs_without_scipy(self, tmp_path):
         # a None entry in sys.modules makes every scipy import raise ImportError
-        path = tmp_path / "triangle.json"
-        save_problem_spec(str(path), PRESETS["triangle"]())
         script = ('import sys; sys.modules["scipy"] = None; from paretomm.cli import main; '
                   'sys.exit(main(sys.argv[1:]))')
         src = str(Path(paretomm.__file__).parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "solve", "--problem", str(path),
-             "--eps0", "1e-3", "--eps", "1e-6"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["status"] == "certified"
-        assert proc.stderr == ""
+        runs = {
+            "triangle": (["solve", "--eps0", "1e-3", "--eps", "1e-6"], "certified"),
+            "png-example": (["png", "--c", "0.01", "--eps-stop", "1e-3", "--x0", "0.2,0.9"], "stationary"),
+        }
+        for preset, (command, status) in runs.items():
+            path = tmp_path / f"{preset}.json"
+            save_problem_spec(str(path), PRESETS[preset]())
+            proc = subprocess.run(
+                [sys.executable, "-c", script, command[0], "--problem", str(path), *command[1:]],
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout)["status"] == status
+            assert proc.stderr == ""
 
     def test_import_leaves_problem_files_unloaded(self):
         # the solver core knows no file format; only the command line loads problem_io
@@ -439,17 +468,14 @@ class TestPngCommand:
         assert captured.err == f"error: x0 has shape {shape}, expected (2,)\n"
 
     def test_nnls_iteration_limit_fails_with_one_line(self, png_file, capsys, monkeypatch):
-        import scipy.optimize
-
-        def limit(*args, **kwargs):
-            raise RuntimeError("Maximum number of iterations reached.")
-
-        monkeypatch.setattr(scipy.optimize, "nnls", limit)
+        # with no NNLS pass allowed, the first solve that must free a column fails
+        monkeypatch.setattr(simplex, "_NNLS_PASSES", 0)
         code = run_cli("png", "--problem", png_file, "--c", "0.01", "--eps-stop", "1e-2", "--x0", "0.2,0.9")
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("failed:") and captured.err.count("\n") == 1
+        assert "NNLS" in captured.err
 
     def test_stationary_start_immediate(self, tmp_path, capsys):
         path = tmp_path / "pair.json"

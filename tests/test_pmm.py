@@ -493,12 +493,12 @@ class TestRoundingFloor:
         problem = problem_from_spec(triangle_spec())
         x = problem.F.minimizers[0].copy()
         point = ManifoldPoint.from_x_beta(problem.F, x, SimplexPoint.uniform(3))
-        reweighted = _reweighted(problem.F, point, 1e-3)
+        reweighted = _reweighted(problem.F, point)
         assert reweighted.x is point.x
         assert point.residual > 1.0 and reweighted.residual <= 1e-10
         np.testing.assert_allclose(reweighted.beta.weights, [1.0, 0.0, 0.0], atol=1e-10)
         exact = ManifoldPoint.from_x_beta(problem.F, x, SimplexPoint.vertex(3, 0))
-        assert exact.residual == 0.0 and _reweighted(problem.F, exact, 1e-3) is exact
+        assert exact.residual == 0.0 and _reweighted(problem.F, exact) is exact
 
     def test_scaled_hessians_certify(self):
         config = SolverConfig(eps0=1e-3, eps=1e-6)

@@ -117,6 +117,13 @@ class TestLogCoshQuadratic:
             assert np.linalg.norm(f.hess(x) - fd_hess(f, x)) <= 1e-4 * hn
             assert np.linalg.eigvalsh(f.hess(x))[0] >= f.mu - 1e-9
 
+    def test_hessian_must_be_symmetric_to_1e_12(self):
+        # asymmetric by 1e-6: grad = H (x - z) would then miss the value's
+        # gradient by that much
+        with pytest.raises(InvalidArgumentError, match="H must be symmetric"):
+            make_log_cosh_quadratic(np.array([[2.0, 1.0], [1.0 + 1e-6, 3.0]]), np.zeros(2), 0.0)
+        make_log_cosh_quadratic(np.array([[2.0, 1.0], [1.0 + 1e-12, 3.0]]), np.zeros(2), 0.0)
+
     def test_hessian_lipschitz_declared(self, rng):
         c = 0.8
         f = make_log_cosh_quadratic(np.eye(2), np.zeros(2), c)
