@@ -46,66 +46,64 @@ class PngConfig:
 
 def _png_face_solve(G, h, active):
     # The least-distance step w on the face of the rows A = ``active``:
-    # w = G_A^T mu with G_A w = h_A, so (G_A G_A^T) mu = h_A, the rows of G_A
-    # scaled to a largest entry of 1 (the same halfspaces).  Returns (w, lam),
-    # lam the multipliers of the unscaled rows, 0 off A.  One row takes the
-    # same arithmetic on vectors.
+    # w = G_A^T mu with (G_A G_A^T) mu = h_A, the rows of G_A scaled to a
+    # largest entry of 1 (the same halfspaces), and lam the multipliers of
+    # the unscaled rows, 0 off A.  Returns (w, lam) when they pass the KKT
+    # test (lam >= 0, G w >= h off A, 1 + ||w||^2 < 1e12), else None; a
+    # singular G_A raises ``LinAlgError``.  One row takes vector arithmetic.
     lam = np.zeros(h.size)
     idx = np.flatnonzero(active)
     if idx.size == 0:
-        return np.zeros(G.shape[1]), lam
-    if idx.size == 1:
+        w = np.zeros(G.shape[1])
+    elif idx.size == 1:
         i = idx[0]
         s = np.abs(G[i]).max()
         g = G[i] / s
         mu = h[i] / s / g.dot(g)
         lam[i] = mu / s
-        return g * mu, lam
-    GA = G[idx]
-    s = np.abs(GA).max(axis=1)
-    GA /= s[:, None]
-    mu = np.linalg.solve(GA.dot(GA.T), h[idx] / s)
-    lam[idx] = mu / s
-    return GA.T.dot(mu), lam
+        w = g * mu
+    else:
+        GA = G[idx]
+        s = np.abs(GA).max(axis=1)
+        GA /= s[:, None]
+        mu = np.linalg.solve(GA.dot(GA.T), h[idx] / s)
+        lam[idx] = mu / s
+        w = GA.T.dot(mu)
+    if lam.min() >= 0.0 and w.dot(w) < 1e12 - 1.0 and ((G.dot(w) >= h) | active).all():
+        return w, lam
+    return None
 
 
-def _png_vector_from_grads(G: np.ndarray, g0: np.ndarray, c: float, active=None):
-    # v = g0 + w with w the least-distance solution of G w >= h = c - G g0,
-    # which is the solve on the face of its active set A (``_png_face_solve``)
-    # and meets the KKT conditions: lam >= 0 and G w >= h off A.  ``active``
-    # guesses A (the last iterate's; none by default), and its face solve is
-    # taken when it meets them.  Otherwise the NNLS of [G^T; h^T] u ~ e_{d+1}
-    # (Lawson and Hanson, ch. 23) finds A = {u > 0}.  Its residual r has
-    # ||r||^2 = -r[d] = 1 - h^T u = 1 / (1 + ||w||^2), which is 0 exactly
-    # when the halfspaces are infeasible; -r[d] carries rounding error of
-    # order 1e-16 * |h|^T u, so below 1e-12 it cannot be told apart from 0,
-    # and a guessed face with 1 + ||w||^2 >= 1e12 is not taken either.  Nor
-    # is a face of A with a negative multiplier, which exact arithmetic rules
-    # out (lam_A = u_A / -r[d]): rounding has then decided the set.  h is
-    # finite exactly when G and g0 are and G g0 does not overflow.
-    # Returns (v, lam).
+def _png_vector_from_grads(G: np.ndarray, g0: np.ndarray, c: float, active=False):
+    # v = g0 + w with w the least-distance solution of G w >= h = c - G g0:
+    # the face solve on its active set A passes the KKT test
+    # (``_png_face_solve``).  ``active`` guesses A (the last iterate's; no
+    # row by default).  A singular guess, or one that fails the test, leaves
+    # A to the NNLS of [G^T; h^T] u ~ e_{d+1} (Lawson and Hanson, ch. 23),
+    # whose face {u > 0} must pass the same test, else the halfspaces are
+    # infeasible.  The NNLS residual has squared norm 1 - h^T u =
+    # 1 / (1 + ||w||^2), 0 exactly on infeasible halfspaces and rounded by
+    # about 1e-16 |h|^T u: below 1e-12 (the test's 1e12 cut), or with more
+    # than d free columns, which solve the (d + 1)-row lifted system
+    # exactly, it cannot be told from 0.  h is finite exactly when G and g0
+    # are and G g0 does not overflow.  Returns (v, lam).
     h = c - G.dot(g0)
     if not np.isfinite(h).all():
         raise NumericalFailureError("non-finite gradient or constraint level")
-    if active is None:
-        active = np.zeros(h.size, dtype=bool)
     try:
-        w, lam = _png_face_solve(G, h, active)
+        face = _png_face_solve(G, h, active)
     except np.linalg.LinAlgError:  # a singular face: not the active set
-        pass
-    else:
-        if lam.min() >= 0.0 and w.dot(w) < 1e12 - 1.0 and ((G.dot(w) >= h) | active).all():
-            return g0 + w, lam
-    u = _nnls_lift(G.T, h)
-    if 1.0 - h.dot(u) <= 1e-12:
-        raise InfeasibleError("constraint halfspaces have empty intersection")
-    try:
-        w, lam = _png_face_solve(G, h, u > 0.0)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"projection face solve failed: {exc}") from exc
-    if lam.min() < 0.0:
-        raise InfeasibleError("constraint halfspaces have empty intersection")
-    return g0 + w, lam
+        face = None
+    if face is None:
+        u = _nnls_lift(G.T, h)
+        if 1.0 - h.dot(u) > 1e-12 and np.count_nonzero(u) <= G.shape[1]:
+            try:
+                face = _png_face_solve(G, h, u > 0.0)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalFailureError(f"projection face solve failed: {exc}") from exc
+        if face is None:
+            raise InfeasibleError("constraint halfspaces have empty intersection")
+    return g0 + face[0], face[1]
 
 
 def png_vector(F: ObjectiveSet, f0: SmoothFunction, x: np.ndarray, c: float) -> np.ndarray:
@@ -179,7 +177,7 @@ class _PngState:
         self._G = F.jacobian_T(self.x).T
         self._g0 = f0.grad(self.x)
         self.u = None if prev is None else prev.u
-        active = None if prev is None or prev.v is None else prev.lam > 0.0
+        active = False if prev is None or prev.v is None else prev.lam > 0.0
         try:
             self.v, self.lam = _png_vector_from_grads(self._G, self._g0, c, active)
         except InfeasibleError:
@@ -260,9 +258,10 @@ def _polish_to_stationary(F, f0, state, config):
     max(0.7 eps_stop, m/2): from far above the band each step aims only to
     halve m, so that it does not jump onto the branch where v is parallel
     to +grad f0, a local minimum of |R|.  Each ``lstsq`` step is halved
-    until |R| falls.  Returns None, which ends the run ``stalled``, on a
-    missing v or an exhausted budget; a returned point passes the exact
-    stopping test.
+    until |R| falls, each trial guessing the previous one's active set.
+    The polish owns the stopping test: it returns ``state.x`` itself when
+    the state passes it, else a point that passes it, or None, which ends
+    the run ``stalled``, on a missing v or an exhausted budget.
     """
     target = 0.7 * config.eps_stop
     for _ in range(50):
@@ -275,8 +274,9 @@ def _polish_to_stationary(F, f0, state, config):
         Hs = F._hessians(state.x)
         J = np.vstack([_direction_jacobian(Hs, f0.hess(state.x), state), _m_gradient(Hs, state) / level])
         step = np.linalg.lstsq(J, -r, rcond=None)[0]
+        cand = state
         for _ in range(40):
-            cand = _PngState(F, f0, state.x + step, config.c, state)
+            cand = _PngState(F, f0, state.x + step, config.c, cand)
             rc = cand.residual
             if rc is not None and rc @ rc + (cand.m / level - 1.0) ** 2 < r @ r:
                 break
@@ -295,15 +295,15 @@ def png_descent(
 
     The test requires the projection vector to be anti-collinear with
     grad f0 (within ``COLLINEARITY_TOL``) while the smallest scalarized
-    gradient norm is at or below ``eps_stop``; it runs before every step,
-    so an already-stationary start returns immediately.  At the first
-    iterate in the band (angle at most 1 radian, m at most twice the band
-    width max(eps_stop, 0.02 F.r)), one Gauss-Newton polish ends the run:
-    ``stationary`` at its point, which passes the same test, or
-    ``stalled`` at that iterate.
-    Both tests compare m with a level through ``_PngState.m_exceeds``,
-    which skips most min-norm solves far from the band and leaves every
-    iterate as solving for m would.
+    gradient norm is at or below ``eps_stop``.  Each iterate meets the
+    band test first (angle at most 1 radian, m at most twice the band width
+    max(eps_stop, 0.02 F.r)), which every stationary iterate passes.  At
+    the first iterate in the band, one Gauss-Newton polish makes the
+    stopping test and ends the run: ``stationary`` at its point, which the
+    trajectory gains only when the polish moved, or ``stalled`` at that
+    iterate.  The band test reads m through ``_PngState.m_exceeds``, which
+    skips most min-norm solves far from the band and leaves every iterate
+    as solving for m would.
     An x0 that is not a finite vector of shape (d,) raises
     ``InvalidArgumentError``; a gradient that overflows along the way raises
     ``NumericalFailureError``.
@@ -317,15 +317,14 @@ def png_descent(
     traj = [state.x.copy()]
     band = max(config.eps_stop, 0.02 * max(F.r, 1e-6))
     for it in range(config.max_iters):
-        # each test reads m last, and through its duality bound: most
+        # the band test reads m last, and through its duality bound: most
         # iterates never need the min-norm solve
-        if state.angle <= COLLINEARITY_TOL and not state.m_exceeds(config.eps_stop):
-            return PngResult(np.array(traj), state.x, "stationary", it)
         if state.angle <= 1.0 and not state.m_exceeds(2.0 * band):
             polished = _polish_to_stationary(F, f0, state, config)
             if polished is None:
                 return PngResult(np.array(traj), state.x, "stalled", it)
-            traj.append(polished)
+            if polished is not state.x:
+                traj.append(polished)
             return PngResult(np.array(traj), polished, "stationary", it)
         if state.v is None:
             raise InfeasibleError(

@@ -149,6 +149,36 @@ class TestPngVector:
         v = png_vector(F, f0, x, c)
         assert np.all(G @ v - c >= -1e-12 * (np.abs(G) @ np.abs(v) + c))
 
+    @pytest.mark.parametrize("index", [8615, 13602, 14053, 14726, 15116, 15225])
+    def test_empty_halfspaces_are_infeasible(self, index):
+        # the NNLS frees d + 1 = 5 columns here, so the lifted system is
+        # solved exactly and its residual is 0 up to rounding, whether or
+        # not 1 - h^T u reads above 1e-12; where it did, the face solve on
+        # those rows broke G v >= c by 0.05 to 1.0 of |G_i| |v| + c, and a
+        # linear program finds no point in the halfspaces
+        F, f0, x, c = self._badly_scaled_draw(index)
+        with pytest.raises(InfeasibleError):
+            png_vector(F, f0, x, c)
+
+    def test_singular_guessed_face_falls_through_to_the_nnls(self, monkeypatch):
+        # rows 0 and 1 are equal, so the guessed face's Gram matrix is
+        # singular; the NNLS finds the one-row face instead
+        G = np.array([[1.0, 0.5], [1.0, 0.5], [-0.3, 1.0]])
+        g0, c = np.array([-1.0, -0.2]), 0.1
+        calls = []
+
+        def counted(top, last):
+            calls.append(1)
+            return simplex._nnls_lift(top, last)
+
+        monkeypatch.setattr(baselines, "_nnls_lift", counted)
+        v, lam = baselines._png_vector_from_grads(G, g0, c, np.array([True, True, False]))
+        assert len(calls) == 1
+        v_none, lam_none = baselines._png_vector_from_grads(G, g0, c)
+        np.testing.assert_array_equal(v, v_none)
+        np.testing.assert_array_equal(lam, lam_none)
+        np.testing.assert_allclose(v, [-0.04, 0.28], atol=1e-15)
+
     def test_kkt_against_dual_ascent(self, rng, png_instance):
         checked = 0
         while checked < 10:
@@ -496,15 +526,16 @@ class TestPngDescent:
         if iterations is not None:
             assert res.iterations == iterations
 
-    @pytest.mark.parametrize("k, iterations", [(9, 70), (35, 438)])
+    @pytest.mark.parametrize("k, iterations", [(9, 70), (35, None)])
     def test_random_quadratic_is_polished_at_band_entry(self, k, iterations):
         # instance 9 of this seeded suite leaves the band soon after it
         # enters it, and instance 35 reaches the band only by full-length
         # steps near the Pareto set: neither ends within the budget unless
         # the polish runs at the first band iterate and no step is shortened.
-        # Instance 35's count is the rounding of its projections: from about
-        # iteration 350 a difference in the last bit grows tenfold every
-        # four steps, and the correctly rounded projection takes 1247
+        # Instance 35's count is not pinned: it is the rounding of its
+        # projections (from about iteration 350 a difference in the last bit
+        # grows tenfold every four steps, and the correctly rounded
+        # projection takes 1247), so it can move with the numpy or BLAS build
         draws = np.random.default_rng(5)
         for i in range(k + 1):
             d = int(draws.integers(2, 4))
@@ -515,7 +546,8 @@ class TestPngDescent:
         config = PngConfig(c=0.01, step=0.05, eps_stop=1e-2, max_iters=2000)
         res = png_descent(problem.F, problem.f0, x0, config)
         assert res.status == "stationary"
-        assert res.iterations == iterations
+        if iterations is not None:
+            assert res.iterations == iterations
         state = _PngState(problem.F, problem.f0, res.point, config.c)
         assert state.angle <= COLLINEARITY_TOL and state.m <= config.eps_stop
 
