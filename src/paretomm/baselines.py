@@ -30,14 +30,18 @@ from .simplex import _EPS, _nnls_lift, min_norm_over_simplex
 COLLINEARITY_TOL = 1e-6  # radians; the stopping test has no canonical tolerance
 
 
-@dataclass(frozen=True)
+@dataclass
 class PngConfig:
+    """PNG parameters: the margin c in grad f_i^T v >= c, the step size, eps_stop and the iteration budget."""
+
     c: float
     step: float
     eps_stop: float
     max_iters: int
 
     def __post_init__(self):
+        if any(isinstance(v, (bool, np.bool_)) for v in (self.c, self.step, self.eps_stop, self.max_iters)):
+            raise InvalidArgumentError("PNG parameters must be numbers, not booleans")
         if not isinstance(self.max_iters, numbers.Integral):
             raise InvalidArgumentError("max_iters must be an integer")
         if not all(0 < v < np.inf for v in (self.c, self.step, self.eps_stop)) or self.max_iters <= 0:
@@ -139,8 +143,10 @@ def _min_norm_lower_bound(G: np.ndarray, u: np.ndarray) -> float:
     return min(G.dot(u).tolist()) - 4.0 * (n + d + 4) * _EPS * math.sqrt(e.dot(e))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class PngResult:
+    """A PNG run: its iterates, the final point, how it ended, and its iteration count."""
+
     trajectory: np.ndarray  # (T, d)
     point: np.ndarray
     status: str  # "stationary" | "stalled" (the polish at the band failed) | "budget-exceeded"
@@ -407,8 +413,10 @@ def rotation_map(v0: np.ndarray, vectors: Sequence[np.ndarray]) -> np.ndarray:
     return P_V + P_Vperp @ P_Uperp
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class ImpossibilityInstance:
+    """A problem whose objective gradients at the origin are prescribed while 0 is preference optimal."""
+
     problem: ProblemInstance
     hessian: np.ndarray  # shared symmetric Hessian of the objectives
     centers: np.ndarray  # (n, d) quadratic centers, the Pareto hull vertices

@@ -40,7 +40,7 @@ def residual_floor(F: ObjectiveSet, jacobian_T: np.ndarray, beta: SimplexPoint) 
     return (F.n + F.dim) * F.kappa * _MACHINE_EPSILON * float(sizes @ beta.weights)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class ManifoldPoint:
     """A pair (x, beta) with the cached scalarized-gradient norm at x."""
 
@@ -55,7 +55,7 @@ class ManifoldPoint:
         return cls(x=x, beta=beta, residual=res)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Jacobian:
     """d x n derivative of the weight-to-minimizer map, exact or estimated.
 
@@ -67,8 +67,10 @@ class Jacobian:
     adjoint: Optional[np.ndarray] = None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class MinimizeResult:
+    """The last Newton iterate, its gradient norm, and the number of Newton steps taken."""
+
     x: np.ndarray
     grad_norm: float
     iterations: int

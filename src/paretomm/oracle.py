@@ -152,8 +152,10 @@ def _preference_values(f0: SmoothFunction, X: np.ndarray, batched: bool) -> np.n
         return 0.5 * np.einsum("bi,bi->b", D, D @ quad.H.T)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class GridSearchResult:
+    """The best lattice point and its x*(beta), the range of f0 over the lattice, and the lattice size."""
+
     best_beta: SimplexPoint
     best_x: np.ndarray
     f_star_min: float

@@ -70,7 +70,7 @@ _SHRINK = 0.25
 _STALL_STEPS = 5
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class SurrogateState:
     """Quadratic upper bound in relative form around its anchor.
 
@@ -133,15 +133,16 @@ def build_surrogate(problem: ProblemInstance, point: ManifoldPoint) -> Surrogate
     )
 
 
-@dataclass(frozen=True)
+@dataclass
 class SolverConfig:
     """Outer-loop tolerances and the outer iteration budget.
 
-    Requires 0 < eps <= eps0^2 <= 1 and max_outer >= 0.  The convergence
-    constants c1/c2 are not settable: ``compute_c1_c2`` evaluates them at
-    every iterate.  The scalarized solves always use Newton's method, which
-    stops at its target or at the rounding floor, so they take no budget;
-    ``newton_inner`` is accepted for compatibility and ignored.
+    Requires 0 < eps <= eps0^2 <= 1 and max_outer >= 0, none of them a
+    boolean.  The convergence constants c1/c2 are not settable:
+    ``compute_c1_c2`` evaluates them at every iterate.  The scalarized
+    solves always use Newton's method, which stops at its target or at the
+    rounding floor, so they take no budget; ``newton_inner`` is accepted
+    for compatibility and ignored.
     """
 
     eps0: float
@@ -151,6 +152,8 @@ class SolverConfig:
     newton_inner: bool = False
 
     def __post_init__(self):
+        if any(isinstance(v, (bool, np.bool_)) for v in (self.eps0, self.eps, self.alpha, self.max_outer)):
+            raise ConfigurationError("eps0, eps, alpha and max_outer must be numbers, not booleans")
         if not (0.0 < self.eps0 <= 1.0):
             raise ConfigurationError("requires 0 < eps0 <= 1")
         if not (0.0 < self.eps <= self.eps0**2):
@@ -161,7 +164,7 @@ class SolverConfig:
             raise ConfigurationError("requires an integer max_outer >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass
 class StationarityCertificate:
     """The three verified quantities and their budgets.
 
@@ -243,7 +246,7 @@ def compute_c1_c2(
     return c1, c2
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class TraceRecord:
     """One outer iterate.
 
@@ -279,8 +282,10 @@ class IterateTrace(list):
         return np.array([r.f0_value for r in self])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class PmmResult:
+    """The final point of a run, its trace, how it ended, and the certificate at that point."""
+
     point: ManifoldPoint
     trace: IterateTrace
     status: str  # "certified" | "budget-exceeded"

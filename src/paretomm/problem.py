@@ -19,7 +19,7 @@ from .errors import ConfigurationError, InvalidArgumentError
 LOG_COSH_HESS_LIPSCHITZ = 4.0 / (3.0 * np.sqrt(3.0))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Family:
     """f(x) = 0.5 (x - z)^T H (x - z) + c * sum_i log cosh(x_i - z_i), minimized at z with f(z) = 0.
 
@@ -58,7 +58,7 @@ class Family:
         return self.H + self.c[..., None, None] * (sech2[..., :, None] * np.eye(self.H.shape[-1]))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class SmoothFunction:
     """Twice-differentiable scalar function on R^d with declared constants.
 
@@ -95,9 +95,10 @@ def family_of(f: SmoothFunction) -> Optional[Family]:
 def quadratic_from_hessian(H: np.ndarray, z: np.ndarray) -> SmoothFunction:
     """Quadratic f(x) = 0.5 * (x - z)^T H (x - z) with the given Hessian H.
 
-    ``H`` must be square, match ``z``, be symmetric to 1e-12 relative and
-    positive definite: lambda_min(H) > 1e-24 * lambda_max(H).  ``grad`` and
-    ``hess`` use ``H`` itself; mu = lambda_min(H), L = lambda_max(H), L_H = 0.
+    ``H`` and ``z`` must be finite, and ``H`` square, matching ``z``,
+    symmetric to 1e-12 relative and positive definite: lambda_min(H) >
+    1e-24 * lambda_max(H).  ``grad`` and ``hess`` use ``H`` itself;
+    mu = lambda_min(H), L = lambda_max(H), L_H = 0.
     """
     return make_log_cosh_quadratic(H, z, 0.0)
 
@@ -105,9 +106,11 @@ def quadratic_from_hessian(H: np.ndarray, z: np.ndarray) -> SmoothFunction:
 def make_quadratic(A: np.ndarray, z: np.ndarray) -> SmoothFunction:
     """``quadratic_from_hessian(A^T A, z)``: f(x) = 0.5 * ||A (x - z)||^2.
 
-    ``A`` must be square and full rank: smallest singular value > 1e-12 times the largest.
+    ``A`` must be finite, square and full rank: smallest singular value > 1e-12 times the largest.
     """
     A = np.asarray(A, dtype=float)
+    if not np.isfinite(A).all():  # NaN makes the SVD raise LinAlgError
+        raise InvalidArgumentError("A must be finite")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidArgumentError(f"A must be square, got shape {A.shape}")
     svals = np.linalg.svd(A, compute_uv=False)
@@ -119,20 +122,24 @@ def make_quadratic(A: np.ndarray, z: np.ndarray) -> SmoothFunction:
 def make_log_cosh_quadratic(H: np.ndarray, z: np.ndarray, c: float) -> SmoothFunction:
     """Quadratic plus c * sum_i log cosh(x_i - z_i); still minimized at z.
 
-    ``H`` and ``z`` are checked as in ``quadratic_from_hessian``, and c >= 0.
-    The perturbation is convex with Hessian diag(sech^2), so
-    mu = lambda_min(H), L = lambda_max(H) + c, and the Hessian is Lipschitz
-    with constant c * 4/(3*sqrt(3)).
+    ``H`` and ``z`` are checked as in ``quadratic_from_hessian``, and c is
+    finite and >= 0.  The perturbation is convex with Hessian diag(sech^2),
+    so mu = lambda_min(H), L = lambda_max(H) + c, and the Hessian is
+    Lipschitz with constant c * 4/(3*sqrt(3)).
     """
-    if c < 0:
-        raise InvalidArgumentError("c must be nonnegative")
     H = np.array(H, dtype=float)
     z = np.array(z, dtype=float)
+    if not (np.isfinite(H).all() and np.isfinite(z).all()):
+        raise InvalidArgumentError("H and z must be finite")
+    if not np.isfinite(c):
+        raise InvalidArgumentError("c must be finite")
+    if c < 0:
+        raise InvalidArgumentError("c must be nonnegative")
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise InvalidArgumentError(f"H must be square, got shape {H.shape}")
     if H.shape[0] != z.shape[0]:
         raise InvalidArgumentError("H and z dimensions disagree")
-    if not np.allclose(H, H.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(H).max())):
+    if np.abs(H - H.T).max() > 1e-12 * max(1.0, np.abs(H).max()):
         raise InvalidArgumentError("H must be symmetric")
     eigs = np.linalg.eigvalsh(H)
     if not eigs[0] > 1e-24 * eigs[-1]:
@@ -159,7 +166,7 @@ def norm_1_2(M: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(M, axis=0)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class ObjectiveSet:
     """The n objectives with their shared constant bundle and exact minimizer hints.
 
@@ -253,7 +260,7 @@ class ObjectiveSet:
         )
 
 
-@dataclass(frozen=True)
+@dataclass
 class ConstantBundle:
     """Solver constants derived from (mu, L, L_H, r, L0).
 
@@ -284,7 +291,7 @@ def derive_constants(F: ObjectiveSet, f0: SmoothFunction) -> ConstantBundle:
     return ConstantBundle(R_bound=float(R), M0=float(M0), M1=float(M1), mu_g=float(mu_g))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class ProblemInstance:
     """Objectives plus a preference function and the derived constant bundle."""
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericalFailureError
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class SimplexPoint:
     """Convex-weight vector: finite nonnegative entries, rescaled to sum to one."""
 
@@ -45,7 +45,7 @@ class SimplexPoint:
             raise InvalidArgumentError("weights sum to zero")
         w /= s
         w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        self.weights = w
 
     @property
     def n(self) -> int:
@@ -141,7 +141,7 @@ def l2_tangent_gap(v: np.ndarray, beta: SimplexPoint) -> float:
     return float(np.linalg.norm(proj))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class SimplexQuadratic:
     """Quadratic in relative form around its anchor, with an optional metric.
 
@@ -161,7 +161,7 @@ class SimplexQuadratic:
         lin = np.asarray(self.linear, dtype=float)
         if lin.shape != self.anchor.weights.shape:
             raise InvalidArgumentError("linear term and anchor dimensions disagree")
-        object.__setattr__(self, "linear", lin)
+        self.linear = lin
 
     def value_at(self, beta: SimplexPoint) -> float:
         d = beta.weights - self.anchor.weights

@@ -555,6 +555,13 @@ class TestPngDescent:
         with pytest.raises(InvalidArgumentError, match="max_iters"):
             PngConfig(c=0.01, step=0.05, eps_stop=1e-3, max_iters=1e5)
 
+    @pytest.mark.parametrize("field", ["c", "step", "eps_stop", "max_iters"])
+    def test_booleans_rejected(self, field):
+        # True compares as 1 and passes the range checks
+        params = {"c": 0.01, "step": 0.05, "eps_stop": 1e-3, "max_iters": 100, field: True}
+        with pytest.raises(InvalidArgumentError, match="not booleans"):
+            PngConfig(**params)
+
     @pytest.mark.parametrize("x0", [[0.2], [0.2, 0.9, 0.0], [[0.2, 0.9]]],
                              ids=["short", "long", "row"])
     def test_x0_shape_checked(self, png_instance, x0):

@@ -69,6 +69,21 @@ class TestSolverConfig:
         with pytest.raises(ConfigurationError, match="integer max_outer"):
             SolverConfig(eps0=1e-3, eps=1e-6, max_outer=1e5)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"eps0": True, "eps": 0.5},
+            {"eps0": np.True_, "eps": 0.5},
+            {"eps0": 1.0, "eps": True},
+            {"eps0": 1e-3, "eps": 1e-6, "max_outer": True},
+        ],
+        ids=["eps0", "numpy-eps0", "eps", "max_outer"],
+    )
+    def test_rejects_booleans(self, kwargs):
+        # each compares as the number 1 and passes every range check
+        with pytest.raises(ConfigurationError, match="not booleans"):
+            SolverConfig(**kwargs)
+
 
 class TestBuildSurrogate:
     def test_orthogonal_preference_gives_zero_linear(self, identity_pair):

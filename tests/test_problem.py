@@ -89,6 +89,12 @@ class TestMakeQuadratic:
         with pytest.raises(InvalidArgumentError):
             make_quadratic(A, np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_matrix_rejected(self, bad):
+        # unchecked, a NaN A makes the SVD raise numpy's LinAlgError
+        with pytest.raises(InvalidArgumentError, match="A must be finite"):
+            make_quadratic(np.array([[1.0, 0.0], [bad, 1.0]]), np.zeros(2))
+
     def test_derivatives_match_finite_differences(self, rng):
         for _ in range(4):
             d = int(rng.integers(2, 5))
@@ -123,6 +129,22 @@ class TestLogCoshQuadratic:
         with pytest.raises(InvalidArgumentError, match="H must be symmetric"):
             make_log_cosh_quadratic(np.array([[2.0, 1.0], [1.0 + 1e-6, 3.0]]), np.zeros(2), 0.0)
         make_log_cosh_quadratic(np.array([[2.0, 1.0], [1.0 + 1e-12, 3.0]]), np.zeros(2), 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_inputs_rejected(self, bad):
+        # unchecked, each gives L = nan/inf, or (an infinite H) a RuntimeWarning
+        # and then "H is not positive definite"
+        H, z = np.eye(2), np.zeros(2)
+        with pytest.raises(InvalidArgumentError, match="H and z must be finite"):
+            make_log_cosh_quadratic(np.array([[1.0, bad], [bad, 1.0]]), z, 0.5)
+        with pytest.raises(InvalidArgumentError, match="H and z must be finite"):
+            make_log_cosh_quadratic(H, np.array([0.0, bad]), 0.5)
+        with pytest.raises(InvalidArgumentError, match="H and z must be finite"):
+            quadratic_from_hessian(np.array([[bad, 0.0], [0.0, 1.0]]), z)
+        with pytest.raises(InvalidArgumentError, match="H and z must be finite"):
+            quadratic_from_hessian(H, np.array([bad, 0.0]))
+        with pytest.raises(InvalidArgumentError, match="c must be finite"):
+            make_log_cosh_quadratic(H, z, bad)
 
     def test_hessian_lipschitz_declared(self, rng):
         c = 0.8
