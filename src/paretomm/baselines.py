@@ -267,12 +267,12 @@ def _polish_to_stationary(F, f0, state, config):
     until |R| falls, each trial guessing the previous one's active set.
     The polish owns the stopping test: it returns ``state.x`` itself when
     the state passes it, else a point that passes it, or None, which ends
-    the run ``stalled``, on a missing v or an exhausted budget.
+    the run ``stalled``, when 40 halvings do not lower |R| or 50 steps do
+    not pass the test.  Each state has a residual: the descent polishes at
+    angles up to 1 only, and only trials with one are accepted.
     """
     target = 0.7 * config.eps_stop
     for _ in range(50):
-        if state.residual is None:
-            return None
         if state.angle <= COLLINEARITY_TOL and state.m <= config.eps_stop:
             return state.x
         level = max(target, 0.5 * state.m)

@@ -19,9 +19,7 @@ import numpy as np
 
 from .errors import NumericalFailureError
 from .problem import ObjectiveSet, ProblemInstance, SmoothFunction, scalarize, weighted_sum
-from .simplex import SimplexPoint
-
-_MACHINE_EPSILON = float(np.finfo(float).eps)
+from .simplex import _EPS, SimplexPoint
 
 
 def stable_norm(v: np.ndarray) -> float:
@@ -37,7 +35,7 @@ def residual_floor(F: ObjectiveSet, jacobian_T: np.ndarray, beta: SimplexPoint) 
     ``jacobian_T`` is ``F.jacobian_T(x)``, whose columns are the gradients.
     """
     sizes = np.abs(jacobian_T).sum(axis=0)  # ||grad f_i(x)||_1
-    return (F.n + F.dim) * F.kappa * _MACHINE_EPSILON * float(sizes @ beta.weights)
+    return (F.n + F.dim) * F.kappa * _EPS * float(sizes @ beta.weights)
 
 
 @dataclass(eq=False)

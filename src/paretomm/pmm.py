@@ -311,17 +311,18 @@ def _positive_definite(M, floor) -> bool:
 
 
 def _start_damping(B0, cap, ratio=_START_RATIO):
-    """First trial sigma of a step: ratio * tr(B0), clipped to [1e-12 * cap, cap].
+    """First trial sigma of a step and whether B0 passed the Cholesky test: ``(sigma, convex)``.
 
-    ``ratio`` is the damping ratio the run carries, 1e-2 at its first step
-    (see ``_outer_step``).  The cap instead when B0 + 1e-12 * cap * I is not
-    positive definite (f0 is not convex along J at the anchor) or not
-    finite: no damped model below the cap is then convex.
+    sigma is ratio * tr(B0), clipped to [1e-12 * cap, cap], with ``ratio``
+    the damping ratio the run carries, 1e-2 at its first step (see
+    ``_outer_step``).  It is the cap, and ``convex`` False, when B0 +
+    1e-12 * cap * I is not positive definite (f0 is not convex along J at
+    the anchor) or not finite: no damped model below the cap is then convex.
     """
     floor = _MIN_CURVATURE * cap
     if not _positive_definite(B0, floor):
-        return cap
-    return min(max(ratio * float(np.trace(B0)), floor), cap)
+        return cap, False
+    return min(max(ratio * float(np.trace(B0)), floor), cap), True
 
 
 def _exact_metric(F, surrogate, B0):
@@ -383,9 +384,8 @@ def _outer_step(problem, surrogate, f0_anchor, tol_gap, tol_grad, ratio, shrink)
     J = surrogate.x_star_jacobian
     B0 = J.T @ (problem.f0.hess(anchor.x) @ J)
     trace_B0 = float(np.trace(B0))
-    sigma, metric = _start_damping(B0, cap, _SHRINK * ratio if shrink else ratio), B0
-    # sigma < cap means B0 passed _start_damping's Cholesky test.
-    convex = sigma < cap or _positive_definite(B0, _MIN_CURVATURE * cap)
+    sigma, convex = _start_damping(B0, cap, _SHRINK * ratio if shrink else ratio)
+    metric = B0
     # Along ker J, which meets the tangent plane when n - 1 > d, x*(beta) is
     # flat to second order: the exact Hessian is then singular there at best.
     if sigma < cap and F.n <= F.dim + 1:

@@ -8,6 +8,7 @@ Lipschitz constant L0.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -95,10 +96,10 @@ def family_of(f: SmoothFunction) -> Optional[Family]:
 def quadratic_from_hessian(H: np.ndarray, z: np.ndarray) -> SmoothFunction:
     """Quadratic f(x) = 0.5 * (x - z)^T H (x - z) with the given Hessian H.
 
-    ``H`` and ``z`` must be finite, and ``H`` square, matching ``z``,
-    symmetric to 1e-12 relative and positive definite: lambda_min(H) >
-    1e-24 * lambda_max(H).  ``grad`` and ``hess`` use ``H`` itself;
-    mu = lambda_min(H), L = lambda_max(H), L_H = 0.
+    ``H`` and ``z`` must be finite, ``H`` square, ``z`` a vector of its
+    order, and ``H`` symmetric to 1e-12 relative and positive definite:
+    lambda_min(H) > 1e-24 * lambda_max(H).  ``grad`` and ``hess`` use
+    ``H`` itself; mu = lambda_min(H), L = lambda_max(H), L_H = 0.
     """
     return make_log_cosh_quadratic(H, z, 0.0)
 
@@ -123,21 +124,24 @@ def make_log_cosh_quadratic(H: np.ndarray, z: np.ndarray, c: float) -> SmoothFun
     """Quadratic plus c * sum_i log cosh(x_i - z_i); still minimized at z.
 
     ``H`` and ``z`` are checked as in ``quadratic_from_hessian``, and c is
-    finite and >= 0.  The perturbation is convex with Hessian diag(sech^2),
-    so mu = lambda_min(H), L = lambda_max(H) + c, and the Hessian is
-    Lipschitz with constant c * 4/(3*sqrt(3)).
+    a finite real number >= 0, not a boolean or an array.  The
+    perturbation is convex with Hessian diag(sech^2), so mu = lambda_min(H),
+    L = lambda_max(H) + c, and the Hessian is Lipschitz with constant
+    c * 4/(3*sqrt(3)).
     """
     H = np.array(H, dtype=float)
     z = np.array(z, dtype=float)
     if not (np.isfinite(H).all() and np.isfinite(z).all()):
         raise InvalidArgumentError("H and z must be finite")
+    if isinstance(c, bool) or not isinstance(c, numbers.Real):  # np.bool_ is not Real
+        raise InvalidArgumentError(f"c must be a real number, got {type(c).__name__}")
     if not np.isfinite(c):
         raise InvalidArgumentError("c must be finite")
     if c < 0:
         raise InvalidArgumentError("c must be nonnegative")
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise InvalidArgumentError(f"H must be square, got shape {H.shape}")
-    if H.shape[0] != z.shape[0]:
+    if z.shape != (H.shape[0],):
         raise InvalidArgumentError("H and z dimensions disagree")
     if np.abs(H - H.T).max() > 1e-12 * max(1.0, np.abs(H).max()):
         raise InvalidArgumentError("H must be symmetric")

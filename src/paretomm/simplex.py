@@ -112,7 +112,7 @@ def l1_stationarity_gap(v: np.ndarray, beta: SimplexPoint) -> float:
 
 
 def _project_tangent_cone(q: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """Project q onto {u : sum u = 0, u_i >= 0 for i in active}.
+    """Project q onto {u : sum u = 0, u_i >= 0 for i in active}, some i not in active.
 
     The projection is u = q - tau on the free coordinates and
     max(q - tau, 0) on the active ones, where tau zeroes the decreasing
@@ -123,8 +123,6 @@ def _project_tangent_cone(q: np.ndarray, active: np.ndarray) -> np.ndarray:
     """
     free = ~active
     m = int(free.sum())
-    if m == 0:
-        return np.zeros(q.size)  # the cone is {0}
     sums = q[free].sum() + np.concatenate(([0.0], np.cumsum(np.sort(q[active])[::-1])))
     tau = float(np.max(sums / (m + np.arange(sums.size))))
     u = q - tau
@@ -136,7 +134,7 @@ def l2_tangent_gap(v: np.ndarray, beta: SimplexPoint) -> float:
     """Norm of the negative gradient projected onto the tangent cone at beta."""
     v = np.asarray(v, dtype=float)
     w = beta.weights
-    active = w <= 1e-14
+    active = w <= 1e-14  # not every weight: they sum to one
     proj = _project_tangent_cone(-v, active)
     return float(np.linalg.norm(proj))
 

@@ -99,6 +99,11 @@ class TestPngVector:
         with pytest.raises(InfeasibleError):
             png_vector(identity_pair.F, identity_pair.f0, np.array([0.2, 0.0]), c=1.0)
 
+    @pytest.mark.parametrize("c", [0.0, -0.01])
+    def test_nonpositive_margin_rejected(self, png_instance, c):
+        with pytest.raises(InvalidArgumentError, match="c must be positive"):
+            png_vector(png_instance.F, png_instance.f0, np.array([0.2, 0.9]), c)
+
     def test_no_size_limit(self, identity_pair):
         from paretomm import ObjectiveSet, make_quadratic
 
@@ -294,6 +299,14 @@ class TestPngState:
     def test_non_finite_gradient_raises_when_built(self, png_instance):
         with np.errstate(over="ignore"), pytest.raises(NumericalFailureError):
             _PngState(png_instance.F, png_instance.f0, np.array([1e308, 1e308]), 0.01)
+
+    def test_m_gradient_is_zero_at_an_objective_minimizer(self, png_instance):
+        # the minimizer's gradient column is exactly 0, so m = 0 and 0 is a subgradient
+        x = png_instance.F.minimizers[0]
+        state = _PngState(png_instance.F, png_instance.f0, x, 0.01)
+        assert state.m == 0.0
+        grad = baselines._m_gradient(png_instance.F._hessians(x), state)
+        np.testing.assert_array_equal(grad, np.zeros(2))
 
     def test_descent_skips_unread_min_norm_solves(self, png_instance, monkeypatch):
         calls = {"min_norm": 0, "png_vector": 0}
@@ -609,6 +622,20 @@ class TestGenericity:
     def test_dimension_preconditions(self):
         with pytest.raises(InvalidArgumentError):
             is_preference_generic(np.ones(2), [E1, -E1, E2])  # n > d
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda rng: is_pareto_generic([E1]), "need at least two vectors"),
+            (lambda rng: sample_preference_generic(rng, 2, 3), "need 1 < n <= d"),
+            (lambda rng: sample_preference_generic(rng, 2, 1), "need 1 < n <= d"),
+            (lambda rng: build_impossibility_instance([E2, E1]), "v0 plus at least two"),
+        ],
+        ids=["pareto-one-vector", "sampler-n-above-d", "sampler-one-vector", "instance-one-gradient"],
+    )
+    def test_too_few_or_too_many_vectors_rejected(self, rng, call, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            call(rng)
 
     def test_sampler_produces_generic_tuples(self, rng):
         for _ in range(10):

@@ -230,8 +230,8 @@ class TestSolveCommand:
             assert json.loads(captured.out.strip())["certificate"]["passed"] is True
 
     @pytest.mark.parametrize(
-        "beta0", ["0.5", "1,2,3", "1,nan", "inf,1", "1e308,1e308"],
-        ids=["short", "long", "nan", "inf", "overflowing-sum"],
+        "beta0", ["0.5", "1,2,3", "1,nan", "inf,1", "1e308,1e308", "0.5,abc"],
+        ids=["short", "long", "nan", "inf", "overflowing-sum", "not-a-number"],
     )
     def test_bad_beta0_exits_one(self, beta0, png_file, capsys):
         code = run_cli("solve", "--problem", png_file, "--eps0", "1e-3", "--eps", "1e-6",
@@ -361,6 +361,19 @@ class TestSolveCommand:
             "--beta0", "0.9,0.1", "--max-outer", "1", "--newton-inner",
         )
         assert code == 2
+
+    def test_non_finite_surrogate_fails_with_one_line(self, tmp_path, capsys):
+        # Hessians near 1e160 and centres near 1e4: the err bound overflows at the start
+        q = lambda h, z: _quadratic([[h]], [z])
+        spec = {"dimension": 1, "objectives": [q(1.2e160, 10000.64), q(2.5e160, 10000.36)],
+                "preference": q(2.3e160, 9999.3)}
+        path = tmp_path / "overflow.json"
+        save_problem_spec(str(path), spec)
+        code = run_cli("solve", "--problem", path, "--eps0", "1e-3", "--eps", "1e-6")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "failed: non-finite surrogate at outer iteration 0; assumptions violated\n"
 
 
 class TestTraceCsv:

@@ -126,6 +126,20 @@ class TestSolveXStar:
         with pytest.raises(NumericalFailureError):
             minimize_function(bad, np.zeros(1), 1e-8)
 
+    def test_overflowing_newton_step_fails(self):
+        # grad 1e300 against curvature 1e-10: the Newton step overflows to inf
+        f = SmoothFunction(
+            dim=1,
+            value=lambda x: 0.0,
+            grad=lambda x: np.array([1e300]),
+            hess=lambda x: np.array([[1e-10]]),
+            mu=1e-10,
+            L=1e-10,
+            L_H=0.0,
+        )
+        with pytest.raises(NumericalFailureError, match="non-finite iterate"):
+            minimize_function(f, np.zeros(1), 1e-8)
+
 
 class TestStableNorm:
     def test_huge_entries_do_not_overflow(self):

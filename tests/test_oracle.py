@@ -76,6 +76,10 @@ class TestFiniteDifferenceJacobian:
         with pytest.raises(InvalidArgumentError):
             finite_difference_jacobian(lambda b: b.weights, SimplexPoint(np.array([1e-7, 1.0])), h=1e-5)
 
+    def test_single_weight_has_no_tangent_columns(self):
+        J = finite_difference_jacobian(lambda b: np.array([1.0, 2.0, 3.0]), SimplexPoint(np.array([1.0])))
+        assert J.shape == (3, 0)
+
     def test_matches_exact_jacobian_on_tangents(self, rng):
         from paretomm import grad_x_star_exact
 

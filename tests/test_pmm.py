@@ -24,6 +24,7 @@ from paretomm import (
     grid_search_preference_opt,
     make_quadratic,
     manifold,
+    min_norm_over_simplex,
     pmm_solve,
     shared_hessian_optimum,
     solve_x_star,
@@ -515,6 +516,23 @@ class TestRoundingFloor:
         exact = ManifoldPoint.from_x_beta(problem.F, x, SimplexPoint.vertex(3, 0))
         assert exact.residual == 0.0 and _reweighted(problem.F, exact) is exact
 
+    def test_failed_min_norm_solve_keeps_the_point(self, identity_pair):
+        # gradients near 1e300: the min-norm solve loses every weight
+        F = identity_pair.F
+        x = np.array([1e300, 0.0])
+        with pytest.raises(NumericalFailureError, match="lost every weight"):
+            min_norm_over_simplex(F.jacobian_T(x))
+        point = ManifoldPoint.from_x_beta(F, x, SimplexPoint.uniform(2))
+        assert _reweighted(F, point) is point
+
+    def test_non_finite_surrogate_fails(self):
+        # Hessians near 1e160 and centres near 1e4: the err bound overflows at the start
+        q = lambda h, z: {"kind": "quadratic", "H": [[h]], "z": [z]}
+        spec = {"dimension": 1, "objectives": [q(1.2e160, 10000.64), q(2.5e160, 10000.36)],
+                "preference": q(2.3e160, 9999.3)}
+        with pytest.raises(NumericalFailureError, match="non-finite surrogate at outer iteration 0"):
+            pmm_solve(problem_from_spec(spec), SolverConfig(eps0=1e-3, eps=1e-6))
+
     def test_scaled_hessians_certify(self):
         config = SolverConfig(eps0=1e-3, eps=1e-6)
         spec = _transformed_triangle(h_scale=1e4)
@@ -741,7 +759,7 @@ class TestStartDamping:
         ids=["trace", "cap", "floor", "indefinite", "below-floor", "nan", "inf"],
     )
     def test_start(self, B0, expected):
-        assert _start_damping(np.array(B0), 8.0) == pytest.approx(expected, rel=1e-12)
+        assert _start_damping(np.array(B0), 8.0)[0] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize(
         "B0, ratio, expected",
@@ -754,7 +772,7 @@ class TestStartDamping:
         ids=["shrunk", "cap", "floor", "indefinite"],
     )
     def test_carried_ratio(self, B0, ratio, expected):
-        assert _start_damping(np.array(B0), 8.0, ratio) == pytest.approx(expected, rel=1e-12)
+        assert _start_damping(np.array(B0), 8.0, ratio)[0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestCarriedDamping:

@@ -95,6 +95,11 @@ class TestMakeQuadratic:
         with pytest.raises(InvalidArgumentError, match="A must be finite"):
             make_quadratic(np.array([[1.0, 0.0], [bad, 1.0]]), np.zeros(2))
 
+    @pytest.mark.parametrize("A", [np.ones(2), np.ones((2, 3))], ids=["vector", "2x3"])
+    def test_non_square_matrix_rejected(self, A):
+        with pytest.raises(InvalidArgumentError, match="A must be square"):
+            make_quadratic(A, np.zeros(2))
+
     def test_derivatives_match_finite_differences(self, rng):
         for _ in range(4):
             d = int(rng.integers(2, 5))
@@ -145,6 +150,37 @@ class TestLogCoshQuadratic:
             quadratic_from_hessian(H, np.array([bad, 0.0]))
         with pytest.raises(InvalidArgumentError, match="c must be finite"):
             make_log_cosh_quadratic(H, z, bad)
+
+    @pytest.mark.parametrize(
+        "H, z, match",
+        [
+            (np.ones(2), np.zeros(2), "H must be square"),
+            (np.ones((2, 3)), np.zeros(2), "H must be square"),
+            (np.eye(2), np.zeros(3), "dimensions disagree"),
+            (np.eye(1), np.array(0.0), "dimensions disagree"),  # was numpy's IndexError
+            (np.eye(2), np.zeros((2, 1)), "dimensions disagree"),  # was accepted, with an array value
+        ],
+        ids=["vector-H", "2x3-H", "long-z", "0d-z", "column-z"],
+    )
+    def test_malformed_shapes_rejected(self, H, z, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            make_log_cosh_quadratic(H, z, 0.5)
+        with pytest.raises(InvalidArgumentError, match=match):
+            quadratic_from_hessian(H, z)
+
+    @pytest.mark.parametrize(
+        "c",
+        [True, np.bool_(True), np.array([0.5, 0.5]), [0.5], np.array(0.5), "0.5", None],
+        ids=["bool", "numpy-bool", "vector", "list", "0d-array", "str", "none"],
+    )
+    def test_c_must_be_a_real_number(self, c):
+        # a vector c raised numpy's "truth value is ambiguous", and True read as 1
+        with pytest.raises(InvalidArgumentError, match="c must be a real number"):
+            make_log_cosh_quadratic(np.eye(2), np.zeros(2), c)
+
+    @pytest.mark.parametrize("c", [np.float64(0.5), np.float32(0.5), np.int64(1), 1])
+    def test_numpy_and_integer_c_accepted(self, c):
+        assert make_log_cosh_quadratic(np.eye(2), np.zeros(2), c).L == 1.0 + float(c)
 
     def test_hessian_lipschitz_declared(self, rng):
         c = 0.8
@@ -215,6 +251,22 @@ class TestObjectiveSet:
             bad = dataclasses.replace(f, minimizer_hint=hint)
             with pytest.raises(ConfigurationError, match="objective 1"):
                 ObjectiveSet.from_objectives([other, bad])
+
+    @pytest.mark.parametrize(
+        "objectives, error, match",
+        [
+            (lambda f: [], InvalidArgumentError, "at least one objective"),
+            (lambda f: [f, make_quadratic(np.eye(3), np.zeros(3))], InvalidArgumentError, "objective 1 has dim 3"),
+            (lambda f: [dataclasses.replace(f, mu=None)], ConfigurationError, "missing declared constants"),
+            (lambda f: [dataclasses.replace(f, L_H=None)], ConfigurationError, "missing declared constants"),
+            (lambda f: [dataclasses.replace(f, mu=0.0)], ConfigurationError, "0 < mu <= L"),
+            (lambda f: [dataclasses.replace(f, mu=2.0)], ConfigurationError, "0 < mu <= L"),
+        ],
+        ids=["empty", "dimensions", "no-mu", "no-L_H", "zero-mu", "mu-above-L"],
+    )
+    def test_malformed_objectives_rejected(self, objectives, error, match):
+        with pytest.raises(error, match=match):
+            ObjectiveSet.from_objectives(objectives(make_quadratic(np.eye(2), E1)))
 
     def test_gradient_bound_on_stationary_points(self, rng):
         # max_i ||grad f_i(x_beta)|| <= L * (sampled diameter), sampling the
@@ -458,3 +510,13 @@ def test_norm_1_2_is_max_column_norm(rng):
     for _ in range(50):
         u = rng.normal(size=3)
         assert np.linalg.norm(M @ u) <= norm_1_2(M) * np.abs(u).sum() + 1e-12
+
+
+def test_norm_1_2_of_no_columns_is_zero():
+    assert norm_1_2(np.zeros((3, 0))) == 0.0
+
+
+def test_preference_dimension_must_match():
+    F = ObjectiveSet.from_objectives([make_quadratic(np.eye(2), E1)])
+    with pytest.raises(InvalidArgumentError, match="preference dim 3 does not match objective dim 2"):
+        ProblemInstance.create(F, make_quadratic(np.eye(3), np.zeros(3)))

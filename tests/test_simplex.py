@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from paretomm import (
     InvalidArgumentError,
+    NumericalFailureError,
     SimplexPoint,
     SimplexQuadratic,
     StationarityCertificate,
@@ -41,6 +42,15 @@ class TestSimplexPoint:
     )
     def test_rejects_non_finite(self, w):
         with pytest.raises(InvalidArgumentError, match="finite"):
+            SimplexPoint(np.array(w))
+
+    @pytest.mark.parametrize(
+        "w, match",
+        [([], "nonempty vector"), ([[0.5, 0.5]], "nonempty vector"), ([0.0, 0.0], "sum to zero")],
+        ids=["empty", "matrix", "zeros"],
+    )
+    def test_rejects_malformed(self, w, match):
+        with pytest.raises(InvalidArgumentError, match=match):
             SimplexPoint(np.array(w))
 
     def test_immutable(self):
@@ -121,6 +131,10 @@ class TestL1Gap:
         )
         assert not cert.passed
 
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="dimensions disagree"):
+            l1_stationarity_gap(np.zeros(3), SimplexPoint.uniform(2))
+
     def test_soundness_property(self, rng):
         # -v^T (b' - b) <= (gap + tol) * ||b' - b||_1 for random triples
         for _ in range(200):
@@ -134,6 +148,25 @@ class TestL1Gap:
 
 
 class TestQuadraticSolver:
+    @pytest.mark.parametrize(
+        "linear, curvature, match",
+        [
+            (np.zeros(2), 0.0, "curvature must be positive"),
+            (np.zeros(2), -1.0, "curvature must be positive"),
+            (np.zeros(3), 1.0, "dimensions disagree"),
+        ],
+        ids=["zero-curvature", "negative-curvature", "long-linear"],
+    )
+    def test_invalid_model_rejected(self, linear, curvature, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            SimplexQuadratic(anchor=SimplexPoint.uniform(2), linear=linear, curvature=curvature)
+
+    @pytest.mark.parametrize("tol_gap", [0.0, -1e-12])
+    def test_nonpositive_tolerance_rejected(self, tol_gap):
+        Q = SimplexQuadratic(anchor=SimplexPoint.uniform(2), linear=np.zeros(2), curvature=1.0)
+        with pytest.raises(InvalidArgumentError, match="tol_gap must be positive"):
+            minimize_quadratic_over_simplex(Q, tol_gap=tol_gap)
+
     def test_zero_linear_returns_anchor(self):
         anchor = SimplexPoint(np.array([0.3, 0.7]))
         Q = SimplexQuadratic(anchor=anchor, linear=np.zeros(2), curvature=1.0)
@@ -328,6 +361,21 @@ class TestMinNormOverSimplex:
         beta, val = min_norm_over_simplex(G)
         assert val <= 1e-14
         np.testing.assert_allclose(beta.weights, [0.5, 0.5], atol=1e-12)
+
+
+    @pytest.mark.parametrize(
+        "G, error, match",
+        [
+            ([[1.0, np.nan], [0.0, 1.0]], NumericalFailureError, "non-finite data"),
+            (np.zeros((2, 0)), InvalidArgumentError, "at least one column"),
+            # the solve underflows to no weight at all on columns near the float range
+            ([[1e300, 1e300], [1e300, -1e300]], NumericalFailureError, "lost every weight"),
+        ],
+        ids=["nan-column", "no-columns", "near-float-range"],
+    )
+    def test_invalid_columns_rejected(self, G, error, match):
+        with pytest.raises(error, match=match):
+            min_norm_over_simplex(np.array(G))
 
 
 class TestSolverKKTProperties:
