@@ -4,20 +4,18 @@ A problem file is a JSON document::
 
     {"dimension": d,
      "objectives": [{"kind": "quadratic", "H": [[...]], "z": [...]}, ...],
-     "preference": {"kind": "quadratic", "H": [[...]], "z": [...]},
-     "constants": {"mu": .., "L": .., "L_H": .., "L0": ..}}   # optional
+     "preference": {"kind": "quadratic", "H": [[...]], "z": [...]}}
 
 The one non-quadratic family is ``{"kind": "builtin", "name":
 "log_cosh_quadratic", "params": {"H": .., "z": .., "c": ..}}``: the quadratic
 plus c * sum_i log cosh(x_i - z_i), c >= 0 finite (default 1).  A quadratic
-entry is 0.5 (x-z)^T H (x-z).  The optional constants block overrides the
-values computed for analytic families.  Any other key is an error.
+entry is 0.5 (x-z)^T H (x-z).  Every constant (mu, L, L_H, L0) is derived
+from these families; a file cannot set one.  Any other key is an error.
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import errno
 import json
 import os
@@ -139,7 +137,7 @@ def _function_from_entry(entry: dict, dim: int, where: str) -> SmoothFunction:
 def problem_from_spec(spec: dict) -> ProblemInstance:
     if not isinstance(spec, dict):
         raise InvalidArgumentError("problem file: top level must be an object")
-    _known_fields(spec, ("dimension", "objectives", "preference", "constants"), "problem file")
+    _known_fields(spec, ("dimension", "objectives", "preference"), "problem file")
     if "dimension" not in spec:
         raise InvalidArgumentError("problem file: missing field 'dimension'")
     dim = spec["dimension"]
@@ -154,29 +152,7 @@ def problem_from_spec(spec: dict) -> ProblemInstance:
     if "preference" not in spec:
         raise InvalidArgumentError("problem file: missing field 'preference'")
     f0 = _function_from_entry(spec["preference"], dim, "preference")
-    F = ObjectiveSet.from_objectives(objectives)
-    constants = spec.get("constants")
-    if constants is not None:
-        if not isinstance(constants, dict):
-            raise InvalidArgumentError("constants: expected an object")
-        _known_fields(constants, ("mu", "L", "L_H", "L0"), "constants")
-        values = {
-            key: _finite_number(constants[key], f"constants.{key}")
-            for key in ("mu", "L", "L_H", "L0")
-            if key in constants
-        }
-        L0 = values.pop("L0", None)
-        if values:
-            F = dataclasses.replace(F, **values)
-        if not (0 < F.mu <= F.L):
-            raise InvalidArgumentError("constants: require 0 < mu <= L")
-        if F.L_H < 0:
-            raise InvalidArgumentError("constants: require L_H >= 0")
-        if L0 is not None:
-            if L0 <= 0:
-                raise InvalidArgumentError("constants: require L0 > 0")
-            f0 = dataclasses.replace(f0, L=L0)
-    return ProblemInstance.create(F, f0)
+    return ProblemInstance.create(ObjectiveSet.from_objectives(objectives), f0)
 
 
 def load_problem(path: str) -> ProblemInstance:

@@ -22,7 +22,7 @@ from paretomm import (
 )
 from paretomm.oracle import _lattice_blocks, _newton_tolerance, simplex_lattice
 from paretomm.problem import family_of
-from paretomm.problem_io import png_counterexample_spec, problem_from_spec, triangle_spec
+from paretomm.problem_io import problem_from_spec, triangle_spec
 from conftest import random_quadratic_problem, random_spd
 
 E1 = np.array([1.0, 0.0])
@@ -265,22 +265,24 @@ class TestBatchedLattice:
             assert value == problem.f0.value(point.x)
 
     def test_set_level_L_H_override_keeps_newton(self, newton_calls):
-        # the constants block overrides the set's L_H, never an objective's own
+        # a set-level L_H replaced by 0 keeps the log-cosh family, which still sends every point
+        # to Newton
         log_cosh = {"kind": "builtin", "name": "log_cosh_quadratic"}
         spec = {
             "dimension": 2,
             "objectives": [{**log_cosh, "params": {"H": np.eye(2).tolist(), "z": z, "c": 1.0}}
                            for z in ([-1.0, 0.0], [1.0, 0.0])],
             "preference": {"kind": "quadratic", "H": np.eye(2).tolist(), "z": [0.0, 1.0]},
-            "constants": {"L_H": 0.0},
         }
-        grid_search_preference_opt(problem_from_spec(spec), 4)
+        loaded = problem_from_spec(spec)
+        F = dataclasses.replace(loaded.F, L_H=0.0)
+        grid_search_preference_opt(ProblemInstance.create(F, loaded.f0), 4)
         assert len(newton_calls) == 5
 
     def test_L0_override_keeps_the_batched_lattice(self, png_instance, newton_calls):
-        # the loader overrides L0 with dataclasses.replace, which keeps f0's family
-        spec = {**png_counterexample_spec(), "constants": {"L0": 2.0}}
-        problem = problem_from_spec(spec)
+        # dataclasses.replace of L0 keeps f0's family
+        f0 = dataclasses.replace(png_instance.f0, L=2.0)
+        problem = ProblemInstance.create(png_instance.F, f0)
         assert problem.f0.L == 2.0 and family_of(problem.f0) is problem.f0.family
         overridden = grid_search_preference_opt(problem, 50, collect=True)
         assert newton_calls == []
@@ -331,7 +333,8 @@ class TestSharedHessianOptimum:
             assert problem.f0.value(w @ problem.F.minimizers) >= f_star - 1e-12
 
     def test_L0_override_keeps_the_closed_form(self, png_instance):
-        problem = problem_from_spec({**png_counterexample_spec(), "constants": {"L0": 2.0}})
+        f0 = dataclasses.replace(png_instance.f0, L=2.0)
+        problem = ProblemInstance.create(png_instance.F, f0)
         beta, f_star = shared_hessian_optimum(problem)
         expected_beta, expected = shared_hessian_optimum(png_instance)
         np.testing.assert_array_equal(beta.weights, expected_beta.weights)

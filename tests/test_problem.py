@@ -430,7 +430,7 @@ class TestStackedEvaluation:
         assert family_of(moved) is family_of(revalued) is None
         assert ObjectiveSet.from_objectives([moved, other]).family is None
         assert ObjectiveSet.from_objectives([revalued, other]).family is None
-        # a constants override (the loader's dataclasses.replace) keeps the stack
+        # a caller's constants override (dataclasses.replace of L) keeps the stack
         F = ObjectiveSet.from_objectives([dataclasses.replace(f, L=5.0), other])
         np.testing.assert_array_equal(F.family.c, [1.0, 1.0])
 
