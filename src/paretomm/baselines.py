@@ -24,6 +24,7 @@ from .problem import (
     ProblemInstance,
     SmoothFunction,
     quadratic_from_hessian,
+    weighted_sum,
 )
 from .simplex import _EPS, _nnls_lift, min_norm_over_simplex
 
@@ -229,7 +230,7 @@ def _direction_jacobian(Hs, H0, state):
     """
     A = state.lam > 0.0
     GA = state._G[A]
-    M = H0 + np.tensordot(state.lam, Hs, 1)
+    M = H0 + weighted_sum(state.lam, Hs)
     dv = M - np.linalg.pinv(GA) @ (GA @ M + Hs[A] @ state.v)
     return _unit_jacobian(state.v, dv) + _unit_jacobian(state._g0, H0)
 
@@ -242,7 +243,7 @@ def _m_gradient(Hs, state):
     """
     if state.m == 0.0:
         return np.zeros(state.x.size)
-    return np.tensordot(state.beta, Hs, 1).dot(state.u)
+    return weighted_sum(state.beta, Hs).dot(state.u)
 
 
 def _polish_to_stationary(F, f0, state, config):

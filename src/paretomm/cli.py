@@ -168,11 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-outer", type=int, default=100_000)
     p.add_argument("--beta0", help="comma-separated initial weights, one per objective")
-    p.add_argument(
-        "--newton-inner",
-        action="store_true",
-        help="accepted and ignored: the inner solves always use Newton's method",
-    )
     p.add_argument("--trace", help="write per-iteration CSV here")
     p.set_defaults(func=_cmd_solve, output="trace")
 

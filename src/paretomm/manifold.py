@@ -185,11 +185,10 @@ def grad_x_star_estimate(
     x = np.asarray(x, dtype=float)
     if jacobian_T is None:
         jacobian_T = F.jacobian_T(x)
-    H = scalarize(F, beta).hess(x) if hessians is None else weighted_sum(beta.weights, hessians)
-    if adjoint_of is None:
-        return Jacobian(matrix=-spd_solve(H, jacobian_T, F.mu))
-    X = spd_solve(H, np.concatenate((jacobian_T, adjoint_of[:, None]), axis=1), F.mu)
-    return Jacobian(matrix=-X[:, :-1], adjoint=X[:, -1])
+    H = weighted_sum(beta.weights, F._hessians(x) if hessians is None else hessians)
+    cols = (jacobian_T,) if adjoint_of is None else (jacobian_T, adjoint_of[:, None])
+    X = spd_solve(H, np.concatenate(cols, axis=1), F.mu)
+    return Jacobian(matrix=-X[:, : F.n], adjoint=None if adjoint_of is None else X[:, -1])
 
 
 def err_grad_f0(

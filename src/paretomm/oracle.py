@@ -93,11 +93,6 @@ def _lattice_blocks(m: int, n: int, rows: int):
         yield np.diff(block.reshape(k, n - 1), axis=1, prepend=-1, append=m + n - 1) - 1
 
 
-def simplex_lattice(m: int, n: int) -> np.ndarray:
-    """Lexicographic (lattice_size, n) integer counts summing to m, one row per weight vector."""
-    return next(_lattice_blocks(m, n, lattice_size(m, n)))
-
-
 def _quadratic(family: Optional[Family]) -> Optional[Family]:
     """``family`` when it is a quadratic one (no log-cosh weight), else None."""
     return family if family is not None and family.c is None else None
@@ -161,7 +156,7 @@ class GridSearchResult:
     f_star_min: float
     f_star_max: float
     count: int
-    # when collected, a read-only (count, n + d + 1) array in simplex_lattice
+    # when collected, a read-only (count, n + d + 1) array in lattice
     # order whose columns are the weights, x*(beta) and f0
     rows: Optional[np.ndarray] = None
 

@@ -218,9 +218,10 @@ def compute_c1_c2(
     may pass ||grad f0(x)|| and ``F.jacobian_T(x)`` when it already has them
     (``SurrogateState`` carries both).  Degenerate instances (single
     objective or coincident minimizers, mu_g = 0) get (1, 1) since the
-    outer problem is trivial there.  Both constants are at most 1; data
-    extreme enough to underflow either to 0, or to make it NaN, raises
-    ``NumericalFailureError``, since a zero tolerance can never be met.
+    outer problem is trivial there.  Both constants are at most 1; a
+    non-finite Jacobian, or data extreme enough to underflow either to 0 or
+    to make it NaN, raises ``NumericalFailureError``, since a zero tolerance
+    can never be met.
     """
     b = problem.bundle
     if b.mu_g == 0.0 or b.M0 == 0.0:
@@ -232,9 +233,9 @@ def compute_c1_c2(
         g0n = stable_norm(problem.f0.grad(x))
     if jacobian_T is None:
         jacobian_T = F.jacobian_T(x)
-    scale = float(np.abs(jacobian_T).max())  # ||J||_2 from the Gram matrix of J / scale
-    JS = jacobian_T / scale if scale > 0.0 else jacobian_T
-    gFn = scale * math.sqrt(float(np.linalg.eigvalsh(JS.T @ JS)[-1]))
+    if not np.isfinite(jacobian_T).all():
+        raise NumericalFailureError("convergence constants unusable: the Jacobian is not finite")
+    gFn = float(np.linalg.svd(jacobian_T, compute_uv=False)[0])  # ||J||_2; LAPACK rescales
     ratio = b.M1 / (2.0 * b.M0)
     mixed = (ratio * g0n + problem.f0.L * b.M0) / F.mu
     t1 = 2.0 + 6.0 * F.kappa * (g0n / F.mu) / b.mu_g

@@ -15,7 +15,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .oracle import grid_search_preference_opt, simplex_lattice
+from .oracle import grid_search_preference_opt
 from .problem import ProblemInstance
 
 _WIDTH, _HEIGHT, _MARGIN = 720, 540, 48
@@ -43,15 +43,16 @@ class _Frame:
         return " ".join(f"{x:.2f},{y:.2f}" for x, y in (self.to_screen(p) for p in pts))
 
 
-def _lattice_lines(resolution, n, xs):
-    """Group lattice images, in ``simplex_lattice`` order, into coordinate polylines.
+def _lattice_lines(resolution, weights, xs):
+    """Group lattice images into coordinate polylines, given each point's ``weights``.
 
     Two objectives give one line.  Otherwise, for each weight coordinate held
     at a fixed lattice level, the remaining points trace one image line.
     """
+    n = weights.shape[1]
     if n == 2:
         return [list(xs)]
-    counts = simplex_lattice(resolution, n)
+    counts = np.rint(weights * resolution)
     lines = []
     for axis in range(n):
         for level in range(resolution + 1):
@@ -123,7 +124,7 @@ def render_pareto_svg(problem: ProblemInstance, resolution: int, overlays=()) ->
             contours.append(_ellipse_element(frame, H, f.minimizer_hint, level, color, dashed))
 
     grid = ET.SubElement(svg, "g", {"id": "pareto-grid"})
-    for line in _lattice_lines(resolution, n, xs):
+    for line in _lattice_lines(resolution, result.rows[:, :n], xs):
         ET.SubElement(
             grid,
             "polyline",

@@ -27,7 +27,7 @@ from paretomm import (
     solve_x_star,
 )
 from paretomm.cli import main, write_csv
-from paretomm.oracle import _newton_tolerance, lattice_size, simplex_lattice
+from paretomm.oracle import _lattice_blocks, _newton_tolerance, lattice_size
 from paretomm.problem_io import (
     PRESETS,
     atomic_open,
@@ -359,7 +359,7 @@ class TestSolveCommand:
     def test_budget_exit_two(self, png_file, capsys):
         code = run_cli(
             "solve", "--problem", png_file, "--eps0", "1e-3", "--eps", "1e-6",
-            "--beta0", "0.9,0.1", "--max-outer", "1", "--newton-inner",
+            "--beta0", "0.9,0.1", "--max-outer", "1",
         )
         assert code == 2
 
@@ -375,6 +375,21 @@ class TestSolveCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err == "failed: non-finite surrogate at outer iteration 0; assumptions violated\n"
+
+    def test_overflowing_jacobian_fails_with_one_line(self, tmp_path, capsys):
+        # Hessians 1e300 I centred at (+-1e10, 0): both gradients overflow at
+        # the start, before its x*(beta) solve
+        big = [[1e300, 0.0], [0.0, 1e300]]
+        spec = {"dimension": 2,
+                "objectives": [_quadratic(big, [1e10, 0.0]), _quadratic(big, [-1e10, 0.0])],
+                "preference": _quadratic([[1.0, 0.0], [0.0, 1.0]], [0.0, 1.0])}
+        path = tmp_path / "overflow.json"
+        save_problem_spec(str(path), spec)
+        code = run_cli("solve", "--problem", path, "--eps0", "1e-2", "--eps", "1e-4")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "failed: convergence constants unusable: the Jacobian is not finite\n"
 
 
 class TestTraceCsv:
@@ -392,7 +407,7 @@ class TestTraceCsv:
     def test_rows_parse_back(self, png_file, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         run_cli("solve", "--problem", png_file, "--eps0", "1e-2", "--eps", "1e-4", "--max-outer", "5",
-                "--newton-inner", "--beta0", "0.9,0.1", "--trace", trace)
+                "--beta0", "0.9,0.1", "--trace", trace)
         summary = json.loads(capsys.readouterr().out)
         config = SolverConfig(eps0=1e-2, eps=1e-4, max_outer=5, newton_inner=True)
         result = pmm_solve(load_problem(png_file), config, init=(None, np.array([0.9, 0.1])))
@@ -527,7 +542,8 @@ class TestOracleCommand:
         summary = json.loads(capsys.readouterr().out)
         problem = load_problem(str(path))
         tol = _newton_tolerance(problem.F)
-        betas = [SimplexPoint(counts / m) for counts in simplex_lattice(m, problem.F.n)]
+        lattice = next(_lattice_blocks(m, problem.F.n, lattice_size(m, problem.F.n)))
+        betas = [SimplexPoint(counts / m) for counts in lattice]
         values = [problem.f0.value(solve_x_star(problem.F, b, tol_grad=tol).x) for b in betas]
         expected = io.StringIO()
         write_csv(expected, ["beta_0", "beta_1", "beta_2", "f0"],
@@ -627,6 +643,24 @@ class TestPlotCommand:
         assert len(marks.findall("s:circle", ns)) == 1
         (path,) = marks.findall("s:polyline", ns)
         assert len(path.get("points").split()) == rows
+
+    def test_one_row_overlay_draws_only_its_marker(self, tmp_path):
+        # a single objective certifies at k = 0, so its trace holds one row:
+        # the overlay is one circle and its label, with no path
+        path, trace = tmp_path / "single.json", tmp_path / "trace.csv"
+        assert run_cli("generate", "--preset", "single-objective", "--out", path) == 0
+        assert run_cli("solve", "--problem", path, "--eps0", "1e-3", "--eps", "1e-6",
+                       "--trace", trace) == 0
+        assert len(trace.read_text().strip().split("\n")) == 2  # header and row 0
+        svg_path = tmp_path / "overlay.svg"
+        code = run_cli("plot", "--problem", path, "--resolution", 7, "--svg", svg_path,
+                       "--overlay", trace)
+        assert code == 0
+        ns = {"s": "http://www.w3.org/2000/svg"}
+        marks = ET.parse(svg_path).getroot().find(".//s:g[@id='overlays']", ns)
+        assert len(marks.findall("s:circle", ns)) == 1
+        assert [t.text for t in marks.findall("s:text", ns)] == ["trace.csv"]
+        assert marks.findall("s:polyline", ns) == []
 
     def test_log_cosh_contour_uses_hessian_at_its_centre(self, tmp_path):
         # H = I with c = 1 has Hessian 2 I at its minimizer z, so its level
@@ -845,8 +879,7 @@ class TestBuiltinProblemFile:
         save_problem_spec(str(path), spec)
         problem = load_problem(str(path))
         assert problem.F.L == pytest.approx(2.4)
-        code = run_cli("solve", "--problem", path, "--eps0", "3e-2", "--eps", "9e-4",
-                       "--newton-inner")
+        code = run_cli("solve", "--problem", path, "--eps0", "3e-2", "--eps", "9e-4")
         assert code == 0
 
 

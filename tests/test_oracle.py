@@ -20,13 +20,18 @@ from paretomm import (
     solve_x_star,
     tangent_directions,
 )
-from paretomm.oracle import _lattice_blocks, _newton_tolerance, simplex_lattice
+from paretomm.oracle import _lattice_blocks, _newton_tolerance
 from paretomm.problem import family_of
 from paretomm.problem_io import problem_from_spec, triangle_spec
 from conftest import random_quadratic_problem, random_spd
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
+
+
+def _lattice(m, n):
+    """Every lattice point's integer counts, in lattice order, as one block."""
+    return next(_lattice_blocks(m, n, lattice_size(m, n)))
 
 
 def _rescaled_triangle(field, change):
@@ -120,7 +125,7 @@ class TestGridSearch:
 
     def test_lattice_row_count_formula(self):
         for m, n in [(5, 2), (7, 3), (4, 4)]:
-            counts = simplex_lattice(m, n)
+            counts = _lattice(m, n)
             assert counts.shape == (lattice_size(m, n), n)
             assert counts.dtype.kind == "i" and counts.min() >= 0
             assert (counts.sum(axis=1) == m).all()
@@ -130,7 +135,7 @@ class TestGridSearch:
         for m, n in [(5, 2), (7, 3), (4, 4), (3, 1)]:
             blocks = list(_lattice_blocks(m, n, 4))
             assert all(len(b) == 4 for b in blocks[:-1]) and 1 <= len(blocks[-1]) <= 4
-            np.testing.assert_array_equal(np.concatenate(blocks), simplex_lattice(m, n))
+            np.testing.assert_array_equal(np.concatenate(blocks), _lattice(m, n))
 
     @pytest.mark.parametrize("field, change", [("H", lambda H: 1e4 * np.array(H)),
                                                ("z", lambda z: np.array(z) + 1e4)],
@@ -176,6 +181,12 @@ class TestGridSearch:
         assert not result.rows.flags.writeable
         assert min(result.rows[:, -1]) == result.f_star_min
 
+    @pytest.mark.parametrize("m, n", [(200, 3), (30, 4)])
+    def test_collected_weights_round_to_the_lattice_counts(self, rng, m, n):
+        # the plot reads each point's lattice coordinates back from its weights
+        result = grid_search_preference_opt(random_quadratic_problem(rng, d=2, n=n), m, collect=True)
+        np.testing.assert_array_equal(np.rint(result.rows[:, :n] * m), _lattice(m, n))
+
 
 class TestBatchedLattice:
     @pytest.mark.parametrize(
@@ -195,7 +206,7 @@ class TestBatchedLattice:
         result = grid_search_preference_opt(problem, m, collect=True)
         assert result.rows.shape == (lattice_size(m, F.n), F.n + F.dim + 1)
         W, X = result.rows[:, : F.n], result.rows[:, F.n : -1]
-        for counts, w, x in zip(simplex_lattice(m, F.n), W, X):
+        for counts, w, x in zip(_lattice(m, F.n), W, X):
             reference = solve_x_star(F, SimplexPoint(counts / m), tol_grad=tol)
             np.testing.assert_array_equal(w, reference.beta.weights)
             assert np.linalg.norm(x - reference.x) <= 1e-12 * max(1.0, np.linalg.norm(reference.x))
@@ -255,7 +266,7 @@ class TestBatchedLattice:
         assert len(newton_calls) == lattice_size(m, 3)
         x_warm = None
         W, X, values = result.rows[:, :3], result.rows[:, 3:-1], result.rows[:, -1]
-        for counts, w, x, value in zip(simplex_lattice(m, 3), W, X, values):
+        for counts, w, x, value in zip(_lattice(m, 3), W, X, values):
             expected_beta = SimplexPoint(counts / m)
             point = solve_x_star(problem.F, expected_beta, tol_grad=_newton_tolerance(problem.F),
                                  x0=x_warm)

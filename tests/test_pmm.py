@@ -226,6 +226,29 @@ class TestComputeC1C2:
             c1d, _ = compute_c1_c2(doubled, x)
             assert c1d <= c1 + 1e-12
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_jacobian_raises(self, bad):
+        # the SVD raises LinAlgError on a NaN entry and returns a NaN norm
+        # on an inf one, which max(t1, t2) would drop
+        problem = problem_from_spec(triangle_spec())
+        x = np.array([0.5, 0.5])
+        jacobian_T = problem.F.jacobian_T(x)
+        jacobian_T[0, 1] = bad
+        with pytest.raises(NumericalFailureError, match="Jacobian is not finite"):
+            compute_c1_c2(problem, x, jacobian_T=jacobian_T)
+
+    def test_overflowing_gradients_raise(self):
+        # Hessians 1e300 I centred at (+-1e10, 0): both gradients at the
+        # origin overflow, so no finite constant describes the point
+        q = lambda z: {"kind": "quadratic", "H": [[1e300, 0.0], [0.0, 1e300]], "z": z}
+        problem = problem_from_spec({
+            "dimension": 2,
+            "objectives": [q([1e10, 0.0]), q([-1e10, 0.0])],
+            "preference": {"kind": "quadratic", "H": [[1.0, 0.0], [0.0, 1.0]], "z": [0.0, 1.0]},
+        })
+        with np.errstate(over="ignore"), pytest.raises(NumericalFailureError):
+            compute_c1_c2(problem, np.zeros(2))
+
 
 class TestPmmSolve:
     def test_counterexample_default_init_certifies_at_origin(self, png_instance):
