@@ -163,10 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--alpha",
         type=float,
-        default=0.5,
-        help="share of eps0 that bounds the weight gap; the rest bounds err (default 0.5)",
+        default=SolverConfig.alpha,
+        help="share of eps0 that bounds the weight gap; the rest bounds err (default %(default)s)",
     )
-    p.add_argument("--max-outer", type=int, default=100_000)
+    p.add_argument("--max-outer", type=int, default=SolverConfig.max_outer)
     p.add_argument("--beta0", help="comma-separated initial weights, one per objective")
     p.add_argument("--trace", help="write per-iteration CSV here")
     p.set_defaults(func=_cmd_solve, output="trace")

@@ -120,14 +120,13 @@ def _x_star_rows(
     residual = np.full(len(W), np.nan)
     if quad is not None:
         H, z = quad.H, quad.z
-        with np.errstate(all="ignore"):
-            rhs = np.einsum("ijk,ik->ij", H, z)
-            try:
-                X = np.linalg.solve(np.einsum("bi,ijk->bjk", W, H), (W @ rhs)[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                pass
-            G = sum(W[:, i, None] * ((X - z[i]) @ H[i].T) for i in range(F.n))
-            residual = np.linalg.norm(G, axis=1)  # an overflow to inf sends the row to Newton
+        rhs = np.einsum("ijk,ik->ij", H, z)
+        try:
+            X = np.linalg.solve(np.einsum("bi,ijk->bjk", W, H), (W @ rhs)[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            pass
+        G = sum(W[:, i, None] * ((X - z[i]) @ H[i].T) for i in range(F.n))
+        residual = np.linalg.norm(G, axis=1)  # an overflow to inf sends the row to Newton
     for i in np.flatnonzero(~(residual <= tol)):
         x0 = X[i - 1] if i else x_prev
         X[i] = solve_x_star(F, SimplexPoint(A[i]), tol_grad=tol, x0=x0).x
@@ -143,8 +142,7 @@ def _preference_values(f0: SmoothFunction, X: np.ndarray, batched: bool) -> np.n
     if quad is None:
         return np.array([f0.value(x) for x in X])
     D = X - quad.z
-    with np.errstate(all="ignore"):
-        return 0.5 * np.einsum("bi,bi->b", D, D @ quad.H.T)
+    return 0.5 * np.einsum("bi,bi->b", D, D @ quad.H.T)
 
 
 @dataclass(eq=False)
@@ -161,6 +159,7 @@ class GridSearchResult:
     rows: Optional[np.ndarray] = None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow ends in a Newton re-solve or NumericalFailureError
 def grid_search_preference_opt(
     problem: ProblemInstance, resolution: int, collect: bool = False
 ) -> GridSearchResult:

@@ -206,6 +206,7 @@ def _certificate(surrogate, eps0, eps, alpha) -> StationarityCertificate:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing gradient raises NumericalFailureError
 def compute_c1_c2(
     problem: ProblemInstance,
     x: np.ndarray,
@@ -493,7 +494,7 @@ def pmm_solve(
     point = solve_x_star(F, beta, tol_grad=compute_c1_c2(problem, x)[1] * config.eps, x0=x)
     f0_value = problem.f0.value(point.x)
     curvature, trials, stalls = problem.bundle.mu_g, 1, 0
-    ratio, shrink = _START_RATIO, False
+    ratio = _START_RATIO
     for k in range(config.max_outer + 1):
         surrogate = build_surrogate(problem, point)
         cert = _certificate(surrogate, config.eps0, config.eps, config.alpha)
@@ -536,9 +537,8 @@ def pmm_solve(
                 )
         f0_anchor = f0_value
         point, f0_value, curvature, trials, slack, ratio = _outer_step(
-            problem, surrogate, f0_anchor, c1 * config.eps0, c2 * config.eps, ratio, shrink
+            problem, surrogate, f0_anchor, c1 * config.eps0, c2 * config.eps, ratio, k > 0 and trials == 1
         )
-        shrink = trials == 1
         if point.residual > config.eps:
             point = _reweighted(F, point)
         stalled = point.residual > config.eps and abs(f0_value - f0_anchor) <= slack

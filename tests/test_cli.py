@@ -66,6 +66,9 @@ def _without(key):
 
 NAN, INF = float("nan"), float("inf")
 H_PNG = [[1.0, 1.0], [1.0, 2.0]]
+# Hessians 1e300 I centred at (+-1e10, 0): both gradients overflow near the origin
+OVERFLOWING_OBJECTIVES = [_quadratic([[1e300, 0.0], [0.0, 1e300]], [1e10, 0.0]),
+                          _quadratic([[1e300, 0.0], [0.0, 1e300]], [-1e10, 0.0])]
 
 
 class TestSolveCommand:
@@ -377,11 +380,8 @@ class TestSolveCommand:
         assert captured.err == "failed: non-finite surrogate at outer iteration 0; assumptions violated\n"
 
     def test_overflowing_jacobian_fails_with_one_line(self, tmp_path, capsys):
-        # Hessians 1e300 I centred at (+-1e10, 0): both gradients overflow at
-        # the start, before its x*(beta) solve
-        big = [[1e300, 0.0], [0.0, 1e300]]
-        spec = {"dimension": 2,
-                "objectives": [_quadratic(big, [1e10, 0.0]), _quadratic(big, [-1e10, 0.0])],
+        # both gradients overflow at the start, before its x*(beta) solve
+        spec = {"dimension": 2, "objectives": OVERFLOWING_OBJECTIVES,
                 "preference": _quadratic([[1.0, 0.0], [0.0, 1.0]], [0.0, 1.0])}
         path = tmp_path / "overflow.json"
         save_problem_spec(str(path), spec)
@@ -584,8 +584,11 @@ class TestOracleCommand:
                              _quadratic((np.array(H_PNG) * 1e160).tolist(), [1.0, 0.0])]}, 1.0),
             # f0 overflows at every lattice point: no best weights, so no CSV
             ({"preference": _quadratic([[1e300, 0.0], [0.0, 1e300]], [0.0, 1e10])}, None),
+            # the gradients overflow where Newton re-solves the first point
+            ({"objectives": OVERFLOWING_OBJECTIVES}, None),
         ],
-        ids=["huge-preference-H", "huge-objective-z", "huge-objective-H", "overflowing-preference"],
+        ids=["huge-preference-H", "huge-objective-z", "huge-objective-H", "overflowing-preference",
+             "overflowing-gradients"],
     )
     def test_extreme_finite_spec_exits_cleanly(self, change, f0_at_first_centre, tmp_path, capsys):
         path = tmp_path / "extreme.json"
@@ -599,7 +602,8 @@ class TestOracleCommand:
         assert "Traceback" not in captured.err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         if f0_at_first_centre is None:
-            assert code == 1 and captured.err.startswith("failed:")
+            assert code == 1 and captured.out == ""
+            assert captured.err.startswith("failed:") and captured.err.count("\n") == 1
             assert not out_csv.exists()
         elif code == 0:
             with open(out_csv) as fh:
@@ -661,6 +665,18 @@ class TestPlotCommand:
         assert len(marks.findall("s:circle", ns)) == 1
         assert [t.text for t in marks.findall("s:text", ns)] == ["trace.csv"]
         assert marks.findall("s:polyline", ns) == []
+
+    def test_overflowing_gradients_fail_with_one_line(self, tmp_path, capsys):
+        path, svg_path = tmp_path / "overflow.json", tmp_path / "overflow.svg"
+        save_problem_spec(str(path), {**png_counterexample_spec(), "objectives": OVERFLOWING_OBJECTIVES})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("plot", "--problem", path, "--resolution", 20, "--svg", svg_path)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("failed:") and captured.err.count("\n") == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not svg_path.exists()
 
     def test_log_cosh_contour_uses_hessian_at_its_centre(self, tmp_path):
         # H = I with c = 1 has Hessian 2 I at its minimizer z, so its level
