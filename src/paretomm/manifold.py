@@ -7,6 +7,10 @@ x*(beta), the exact derivative of the map (an SPD solve against the
 objective Jacobian), its computable estimate at off-manifold points, and the
 error bound that controls how far the estimated gradient of the pulled-back
 preference can be from the true one.
+
+Every Hessian solve goes through ``spd_solve``.  It factors once where the
+objective set's ``hess_floor`` has already decided its Cholesky test of the
+floor mu/2 (see ``ObjectiveSet``), and twice elsewhere.
 """
 
 from __future__ import annotations
@@ -74,20 +78,27 @@ class MinimizeResult:
     iterations: int
 
 
-def spd_solve(H: np.ndarray, B: np.ndarray, mu_floor: float) -> np.ndarray:
+def spd_solve(
+    H: np.ndarray, B: np.ndarray, mu_floor: float, *, known_floor: float = -math.inf
+) -> np.ndarray:
     """Solve H X = B, failing hard if H is not SPD above mu_floor/2.
 
     A curvature floor below half the declared strong convexity constant
     indicates a violated assumption rather than bad luck, so it raises, as
     does a non-finite entry in H or B.  The floor is checked by a Cholesky
-    factorization of H - (mu_floor/2) I.
+    factorization of H - (mu_floor/2) I before the LU solve.  Both checks
+    of H are skipped when mu_floor/2 lies below ``known_floor``, the
+    ``hess_floor`` of the set whose family formed H: the test then passes,
+    and H is finite because B, the gradients at the same x, is.
     """
     H = np.asarray(H, dtype=float)
     B = np.asarray(B, dtype=float)
-    if not (np.isfinite(H).all() and np.isfinite(B).all()):
+    covered = 0.5 * mu_floor < known_floor
+    if not (np.isfinite(B).all() and (covered or np.isfinite(H).all())):
         raise NumericalFailureError("non-finite Hessian or right-hand side in an SPD solve")
     try:
-        np.linalg.cholesky(H - 0.5 * mu_floor * np.eye(H.shape[0]))
+        if not covered:
+            np.linalg.cholesky(H - 0.5 * mu_floor * np.eye(H.shape[0]))
         return np.linalg.solve(H, B)
     except np.linalg.LinAlgError:
         raise NumericalFailureError(f"Hessian not positive definite above {0.5 * mu_floor:.3e}") from None
@@ -98,10 +109,12 @@ def minimize_function(f: SmoothFunction, x0: np.ndarray, tol_grad: float) -> Min
 
     Damped Newton: each step solves H p = -g with ``spd_solve`` and halves
     the step until the Armijo test holds, so a strongly convex quadratic is
-    solved in one step.  A step is taken only when the trial point lowers
-    the smallest f or the smallest gradient norm seen so far; when it lowers
-    neither, the solve is at the rounding floor and returns the current
-    iterate, whose ``grad_norm`` may then exceed tol_grad.
+    solved in one step.  The solve tests the floor f.mu/2 unless f is a
+    ``scalarize`` result whose set's ``hess_floor`` already covers it.  A
+    step is taken only when the trial point lowers the smallest f or the
+    smallest gradient norm seen so far; when it lowers neither, the solve is
+    at the rounding floor and returns the current iterate, whose
+    ``grad_norm`` may then exceed tol_grad.
     """
     x = np.asarray(x0, dtype=float).copy()
     g = f.grad(x)
@@ -112,7 +125,7 @@ def minimize_function(f: SmoothFunction, x0: np.ndarray, tol_grad: float) -> Min
     f_low, gn_low = fx, gn
     it = 0
     while gn > tol_grad:
-        p = -spd_solve(f.hess(x), g, f.mu or 0.0)
+        p = -spd_solve(f.hess(x), g, f.mu or 0.0, known_floor=f._hess_floor)
         slope = float(g @ p)
         noise = 1e-14 * (1.0 + abs(fx))  # sufficient-decrease test drowns near the floor
         t = 1.0
@@ -160,9 +173,11 @@ def solve_x_star(
 def grad_x_star_exact(F: ObjectiveSet, point: ManifoldPoint) -> Jacobian:
     """Derivative of the weight-to-minimizer map at an on-manifold point.
 
-    Computes -(hess f_beta(x))^{-1} @ jacobian_T(x) via an SPD factorization.
-    The caller vouches that ``point.residual`` is small enough for the point
-    to be treated as on-manifold.
+    Computes -(hess f_beta(x))^{-1} @ jacobian_T(x) with ``spd_solve``: one
+    LU factorization, after a Cholesky test of the floor mu/2 unless
+    ``F.hess_floor`` already covers it.  The caller vouches that
+    ``point.residual`` is small enough for the point to be treated as
+    on-manifold.
     """
     return grad_x_star_estimate(F, point.x, point.beta)
 
@@ -181,13 +196,15 @@ def grad_x_star_estimate(
     stack ``F._hessians(x)`` when the caller already has them.  A vector
     ``adjoint_of`` rides along as one more right-hand-side column of the
     same solve, and the result's ``adjoint`` is hess f_beta(x)^{-1} of it.
+    ``hessians`` must be the set's own, since ``F.hess_floor`` vouches for
+    their weighted sum.
     """
     x = np.asarray(x, dtype=float)
     if jacobian_T is None:
         jacobian_T = F.jacobian_T(x)
     H = weighted_sum(beta.weights, F._hessians(x) if hessians is None else hessians)
     cols = (jacobian_T,) if adjoint_of is None else (jacobian_T, adjoint_of[:, None])
-    X = spd_solve(H, np.concatenate(cols, axis=1), F.mu)
+    X = spd_solve(H, np.concatenate(cols, axis=1), F.mu, known_floor=F.hess_floor)
     return Jacobian(matrix=-X[:, : F.n], adjoint=None if adjoint_of is None else X[:, -1])
 
 

@@ -8,13 +8,15 @@ Lipschitz constant L0.
 
 from __future__ import annotations
 
+import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, InvalidArgumentError
+from .simplex import _EPS, SimplexPoint
 
 # Lipschitz constant of d/dt sech^2(t), attained at t = atanh(1/sqrt(3)).
 LOG_COSH_HESS_LIPSCHITZ = 4.0 / (3.0 * np.sqrt(3.0))
@@ -29,11 +31,13 @@ class Family:
     when every weight is 0: a quadratic.  ``values``, ``gradients`` and
     ``hessians`` broadcast over that leading stack axis.  The gradient keeps
     the centred form H (x - z), whose matrix-vector product rounds the same
-    stacked or not.
+    stacked or not.  ``bounds`` is (lambda_min(H), lambda_max(H) + c), the
+    Hessian bounds the builder computed, stacked to (n, 2).
     """
 
     H: np.ndarray
     z: np.ndarray
+    bounds: np.ndarray
     c: Optional[np.ndarray] = None
 
     def values(self, x: np.ndarray):
@@ -72,6 +76,8 @@ class SmoothFunction:
     ``value``, ``grad`` and ``hess`` are; ``family_of`` reads it only while
     they still are and the hint is still its centre z, so a
     ``dataclasses.replace`` copy that swaps either is evaluated as it is.
+    ``scalarize`` alone sets ``_hess_floor``, to its set's ``hess_floor``,
+    for ``minimize_function``.
     """
 
     dim: int
@@ -83,6 +89,7 @@ class SmoothFunction:
     L_H: Optional[float] = None
     minimizer_hint: Optional[np.ndarray] = None
     family: Optional[Family] = None
+    _hess_floor: float = field(default=-math.inf, repr=False)
 
 
 def family_of(f: SmoothFunction) -> Optional[Family]:
@@ -148,7 +155,7 @@ def make_log_cosh_quadratic(H: np.ndarray, z: np.ndarray, c: float) -> SmoothFun
     eigs = np.linalg.eigvalsh(H)
     if not eigs[0] > 1e-24 * eigs[-1]:
         raise InvalidArgumentError("H is not positive definite")
-    family = Family(H, z, np.array(float(c)) if c else None)
+    family = Family(H, z, np.array([eigs[0], eigs[-1] + c]), np.array(float(c)) if c else None)
     return SmoothFunction(
         dim=z.shape[0],
         value=family.values,
@@ -179,6 +186,17 @@ class ObjectiveSet:
     Hessians of all objectives are array expressions in x - minimizers.
     Otherwise it is None and each objective is called in turn.  The stacked
     gradients round exactly as each objective's own ``grad``.
+
+    ``hess_floor``, derived from the family when the set is built or
+    replaced, is a t below which a Cholesky test of H - t I passes for
+    every H = sum_i beta_i hess f_i(x), beta a ``SimplexPoint`` and x
+    finite.  Such an H is at least the smallest lambda_min(H_i) (log-cosh
+    adds a nonnegative diagonal); computing that eigenvalue, forming H and
+    the test move it by less than 4 (n + d) d eps L, L the largest
+    lambda_max(H_i) + c_i (Weyl's bound plus the Cholesky backward error),
+    so hess_floor is that lambda_min less this margin.  It is -inf without
+    a family or when 2 L overflows, and never reads ``mu``: a set whose mu
+    is raised above it keeps the test.
     """
 
     objectives: tuple
@@ -188,6 +206,15 @@ class ObjectiveSet:
     minimizers: np.ndarray  # (n, d)
     r: float
     family: Optional[Family] = None
+    hess_floor: float = field(init=False, default=-math.inf)
+
+    def __post_init__(self):
+        fam = self.family
+        if fam is not None:
+            n, d = fam.z.shape
+            lo, hi = fam.bounds[:, 0].min(), fam.bounds[:, 1].max()
+            if hi < 0.5 * np.finfo(float).max:
+                self.hess_floor = float(lo - 4 * (n + d) * d * _EPS * hi)
 
     @property
     def n(self) -> int:
@@ -258,7 +285,8 @@ class ObjectiveSet:
             H.setflags(write=False)
             c = np.array([0.0 if fam.c is None else fam.c for fam in families])
             c.setflags(write=False)
-            family = Family(H, minimizers, c if c.any() else None)
+            bounds = np.array([fam.bounds for fam in families])
+            family = Family(H, minimizers, bounds, c if c.any() else None)
         return cls(
             objectives=objectives, mu=mu, L=L, L_H=L_H, minimizers=minimizers, r=r, family=family
         )
@@ -324,7 +352,8 @@ def scalarize(F: ObjectiveSet, beta) -> SmoothFunction:
     of all objectives at once.  ``grad`` adds the weighted gradients in
     objective order, so it rounds exactly as the running sum
     sum_i beta_i grad f_i(x); ``value`` and ``hess`` are one contraction
-    each and agree with that sum to rounding.
+    each and agree with that sum to rounding.  Only a ``SimplexPoint`` is
+    known to hold weights that ``F.hess_floor`` covers.
     """
     w = np.asarray(getattr(beta, "weights", beta), dtype=float)
     if w.shape != (F.n,):
@@ -348,4 +377,5 @@ def scalarize(F: ObjectiveSet, beta) -> SmoothFunction:
         L=F.L,
         L_H=F.L_H,
         minimizer_hint=w @ F.minimizers,
+        _hess_floor=F.hess_floor if isinstance(beta, SimplexPoint) else -math.inf,
     )

@@ -9,8 +9,10 @@ from paretomm import (
     ManifoldPoint,
     NumericalFailureError,
     ObjectiveSet,
+    ProblemInstance,
     SimplexPoint,
     SmoothFunction,
+    SolverConfig,
     build_surrogate,
     err_grad_f0,
     grad_x_star_estimate,
@@ -19,12 +21,20 @@ from paretomm import (
     make_quadratic,
     minimize_function,
     norm_1_2,
+    pmm_solve,
+    quadratic_from_hessian,
     scalarize,
     solve_x_star,
 )
+from paretomm import manifold
 from paretomm.manifold import spd_solve, stable_norm
 from paretomm.oracle import finite_difference_jacobian, tangent_directions
-from paretomm.problem_io import identity_pair_spec, png_counterexample_spec, problem_from_spec
+from paretomm.problem_io import (
+    identity_pair_spec,
+    png_counterexample_spec,
+    problem_from_spec,
+    random_problem_spec,
+)
 from conftest import random_logcosh_problem, random_quadratic_problem
 
 E1 = np.array([1.0, 0.0])
@@ -209,6 +219,151 @@ class TestSpdSolve:
             H[i, j] = bad
         with pytest.raises(NumericalFailureError):
             spd_solve(H, B, mu_floor=lam_min)
+
+
+@pytest.fixture
+def spd_calls(monkeypatch):
+    """Counts the ``spd_solve`` calls and the ``np.linalg.cholesky`` calls made inside them."""
+    calls = {"solves": 0, "choleskys": 0}
+    solve, cholesky = manifold.spd_solve, np.linalg.cholesky
+
+    def counted_cholesky(M):
+        calls["choleskys"] += 1
+        return cholesky(M)
+
+    def counted(*args, **kwargs):
+        calls["solves"] += 1
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "cholesky", counted_cholesky)
+            return solve(*args, **kwargs)
+
+    monkeypatch.setattr(manifold, "spd_solve", counted)
+    return calls
+
+
+def _log_cosh_spec(seed):
+    spec = random_problem_spec(np.random.default_rng(seed), 3, 3)
+    spec["objectives"] = [
+        {"kind": "builtin", "name": "log_cosh_quadratic", "params": {"H": e["H"], "z": e["z"], "c": 1.0}}
+        for e in spec["objectives"]
+    ]
+    return spec
+
+
+class TestHessFloor:
+    """An objective set's ``hess_floor`` replaces the Cholesky test only where it proves it passes."""
+
+    # A log-cosh set without a family has no third derivative for the exact
+    # metric (see ``pmm._exact_metric``), so its run is compared with the
+    # family set whose floor is switched off instead of with a hand-wrapped copy.
+    @pytest.mark.parametrize(
+        "spec, config, kept",
+        [
+            (png_counterexample_spec(), SolverConfig(eps0=1e-3, eps=1e-6), "hand-wrapped"),
+            (png_counterexample_spec(), SolverConfig(eps0=1e-3, eps=1e-6), "floor-off"),
+            (_log_cosh_spec(5), SolverConfig(eps0=1e-2, eps=1e-4), "floor-off"),
+        ],
+        ids=["png-example-hand-wrapped", "png-example-floor-off", "log-cosh-floor-off"],
+    )
+    def test_family_set_skips_only_the_test(self, spec, config, kept, spd_calls):
+        problem = problem_from_spec(spec)
+        F = problem.F
+        assert F.family is not None and 0.5 * F.mu < F.hess_floor < F.mu
+        if kept == "hand-wrapped":
+            G = ObjectiveSet.from_objectives([dataclasses.replace(f, family=None) for f in F.objectives])
+            assert G.family is None
+        else:
+            G = dataclasses.replace(F)
+            G.hess_floor = -np.inf
+        assert G.hess_floor == -np.inf
+        runs = []
+        for p in (problem, ProblemInstance.create(G, problem.f0)):
+            spd_calls.update(solves=0, choleskys=0)
+            runs.append((pmm_solve(p, config), dict(spd_calls)))
+        (a, a_calls), (b, b_calls) = runs
+        assert a.status == b.status == "certified" and len(a.trace) == len(b.trace)
+        for ra, rb in zip(a.trace, b.trace):
+            for field in dataclasses.fields(ra):
+                va, vb = getattr(ra, field.name), getattr(rb, field.name)
+                assert np.asarray(va).tobytes() == np.asarray(vb).tobytes(), field.name
+        assert a.point.x.tobytes() == b.point.x.tobytes()
+        assert a_calls == {"solves": b_calls["solves"], "choleskys": 0}
+        assert b_calls["choleskys"] == b_calls["solves"] > 0
+
+    def test_raised_mu_keeps_the_test(self):
+        problem = problem_from_spec(png_counterexample_spec())
+        F = problem.F
+        raised = [dataclasses.replace(f, mu=2.5) for f in F.objectives]
+        for G in (dataclasses.replace(F, mu=2.5), ObjectiveSet.from_objectives(raised)):
+            assert G.mu == 2.5 and G.hess_floor == F.hess_floor
+            with pytest.raises(
+                NumericalFailureError, match=r"^Hessian not positive definite above 1\.250e\+00$"
+            ):
+                pmm_solve(ProblemInstance.create(G, problem.f0), SolverConfig(eps0=1e-3, eps=1e-6))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 8),
+        n=st.integers(1, 5),
+        decades=st.floats(0.0, 14.0),
+        c=st.sampled_from([0.0, 0.5, 10.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_floor_test_passes_just_below_hess_floor(self, d, n, decades, c, seed):
+        rng = np.random.default_rng(seed)
+        objectives = []
+        for _ in range(n):
+            Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            H = (Q * 10.0 ** rng.uniform(0.0, decades, size=d)) @ Q.T
+            objectives.append(make_log_cosh_quadratic(0.5 * (H + H.T), rng.normal(size=d), c))
+        F = ObjectiveSet.from_objectives(objectives)
+        if not F.hess_floor > 0.0:
+            return
+        t = np.nextafter(F.hess_floor, -np.inf)
+        # the vertex of the flattest objective, far from every centre, is
+        # where the weighted Hessian comes closest to the family's lambda_min
+        flattest = SimplexPoint.vertex(n, int(np.argmin(F.family.bounds[:, 0])))
+        points = [(flattest, np.full(d, 1e3))]
+        points += [(SimplexPoint(rng.dirichlet(np.ones(n))), rng.normal(size=d) * 3.0) for _ in range(4)]
+        for beta, x in points:
+            np.linalg.cholesky(scalarize(F, beta).hess(x) - t * np.eye(d))
+
+    def test_replace_derives_the_floor_again(self, png_instance):
+        F = png_instance.F
+        assert dataclasses.replace(F).hess_floor == F.hess_floor
+        assert dataclasses.replace(F, family=None).hess_floor == -np.inf
+
+    def test_raw_weights_keep_the_test(self, png_instance):
+        F = png_instance.F
+        assert scalarize(F, SimplexPoint.uniform(2))._hess_floor == F.hess_floor
+        assert scalarize(F, np.array([2.0, -1.0]))._hess_floor == -np.inf
+
+    def test_kappa_beyond_the_margin_keeps_the_test(self, spd_calls):
+        H = np.diag([1.0, 1e-15])
+        F = ObjectiveSet.from_objectives([quadratic_from_hessian(H, z) for z in (E1, -E1)])
+        assert F.family is not None and F.hess_floor < 0.5 * F.mu
+        beta = SimplexPoint(np.array([0.25, 0.75]))
+        grad_x_star_estimate(F, E2, beta)
+        solve_x_star(F, beta, tol_grad=1e-12, x0=E2)
+        assert spd_calls["choleskys"] == spd_calls["solves"] >= 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("instance", ["png-example", "log-cosh"])
+    def test_non_finite_x_raises(self, instance, bad, png_instance):
+        if instance == "png-example":
+            F = png_instance.F
+        else:
+            F = problem_from_spec(_log_cosh_spec(5)).F
+        assert 0.5 * F.mu < F.hess_floor
+        x = np.zeros(F.dim)
+        x[-1] = bad
+        beta = SimplexPoint.uniform(F.n)
+        # inf - inf in the scalarized gradient's running sum is numpy's "invalid"
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalFailureError):
+                grad_x_star_estimate(F, x, beta)
+            with pytest.raises(NumericalFailureError):
+                minimize_function(scalarize(F, beta), x, tol_grad=1e-8)
 
 
 class TestExactJacobian:
