@@ -23,6 +23,7 @@ from .problem import (
     ObjectiveSet,
     ProblemInstance,
     SmoothFunction,
+    is_real,
     quadratic_from_hessian,
     weighted_sum,
 )
@@ -41,8 +42,8 @@ class PngConfig:
     max_iters: int
 
     def __post_init__(self):
-        if any(isinstance(v, (bool, np.bool_)) for v in (self.c, self.step, self.eps_stop, self.max_iters)):
-            raise InvalidArgumentError("PNG parameters must be numbers, not booleans")
+        if not all(is_real(v) for v in (self.c, self.step, self.eps_stop, self.max_iters)):
+            raise InvalidArgumentError("PNG parameters must be real numbers, not booleans")
         if not isinstance(self.max_iters, numbers.Integral):
             raise InvalidArgumentError("max_iters must be an integer")
         if not all(0 < v < np.inf for v in (self.c, self.step, self.eps_stop)) or self.max_iters <= 0:

@@ -50,7 +50,7 @@ from .manifold import (
     solve_x_star,
     stable_norm,
 )
-from .problem import ProblemInstance
+from .problem import ProblemInstance, is_real
 from .simplex import (
     SimplexPoint,
     SimplexQuadratic,
@@ -137,8 +137,8 @@ def build_surrogate(problem: ProblemInstance, point: ManifoldPoint) -> Surrogate
 class SolverConfig:
     """Outer-loop tolerances and the outer iteration budget.
 
-    Requires 0 < eps <= eps0^2 <= 1 and max_outer >= 0, none of them a
-    boolean.  The convergence constants c1/c2 are not settable:
+    Requires 0 < eps <= eps0^2 <= 1 and max_outer >= 0, each a real number
+    and not a boolean.  The convergence constants c1/c2 are not settable:
     ``compute_c1_c2`` evaluates them at every iterate.  The scalarized
     solves always use Newton's method, which stops at its target or at the
     rounding floor, so they take no budget; ``newton_inner`` is accepted
@@ -152,8 +152,8 @@ class SolverConfig:
     newton_inner: bool = False
 
     def __post_init__(self):
-        if any(isinstance(v, (bool, np.bool_)) for v in (self.eps0, self.eps, self.alpha, self.max_outer)):
-            raise ConfigurationError("eps0, eps, alpha and max_outer must be numbers, not booleans")
+        if not all(is_real(v) for v in (self.eps0, self.eps, self.alpha, self.max_outer)):
+            raise ConfigurationError("eps0, eps, alpha and max_outer must be real numbers, not booleans")
         if not (0.0 < self.eps0 <= 1.0):
             raise ConfigurationError("requires 0 < eps0 <= 1")
         if not (0.0 < self.eps <= self.eps0**2):

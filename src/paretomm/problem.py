@@ -1,7 +1,7 @@
 """Problem instances: smooth functions, objective sets, and derived constants.
 
-An objective set holds n strongly convex objectives together with the
-smoothness bundle (mu, L, L_H, r) that every solver bound is computed from.
+An objective set holds n strongly convex objectives and derives from them
+the smoothness bundle (mu, L, L_H, r) that every solver bound is computed from.
 The preference function is a separate smooth function with its own gradient
 Lipschitz constant L0.
 """
@@ -100,6 +100,10 @@ def family_of(f: SmoothFunction) -> Optional[Family]:
     return fam if np.array_equal(f.minimizer_hint, fam.z) else None
 
 
+def is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)  # np.bool_ is not Real
+
+
 def quadratic_from_hessian(H: np.ndarray, z: np.ndarray) -> SmoothFunction:
     """Quadratic f(x) = 0.5 * (x - z)^T H (x - z) with the given Hessian H.
 
@@ -140,7 +144,7 @@ def make_log_cosh_quadratic(H: np.ndarray, z: np.ndarray, c: float) -> SmoothFun
     z = np.array(z, dtype=float)
     if not (np.isfinite(H).all() and np.isfinite(z).all()):
         raise InvalidArgumentError("H and z must be finite")
-    if isinstance(c, bool) or not isinstance(c, numbers.Real):  # np.bool_ is not Real
+    if not is_real(c):
         raise InvalidArgumentError(f"c must be a real number, got {type(c).__name__}")
     if not np.isfinite(c):
         raise InvalidArgumentError("c must be finite")
@@ -181,40 +185,76 @@ def norm_1_2(M: np.ndarray) -> float:
 class ObjectiveSet:
     """The n objectives with their shared constant bundle and exact minimizer hints.
 
+    ``objectives`` is the one input: each build (``from_objectives``, the
+    constructor or ``dataclasses.replace``, which refuse a derived field as
+    an argument) derives every other field from it.  ``mu`` is the
+    objectives' smallest mu, ``L`` and ``L_H`` their largest, and ``r`` the
+    largest distance between two of the ``minimizers``, the hints.
+
     When ``family_of`` reads every objective, ``family`` stacks them (see
     ``Family``, with z the minimizers), and the values, gradients and
     Hessians of all objectives are array expressions in x - minimizers.
     Otherwise it is None and each objective is called in turn.  The stacked
     gradients round exactly as each objective's own ``grad``.
 
-    ``hess_floor``, derived from the family when the set is built or
-    replaced, is a t below which a Cholesky test of H - t I passes for
+    ``hess_floor`` is a t below which a Cholesky test of H - t I passes for
     every H = sum_i beta_i hess f_i(x), beta a ``SimplexPoint`` and x
     finite.  Such an H is at least the smallest lambda_min(H_i) (log-cosh
     adds a nonnegative diagonal); computing that eigenvalue, forming H and
     the test move it by less than 4 (n + d) d eps L, L the largest
     lambda_max(H_i) + c_i (Weyl's bound plus the Cholesky backward error),
     so hess_floor is that lambda_min less this margin.  It is -inf without
-    a family or when 2 L overflows, and never reads ``mu``: a set whose mu
-    is raised above it keeps the test.
+    a family or when 2 L overflows, and never reads ``mu``: objectives
+    whose mu is raised above it keep the test.
     """
 
     objectives: tuple
-    mu: float
-    L: float
-    L_H: float
-    minimizers: np.ndarray  # (n, d)
-    r: float
-    family: Optional[Family] = None
+    mu: float = field(init=False)
+    L: float = field(init=False)
+    L_H: float = field(init=False)
+    minimizers: np.ndarray = field(init=False)  # (n, d)
+    r: float = field(init=False)
+    family: Optional[Family] = field(init=False, default=None)
     hess_floor: float = field(init=False, default=-math.inf)
 
     def __post_init__(self):
-        fam = self.family
-        if fam is not None:
-            n, d = fam.z.shape
-            lo, hi = fam.bounds[:, 0].min(), fam.bounds[:, 1].max()
+        objectives = self.objectives = tuple(self.objectives)
+        if len(objectives) < 1:
+            raise InvalidArgumentError("need at least one objective")
+        d = objectives[0].dim
+        for i, f in enumerate(objectives):
+            if f.dim != d:
+                raise InvalidArgumentError(f"objective {i} has dim {f.dim}, expected {d}")
+            if f.mu is None or f.L is None or f.L_H is None:
+                raise ConfigurationError(f"objective {i} is missing declared constants")
+            if not (0 < f.mu <= f.L):
+                raise ConfigurationError(f"objective {i} must have 0 < mu <= L")
+        self.mu = min(f.mu for f in objectives)
+        self.L = max(f.L for f in objectives)
+        self.L_H = max(f.L_H for f in objectives)
+        for i, f in enumerate(objectives):
+            m = f.minimizer_hint
+            if m is None or not np.linalg.norm(f.grad(m)) <= 1e-10 * self.L:
+                raise ConfigurationError(f"objective {i}: minimizer_hint is not its minimizer")
+        minimizers = self.minimizers = np.array([f.minimizer_hint for f in objectives])
+        minimizers.setflags(write=False)
+        # sqrt of the batched dot products rounds as np.linalg.norm(a - b) does
+        self.r = 0.0
+        with np.errstate(over="ignore"):  # centres far apart give r = inf, which the bundle rejects
+            for a in minimizers:
+                D = minimizers - a
+                self.r = max(self.r, float(np.sqrt(np.matmul(D[:, None, :], D[:, :, None]).max())))
+        families = [family_of(f) for f in objectives]
+        if all(fam is not None for fam in families):
+            H = np.array([fam.H for fam in families])
+            H.setflags(write=False)
+            c = np.array([0.0 if fam.c is None else fam.c for fam in families])
+            c.setflags(write=False)
+            bounds = np.array([fam.bounds for fam in families])
+            self.family = Family(H, minimizers, bounds, c if c.any() else None)
+            lo, hi = bounds[:, 0].min(), bounds[:, 1].max()
             if hi < 0.5 * np.finfo(float).max:
-                self.hess_floor = float(lo - 4 * (n + d) * d * _EPS * hi)
+                self.hess_floor = float(lo - 4 * (len(objectives) + d) * d * _EPS * hi)
 
     @property
     def n(self) -> int:
@@ -252,44 +292,8 @@ class ObjectiveSet:
 
     @classmethod
     def from_objectives(cls, objectives: Sequence[SmoothFunction]) -> "ObjectiveSet":
-        objectives = tuple(objectives)
-        if len(objectives) < 1:
-            raise InvalidArgumentError("need at least one objective")
-        d = objectives[0].dim
-        for i, f in enumerate(objectives):
-            if f.dim != d:
-                raise InvalidArgumentError(f"objective {i} has dim {f.dim}, expected {d}")
-            if f.mu is None or f.L is None or f.L_H is None:
-                raise ConfigurationError(f"objective {i} is missing declared constants")
-            if not (0 < f.mu <= f.L):
-                raise ConfigurationError(f"objective {i} must have 0 < mu <= L")
-        mu = min(f.mu for f in objectives)
-        L = max(f.L for f in objectives)
-        L_H = max(f.L_H for f in objectives)
-        for i, f in enumerate(objectives):
-            m = f.minimizer_hint
-            if m is None or not np.linalg.norm(f.grad(m)) <= 1e-10 * L:
-                raise ConfigurationError(f"objective {i}: minimizer_hint is not its minimizer")
-        minimizers = np.array([f.minimizer_hint for f in objectives])
-        minimizers.setflags(write=False)
-        # sqrt of the batched dot products rounds as np.linalg.norm(a - b) does
-        r = 0.0
-        with np.errstate(over="ignore"):  # centres far apart give r = inf, which the bundle rejects
-            for a in minimizers:
-                D = minimizers - a
-                r = max(r, float(np.sqrt(np.matmul(D[:, None, :], D[:, :, None]).max())))
-        family = None
-        families = [family_of(f) for f in objectives]
-        if all(fam is not None for fam in families):
-            H = np.array([fam.H for fam in families])
-            H.setflags(write=False)
-            c = np.array([0.0 if fam.c is None else fam.c for fam in families])
-            c.setflags(write=False)
-            bounds = np.array([fam.bounds for fam in families])
-            family = Family(H, minimizers, bounds, c if c.any() else None)
-        return cls(
-            objectives=objectives, mu=mu, L=L, L_H=L_H, minimizers=minimizers, r=r, family=family
-        )
+        """``ObjectiveSet(objectives)``: the set with every other field derived from them."""
+        return cls(objectives)
 
 
 @dataclass
@@ -325,19 +329,26 @@ def derive_constants(F: ObjectiveSet, f0: SmoothFunction) -> ConstantBundle:
 
 @dataclass(eq=False)
 class ProblemInstance:
-    """Objectives plus a preference function and the derived constant bundle."""
+    """Objectives plus a preference function and the derived constant bundle.
+
+    ``F`` and ``f0`` are the inputs; ``bundle = derive_constants(F, f0)`` is
+    derived on each build, as an objective set's fields are.
+    """
 
     F: ObjectiveSet
     f0: SmoothFunction
-    bundle: ConstantBundle
+    bundle: ConstantBundle = field(init=False)
+
+    def __post_init__(self):
+        F, f0 = self.F, self.f0
+        if f0.dim != F.dim:
+            raise InvalidArgumentError(f"preference dim {f0.dim} does not match objective dim {F.dim}")
+        self.bundle = derive_constants(F, f0)
 
     @classmethod
     def create(cls, F: ObjectiveSet, f0: SmoothFunction) -> "ProblemInstance":
-        if f0.dim != F.dim:
-            raise InvalidArgumentError(
-                f"preference dim {f0.dim} does not match objective dim {F.dim}"
-            )
-        return cls(F=F, f0=f0, bundle=derive_constants(F, f0))
+        """``ProblemInstance(F, f0)``: the problem with its bundle derived from them."""
+        return cls(F, f0)
 
 
 def weighted_sum(w: np.ndarray, stack: np.ndarray) -> np.ndarray:

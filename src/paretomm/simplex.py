@@ -144,8 +144,8 @@ class SimplexQuadratic:
     """Quadratic in relative form around its anchor, with an optional metric.
 
     value(beta') = linear^T d + 0.5 * d^T (metric + curvature * I) d, d = beta' - anchor;
-    without a metric the model is isotropic.  ``metric`` is an n x n
-    symmetric matrix with metric + curvature * I positive definite.
+    without a metric the model is isotropic.  ``curvature`` > 0 and ``linear`` are
+    finite; ``metric`` is n x n symmetric with metric + curvature * I positive definite.
     """
 
     anchor: SimplexPoint
@@ -154,11 +154,13 @@ class SimplexQuadratic:
     metric: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.curvature <= 0:
-            raise InvalidArgumentError("curvature must be positive")
+        if not 0 < self.curvature < math.inf:
+            raise InvalidArgumentError("curvature must be positive and finite")
         lin = np.asarray(self.linear, dtype=float)
         if lin.shape != self.anchor.weights.shape:
             raise InvalidArgumentError("linear term and anchor dimensions disagree")
+        if not np.isfinite(lin).all():
+            raise InvalidArgumentError("linear term must be finite")
         self.linear = lin
 
     def value_at(self, beta: SimplexPoint) -> float:

@@ -568,10 +568,16 @@ class TestPngDescent:
         with pytest.raises(InvalidArgumentError, match="max_iters"):
             PngConfig(c=0.01, step=0.05, eps_stop=1e-3, max_iters=1e5)
 
-    @pytest.mark.parametrize("field", ["c", "step", "eps_stop", "max_iters"])
-    def test_booleans_rejected(self, field):
-        # True compares as 1 and passes the range checks
-        params = {"c": 0.01, "step": 0.05, "eps_stop": 1e-3, "max_iters": 100, field: True}
+    @pytest.mark.parametrize(
+        "field, value",
+        [("c", True), ("step", True), ("eps_stop", True), ("max_iters", True),
+         ("c", "1"), ("step", None), ("eps_stop", 1e-3 + 0j)],
+        ids=["c", "step", "eps_stop", "max_iters", "string-c", "none-step", "complex-eps_stop"],
+    )
+    def test_booleans_rejected(self, field, value):
+        # True compares as 1 and passes the range checks; the others would fail inside a
+        # comparison with a TypeError
+        params = {"c": 0.01, "step": 0.05, "eps_stop": 1e-3, "max_iters": 100, field: value}
         with pytest.raises(InvalidArgumentError, match="not booleans"):
             PngConfig(**params)
 

@@ -294,7 +294,7 @@ class TestHessFloor:
         problem = problem_from_spec(png_counterexample_spec())
         F = problem.F
         raised = [dataclasses.replace(f, mu=2.5) for f in F.objectives]
-        for G in (dataclasses.replace(F, mu=2.5), ObjectiveSet.from_objectives(raised)):
+        for G in (dataclasses.replace(F, objectives=raised), ObjectiveSet.from_objectives(raised)):
             assert G.mu == 2.5 and G.hess_floor == F.hess_floor
             with pytest.raises(
                 NumericalFailureError, match=r"^Hessian not positive definite above 1\.250e\+00$"
@@ -331,7 +331,8 @@ class TestHessFloor:
     def test_replace_derives_the_floor_again(self, png_instance):
         F = png_instance.F
         assert dataclasses.replace(F).hess_floor == F.hess_floor
-        assert dataclasses.replace(F, family=None).hess_floor == -np.inf
+        unstacked = [dataclasses.replace(f, family=None) for f in F.objectives]
+        assert dataclasses.replace(F, objectives=unstacked).hess_floor == -np.inf
 
     def test_raw_weights_keep_the_test(self, png_instance):
         F = png_instance.F

@@ -276,8 +276,8 @@ class TestBatchedLattice:
             assert value == problem.f0.value(point.x)
 
     def test_set_level_L_H_override_keeps_newton(self, newton_calls):
-        # a set-level L_H replaced by 0 keeps the log-cosh family, which still sends every point
-        # to Newton
+        # objectives whose L_H is replaced by 0 give a set-level L_H of 0 and keep the log-cosh
+        # family, which still sends every point to Newton
         log_cosh = {"kind": "builtin", "name": "log_cosh_quadratic"}
         spec = {
             "dimension": 2,
@@ -286,7 +286,9 @@ class TestBatchedLattice:
             "preference": {"kind": "quadratic", "H": np.eye(2).tolist(), "z": [0.0, 1.0]},
         }
         loaded = problem_from_spec(spec)
-        F = dataclasses.replace(loaded.F, L_H=0.0)
+        flat = [dataclasses.replace(f, L_H=0.0) for f in loaded.F.objectives]
+        F = dataclasses.replace(loaded.F, objectives=flat)
+        assert F.L_H == 0.0 and F.family is not None
         grid_search_preference_opt(ProblemInstance.create(F, loaded.f0), 4)
         assert len(newton_calls) == 5
 

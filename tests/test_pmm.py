@@ -77,11 +77,15 @@ class TestSolverConfig:
             {"eps0": np.True_, "eps": 0.5},
             {"eps0": 1.0, "eps": True},
             {"eps0": 1e-3, "eps": 1e-6, "max_outer": True},
+            {"eps0": "0.1", "eps": 0.01},
+            {"eps0": 0.1, "eps": 0.01, "alpha": None},
+            {"eps0": 1 + 0j, "eps": 0.5},
         ],
-        ids=["eps0", "numpy-eps0", "eps", "max_outer"],
+        ids=["eps0", "numpy-eps0", "eps", "max_outer", "string-eps0", "none-alpha", "complex-eps0"],
     )
     def test_rejects_booleans(self, kwargs):
-        # each compares as the number 1 and passes every range check
+        # a boolean compares as the number 1 and passes every range check; a string, None
+        # or a complex number would fail inside a comparison with a TypeError
         with pytest.raises(ConfigurationError, match="not booleans"):
             SolverConfig(**kwargs)
 
@@ -398,8 +402,8 @@ class TestPmmSolve:
     def test_iterate_outside_declared_tube_fails(self, png_instance):
         # a Pareto-set radius far below the true one (about 1) puts the first
         # step's point outside the tube around the solved start
-        bundle = dataclasses.replace(png_instance.bundle, R_bound=1e-6)
-        problem = dataclasses.replace(png_instance, bundle=bundle)
+        problem = dataclasses.replace(png_instance)
+        problem.bundle = dataclasses.replace(png_instance.bundle, R_bound=1e-6)
         config = SolverConfig(eps0=1e-3, eps=1e-6)
         with pytest.raises(NumericalFailureError, match="Pareto neighborhood"):
             pmm_solve(problem, config, init=(None, np.array([0.9, 0.1])))

@@ -379,7 +379,8 @@ class TestStackedEvaluation:
         poisoned = tuple(
             dataclasses.replace(f, value=_raise, grad=_raise, hess=_raise) for f in problem.F.objectives
         )
-        F = dataclasses.replace(problem.F, objectives=poisoned)
+        F = dataclasses.replace(problem.F)  # built from the good objectives, which it then drops
+        F.objectives = poisoned
         config = SolverConfig(eps0=1e-3, eps=1e-6)
         result = pmm_solve(dataclasses.replace(problem, F=F), config)
         assert result.status == "certified"
@@ -500,6 +501,70 @@ class TestDeriveConstants:
         undeclared = SmoothFunction(dim=2, value=bare, grad=bare, hess=bare, L=None)
         with pytest.raises(ConfigurationError):
             derive_constants(F, undeclared)
+
+
+def _same_value(a, b):
+    if dataclasses.is_dataclass(a) and dataclasses.is_dataclass(b):
+        return all(_same_value(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    return a is b or a == b
+
+
+class TestDerivedFields:
+    """A set takes only its objectives and a problem only F and f0; every build derives the rest."""
+
+    def test_replaced_inputs_give_the_created_bundle(self, png_instance):
+        looser = [dataclasses.replace(f, mu=f.mu / 4) for f in png_instance.F.objectives]
+        G = dataclasses.replace(png_instance.F, objectives=looser)
+        g = dataclasses.replace(png_instance.f0, L=2.0)
+        for replaced, created in (
+            (dataclasses.replace(png_instance, F=G), ProblemInstance.create(G, png_instance.f0)),
+            (dataclasses.replace(png_instance, f0=g), ProblemInstance.create(png_instance.F, g)),
+        ):
+            assert replaced.bundle == created.bundle != png_instance.bundle
+        # the quartered mu raises M1 from about 492 to about 15 743
+        assert dataclasses.replace(png_instance, F=G).bundle.M1 == pytest.approx(15742.959, rel=1e-6)
+        assert png_instance.bundle.M1 == pytest.approx(491.967, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "spec", [png_counterexample_spec, triangle_spec], ids=["png-example", "triangle"]
+    )
+    def test_replaced_objectives_build_the_same_set(self, spec):
+        F = problem_from_spec(spec()).F
+        new = [
+            make_log_cosh_quadratic(2.0 * f.family.H, f.minimizer_hint + E2, 0.5) for f in F.objectives
+        ]
+        new[0] = dataclasses.replace(new[0], family=None)  # no stack: each objective is called
+        for objectives in (new, new[1:]):
+            replaced = dataclasses.replace(F, objectives=objectives)
+            assert _same_value(replaced, ObjectiveSet.from_objectives(objectives))
+            assert (replaced.family is None) == (objectives is new)
+
+    def test_replaced_objectives_are_the_ones_solved(self, png_instance):
+        # the old stack and minimizers would certify x = (0, 0), where these objectives'
+        # weighted gradient has norm 5
+        new = [quadratic_from_hessian(np.eye(2), np.array([z, 5.0])) for z in (-1.0, 1.0)]
+        F = dataclasses.replace(png_instance.F, objectives=new)
+        eps = 1e-6
+        result = pmm_solve(dataclasses.replace(png_instance, F=F), SolverConfig(eps0=1e-3, eps=eps))
+        assert result.status == "certified"
+        np.testing.assert_allclose(result.point.x, [0.0, 5.0], atol=1e-9)
+        f_beta = scalarize(ObjectiveSet.from_objectives(new), result.point.beta)
+        assert np.linalg.norm(f_beta.grad(result.point.x)) <= eps
+
+    @pytest.mark.parametrize(
+        "cls, name",
+        [(ObjectiveSet, f) for f in ("mu", "L", "L_H", "minimizers", "r", "family", "hess_floor")]
+        + [(ProblemInstance, "bundle")],
+    )
+    def test_derived_field_is_not_an_argument(self, png_instance, cls, name):
+        built = png_instance if cls is ProblemInstance else png_instance.F
+        inputs = {f.name: getattr(built, f.name) for f in dataclasses.fields(cls) if f.init}
+        with pytest.raises(TypeError, match=name):
+            cls(**inputs, **{name: getattr(built, name)})
+        with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+            dataclasses.replace(built, **{name: getattr(built, name)})
 
 
 def test_norm_1_2_is_max_column_norm(rng):

@@ -154,8 +154,13 @@ class TestQuadraticSolver:
             (np.zeros(2), 0.0, "curvature must be positive"),
             (np.zeros(2), -1.0, "curvature must be positive"),
             (np.zeros(3), 1.0, "dimensions disagree"),
+            (np.zeros(2), np.nan, "curvature must be positive and finite"),
+            (np.zeros(2), np.inf, "curvature must be positive and finite"),
+            (np.array([np.nan, 0.0]), 1.0, "linear term must be finite"),
+            (np.array([1.0, -np.inf]), 1.0, "linear term must be finite"),
         ],
-        ids=["zero-curvature", "negative-curvature", "long-linear"],
+        ids=["zero-curvature", "negative-curvature", "long-linear", "nan-curvature", "inf-curvature",
+             "nan-linear", "inf-linear"],
     )
     def test_invalid_model_rejected(self, linear, curvature, match):
         with pytest.raises(InvalidArgumentError, match=match):
